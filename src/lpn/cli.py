@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .gf2 import BitVec, BlockLayout, GaussStatus
-from .instance import LabeledExample, StreamExhausted, new_source
+from .instance import LabeledExample, new_source
 from .instfile import (
     InstanceFormatError,
     generate_instance,
@@ -39,7 +39,6 @@ from .online import run_online
 from .seeding import derive_seed
 from .solvers import (
     MLE_MAX_K,
-    BudgetExceededError,
     SolverConfig,
     SolverStatus,
     choose_parameters,
@@ -131,11 +130,12 @@ def build_parser() -> _Parser:
 
 def _parse_seeds(spec: str) -> List[int]:
     if "," in spec:
-        return [int(tok) for tok in spec.split(",") if tok.strip() != ""]
-    n = int(spec)
-    if n < 1:
+        seeds = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
+    else:
+        seeds = list(range(int(spec)))
+    if not seeds:
         raise _UsageError("--seeds must name at least one seed")
-    return list(range(n))
+    return seeds
 
 
 def _emit(rows: List[Dict], columns: List[str], out: Optional[str],
@@ -171,6 +171,17 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def _draw_samples(src, m: int) -> Optional[List[LabeledExample]]:
+    """The next m examples, or None if a finite source holds fewer."""
+    if hasattr(src, "__len__") and m > len(src) - src.draw_count:
+        return None
+    bits, labels, start = src.draw_batch(m)
+    return [
+        LabeledExample(BitVec.from_bits_row(bits[i]), int(labels[i]), start + i)
+        for i in range(m)
+    ]
 
 
 def _solve_one(task: Dict) -> Dict:
@@ -224,15 +235,11 @@ def _solve_one(task: Dict) -> Dict:
             )
         row.update(a=cfg.layout.a, b=cfg.layout.b,
                    repetitions=cfg.repetitions)
-        try:
-            res = recover_target(src, cfg, seed=seed)
-            status = res.status.value
-            c_hat = res.c_hat.c if res.c_hat is not None else None
-            row["examples_used"] = res.examples_used
-            row["wall_time_ms"] = _fmt(res.wall_time_s * 1e3)
-        except StreamExhausted:
-            status, c_hat = SolverStatus.BUDGET_EXCEEDED.value, None
-            row["examples_used"] = src.draw_count
+        res = recover_target(src, cfg, seed=seed)
+        status = res.status.value
+        c_hat = res.c_hat.c if res.c_hat is not None else None
+        row["examples_used"] = res.examples_used
+        row["wall_time_ms"] = _fmt(res.wall_time_s * 1e3)
         row["status"] = status
         row["c_hat"] = c_hat.to_bytes_le().hex() if c_hat is not None else ""
         recovered = status == SolverStatus.RECOVERED.value
@@ -244,18 +251,11 @@ def _solve_one(task: Dict) -> Dict:
     if algo == "mle":
         if k > MLE_MAX_K:
             raise _UsageError(f"mle is capped at k={MLE_MAX_K}")
-        m = task["max_examples"] or 2000
-        try:
-            bits, labels, start = src.draw_batch(m)
-        except StreamExhausted:
+        samples = _draw_samples(src, task["max_examples"] or 2000)
+        if samples is None:
             row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
                        examples_used=src.draw_count)
             return row
-        samples = [
-            LabeledExample(BitVec.from_bits_row(bits[i]), int(labels[i]),
-                           start + i)
-            for i in range(len(bits))
-        ]
         h = mle_bruteforce(samples, k)
         row.update(
             status="recovered",
@@ -266,18 +266,11 @@ def _solve_one(task: Dict) -> Dict:
         return row
 
     if algo == "gauss":
-        m = task["max_examples"] or 3 * k
-        try:
-            bits, labels, start = src.draw_batch(m)
-        except StreamExhausted:
+        samples = _draw_samples(src, task["max_examples"] or 3 * k)
+        if samples is None:
             row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
                        examples_used=src.draw_count)
             return row
-        samples = [
-            LabeledExample(BitVec.from_bits_row(bits[i]), int(labels[i]),
-                           start + i)
-            for i in range(len(bits))
-        ]
         gr = gaussian_baseline(samples, k)
         solved = gr.status is GaussStatus.SOLVED
         row.update(

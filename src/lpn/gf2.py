@@ -25,6 +25,9 @@ __all__ = [
     "dot_mod2",
     "xor",
     "block",
+    "pack_rows",
+    "eliminate",
+    "back_substitute",
     "rank_ints",
     "is_basis",
     "express_in_span",
@@ -210,19 +213,61 @@ class BitMatrix:
         return len(self.rows)
 
 
-def rank_ints(rows: Iterable[int]) -> int:
-    """Rank of integer-packed GF(2) rows, eliminating via lowest set bits."""
-    basis: List[int] = []
-    r = 0
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(m, n) 0/1 rows to int64 values, coordinate 1 least significant."""
+    if bits.shape[1] > 62:
+        raise ValueError("rows too wide to pack into int64")
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    val = packed[:, 0].astype(np.int64)
+    for j in range(1, packed.shape[1]):
+        val |= packed[:, j].astype(np.int64) << (8 * j)
+    return val
+
+
+def eliminate(
+    rows: Iterable[int], colmask: int
+) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Forward elimination of int-packed GF(2) rows on the columns in colmask.
+
+    Each row is reduced by the pivots found so far.  If it keeps a set
+    bit inside colmask it becomes a pivot, keyed by its lowest such bit;
+    otherwise, if anything is left outside the mask, that remainder is a
+    residue.  Bits outside the mask ride along with every XOR, so they
+    can carry a label or a mask of the rows combined.  Returns the
+    pivots as (key bit, reduced row) in the order found, and the
+    residues in input order.
+    """
+    pivots: List[Tuple[int, int]] = []
+    residues: List[int] = []
     for row in rows:
-        for bv in basis:
-            low = bv & -bv
-            if row & low:
-                row ^= bv
-        if row:
-            basis.append(row)
-            r += 1
-    return r
+        for key, prow in pivots:
+            if row & key:
+                row ^= prow
+        cols = row & colmask
+        if cols:
+            pivots.append((cols & -cols, row))
+        elif row:
+            residues.append(row)
+    return pivots, residues
+
+
+def back_substitute(pivots: Sequence[Tuple[int, int]], n: int) -> int:
+    """The c with <c, row> equal to bit n of every pivot row.
+
+    pivots come from eliminate with colmask (1 << n) - 1 and the label
+    riding in bit n.  Coordinates without a pivot are set to 0.
+    """
+    c = 0
+    for key, prow in sorted(pivots, reverse=True):
+        # prow's other columns lie above key and are already solved
+        if ((prow & c).bit_count() ^ (prow >> n)) & 1:
+            c |= key
+    return c
+
+
+def rank_ints(rows: Iterable[int]) -> int:
+    """Rank of integer-packed GF(2) rows."""
+    return len(eliminate(rows, -1)[0])
 
 
 def is_basis(vectors: Sequence[BitVec]) -> bool:
@@ -238,29 +283,21 @@ def is_basis(vectors: Sequence[BitVec]) -> bool:
 def express_in_span(rows: Sequence[BitVec], target: BitVec) -> Optional[List[int]]:
     """Indices of rows whose XOR equals target, or None if out of span.
 
-    Elimination pivots on the lowest set column, so the result is
-    deterministic for a given row order.
+    Row i carries bit i of a combination mask above the n columns, and
+    the target, eliminated last, carries bit len(rows).  Elimination
+    pivots on the lowest set column, so the result is deterministic for
+    a given row order.
     """
-    if any(r.n != target.n for r in rows):
+    n, m = target.n, len(rows)
+    if any(r.n != n for r in rows):
         raise ValueError("length mismatch")
-    # (reduced vector, combination mask over original row indices)
-    basis: List[Tuple[int, int]] = []
-    for idx, r in enumerate(rows):
-        cur, combo = r.bits, 1 << idx
-        for bv, bc in basis:
-            if cur & (bv & -bv):
-                cur ^= bv
-                combo ^= bc
-        if cur:
-            basis.append((cur, combo))
-    cur, combo = target.bits, 0
-    for bv, bc in basis:
-        if cur & (bv & -bv):
-            cur ^= bv
-            combo ^= bc
-    if cur:
-        return None
-    return [i for i in range(len(rows)) if (combo >> i) & 1]
+    aug = [r.bits | 1 << (n + i) for i, r in enumerate(rows)]
+    aug.append(target.bits | 1 << (n + m))
+    _, residues = eliminate(aug, (1 << n) - 1)
+    if not residues or not residues[-1] >> (n + m):
+        return None  # the target became a pivot
+    combo = residues[-1] >> n
+    return [i for i in range(m) if (combo >> i) & 1]
 
 
 class GaussStatus(enum.Enum):
@@ -286,31 +323,12 @@ def gaussian_solve(matrix: BitMatrix) -> GaussResult:
     if matrix.labels is None:
         raise ValueError("gaussian_solve needs labeled rows")
     n = matrix.ncols
-    # augmented rows: label carried in bit n
-    aug = [r.bits | (l << n) for r, l in zip(matrix.rows, matrix.labels)]
-    colmask = (1 << n) - 1
-    pivots = {}  # column -> reduced row
-    inconsistent = False
-    for row in aug:
-        for col, prow in pivots.items():
-            if (row >> col) & 1:
-                row ^= prow
-        if row & colmask:
-            col = (row & -row).bit_length() - 1
-            pivots[col] = row
-        elif row:  # 0 = 1
-            inconsistent = True
-    if inconsistent:
+    pivots, residues = eliminate(
+        (r.bits | l << n for r, l in zip(matrix.rows, matrix.labels)),
+        (1 << n) - 1,
+    )
+    if residues:  # a row reduced to 0 = 1
         return GaussResult(GaussStatus.INCONSISTENT)
     if len(pivots) < n:
         return GaussResult(GaussStatus.UNDERDETERMINED)
-    # back-substitute to a fully reduced form, then read coordinates
-    cols = sorted(pivots)
-    for i, col in enumerate(cols):
-        for col2 in cols[i + 1 :]:
-            if (pivots[col] >> col2) & 1:
-                pivots[col] ^= pivots[col2]
-    bits = 0
-    for col in cols:
-        bits |= ((pivots[col] >> n) & 1) << col
-    return GaussResult(GaussStatus.SOLVED, BitVec(n, bits))
+    return GaussResult(GaussStatus.SOLVED, BitVec(n, back_substitute(pivots, n)))

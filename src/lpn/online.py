@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .gf2 import BitVec
+from .gf2 import BitVec, pack_rows
 from .instance import ParityTarget
 
 __all__ = [
@@ -250,17 +250,6 @@ class OnlineReport:
         return self.errors / self.predicted
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """(m, n) 0/1 rows to int64 values, coordinate 1 least significant."""
-    if bits.shape[1] > 62:
-        raise ValueError("domain too wide to pack into int64")
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    val = packed[:, 0].astype(np.int64)
-    for j in range(1, packed.shape[1]):
-        val |= packed[:, j].astype(np.int64) << (8 * j)
-    return val
-
-
 def _run_simple(
     source, g, w, t, count, track_provenance, collect_vote_stats, record
 ) -> OnlineReport:
@@ -277,7 +266,7 @@ def _run_simple(
     while done < count:
         take = min(4096, count - done)
         bits, labels, start = source.draw_batch(take)
-        xs = _pack_rows(bits)
+        xs = pack_rows(bits)
         clean = target.predict_rows(bits) if target is not None else None
         for i in range(take):
             lab_i = int(labels[i])
@@ -424,7 +413,7 @@ def _run_tabled(source, g, w, t, count, record) -> OnlineReport:
     while done < count:
         take = min(2048, count - done)
         bits, labels, _ = source.draw_batch(take)
-        xs = _pack_rows(bits)
+        xs = pack_rows(bits)
         pos = 0
         while pos < take:
             cc = cap_count[xs[pos:take]]

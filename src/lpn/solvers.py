@@ -24,7 +24,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVec, BlockLayout, GaussResult, gaussian_solve
+from .gf2 import (
+    BitMatrix, BitVec, BlockLayout, GaussResult, gaussian_solve, pack_rows,
+)
 from .instance import LabeledExample, NoiseRate, ParityTarget
 from .seeding import derive_seed
 
@@ -74,6 +76,8 @@ class SolverConfig:
 
     repetitions=None means: derive the vote count from the source's
     noise rate via repetitions_for when the solve starts.
+    track_provenance records which draws each merged row XORs and checks
+    every row against them; it uses no randomness and changes no vote.
     """
 
     layout: BlockLayout
@@ -248,9 +252,7 @@ class ISample:
             yield BitVec.from_bits_row(row), int(label)
 
     def validate(
-        self,
-        originals: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        first_index: int = 0,
+        self, originals: Optional[Tuple[np.ndarray, np.ndarray]] = None
     ) -> None:
         """Check structural invariants; with the original draws also
         check that provenance sets reproduce each vector and label."""
@@ -269,19 +271,10 @@ class ISample:
                 acc = np.zeros(self.layout.total, dtype=np.uint8)
                 lab = 0
                 for idx in prov:
-                    acc ^= obits[idx - first_index]
-                    lab ^= int(olabels[idx - first_index])
+                    acc ^= obits[idx]
+                    lab ^= int(olabels[idx])
                 if not np.array_equal(acc, row) or lab != int(label):
                     raise AssertionError("provenance does not reproduce the entry")
-
-
-def _block_values(bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Per-row integer value of columns [lo, hi), as int64."""
-    packed = np.packbits(bits[:, lo:hi], axis=1, bitorder="little")
-    val = packed[:, 0].astype(np.int64)
-    for j in range(1, packed.shape[1]):
-        val |= packed[:, j].astype(np.int64) << (8 * j)
-    return val
 
 
 def _merge_segmented(
@@ -291,7 +284,7 @@ def _merge_segmented(
     layout: BlockLayout,
     level: int,
     rng: np.random.Generator,
-    prov: Optional[List[frozenset]] = None,
+    prov: Optional[np.ndarray] = None,
 ):
     """One merge step applied independently inside each segment.
 
@@ -299,6 +292,10 @@ def _merge_segmented(
     random representative per group is XORed into the rest of its group
     and then dropped.  Returns the new rows in (segment, block value)
     order; groups of size one vanish entirely.
+
+    prov, when given, is an (s, w) int array: row r is the XOR of the
+    rows indexed by prov[r].  An output row gets its own row's w
+    indices followed by its representative's, so w doubles.
     """
     a, b = layout.a, layout.b
     if level > a - 2:
@@ -307,10 +304,9 @@ def _merge_segmented(
     lo, hi = layout.bounds(j0)
     s = len(bits)
     if s == 0:
-        empty_prov: Optional[List[frozenset]] = [] if prov is not None else None
-        return bits, labels, seg, empty_prov
+        return bits, labels, seg, None if prov is None else np.hstack([prov, prov])
     key = seg.astype(np.int64) << b
-    key |= _block_values(bits, lo, hi)
+    key |= pack_rows(bits[:, lo:hi])
     order = np.argsort(key, kind="stable")
     ks = key[order]
     starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
@@ -321,19 +317,17 @@ def _merge_segmented(
     keep = np.ones(s, dtype=bool)
     keep[rep_pos] = False
 
+    rep = rep_for[keep]
     bs = bits[order]
     ls = labels[order]
-    ss = seg[order]
-    out_bits = bs[keep] ^ bs[rep_for[keep]]
-    out_labels = ls[keep] ^ ls[rep_for[keep]]
-    out_seg = ss[keep]
+    out_bits = bs[keep] ^ bs[rep]
+    out_labels = ls[keep] ^ ls[rep]
+    out_seg = seg[order][keep]
     assert not out_bits[:, lo:hi].any(), "collapsed block must be zero"
-    out_prov: Optional[List[frozenset]] = None
+    out_prov: Optional[np.ndarray] = None
     if prov is not None:
-        po = [prov[j] for j in order]
-        out_prov = [
-            po[i] ^ po[rep_for[i]] for i in range(s) if keep[i]
-        ]
+        ps = prov[order]
+        out_prov = np.hstack([ps[keep], ps[rep]])
     return out_bits, out_labels, out_seg, out_prov
 
 
@@ -351,10 +345,14 @@ def merge_step(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     seg = np.zeros(len(sample), dtype=np.int64)
-    bits, labels, _, prov = _merge_segmented(
-        sample.vectors, sample.labels, seg, sample.layout, sample.i, rng,
-        sample.provenance,
+    rows = None if sample.provenance is None else np.arange(len(sample))[:, None]
+    bits, labels, _, pairs = _merge_segmented(
+        sample.vectors, sample.labels, seg, sample.layout, sample.i, rng, rows
     )
+    prov = None
+    if pairs is not None:
+        old = sample.provenance
+        prov = [old[i] ^ old[j] for i, j in pairs.tolist()]
     return ISample(sample.i + 1, sample.layout, bits, labels, prov)
 
 
@@ -363,14 +361,21 @@ def merge_step(
 
 
 class _BudgetTracker:
-    def __init__(self, max_examples: Optional[int]):
-        self.max_examples = max_examples
+    """Examples charged against max_examples and, for a finite source
+    such as a replayed file, the rows it has left."""
+
+    def __init__(self, source, max_examples: Optional[int]):
+        limit = max_examples
+        if hasattr(source, "__len__"):
+            left = len(source) - source.draw_count
+            limit = left if limit is None else min(limit, left)
+        self.limit = limit
         self.used = 0
 
     def charge(self, m: int) -> None:
-        if self.max_examples is not None and self.used + m > self.max_examples:
+        if self.limit is not None and self.used + m > self.limit:
             raise BudgetExceededError(
-                f"example budget of {self.max_examples} exhausted", self.used
+                f"example budget of {self.limit} exhausted", self.used
             )
         self.used += m
 
@@ -408,36 +413,67 @@ class _ShiftedView:
         return bits, labels, start
 
 
+def _check_provenance(bits, labels, prov, draws, draw_labels) -> None:
+    """Raise AssertionError unless each row is the XOR of its draws."""
+    acc, lab = draws[prov[:, 0]], draw_labels[prov[:, 0]]
+    for j in range(1, prov.shape[1]):
+        acc ^= draws[prov[:, j]]
+        lab ^= draw_labels[prov[:, j]]
+    if not (np.array_equal(acc, bits) and np.array_equal(lab, labels)):
+        raise AssertionError("provenance does not reproduce the merged rows")
+
+
+def _chain_size(indices: np.ndarray) -> int:
+    """Draws left in a chain once repeated draws cancel in pairs."""
+    _, counts = np.unique(indices, return_counts=True)
+    return int(np.count_nonzero(counts & 1))
+
+
 def _collect_votes_batched(
     view,
     layout: BlockLayout,
     n_votes: int,
     rng: np.random.Generator,
     budget: _BudgetTracker,
-) -> np.ndarray:
-    """Labels of n_votes completed votes, in completion order."""
+    track: bool,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Labels of n_votes completed votes, in completion order.
+
+    With track set, rows also carry the indices of the draws they XOR,
+    every round checks all its merged rows against its draws, and the
+    draw indices of each vote come back as an (n_votes, 2^(a-1)) array;
+    otherwise that array is None.  Tracking uses no randomness, so the
+    labels are the same either way.
+    """
     ab = layout.total
     m_per = layout.a * 2**layout.b
     chunk_votes = max(1, _ROUND_CELLS // (m_per * ab))
     out: List[np.ndarray] = []
+    out_prov: List[np.ndarray] = []
     remaining = n_votes
     while remaining > 0:
         pending = min(chunk_votes, remaining)
         remaining -= pending
         for _ in range(_MAX_REDRAWS):
             budget.charge(pending * m_per)
-            bits, labels, _ = view.draw_batch(pending * m_per)
+            draws, draw_labels, start = view.draw_batch(pending * m_per)
+            bits, labels = draws, draw_labels
             seg = np.repeat(np.arange(pending, dtype=np.int64), m_per)
+            prov = np.arange(len(draws))[:, None] if track else None
             for level in range(layout.a - 1):
-                bits, labels, seg, _ = _merge_segmented(
-                    bits, labels, seg, layout, level, rng
+                bits, labels, seg, prov = _merge_segmented(
+                    bits, labels, seg, layout, level, rng, prov
                 )
+            if prov is not None:
+                _check_provenance(bits, labels, prov, draws, draw_labels)
             hit = (bits[:, 0] == 1) & ~bits[:, 1:].any(axis=1)
             idx = np.flatnonzero(hit)
             # rows come out segment-major, so the first hit per segment
             # is the first row of that segment among the hits
             _, first = np.unique(seg[idx], return_index=True)
             out.append(labels[idx[first]])
+            if prov is not None:
+                out_prov.append(start + prov[idx[first]])
             pending -= len(first)
             if pending == 0:
                 break
@@ -446,44 +482,12 @@ def _collect_votes_batched(
                 f"{pending} votes still incomplete after {_MAX_REDRAWS} redraws",
                 budget.used,
             )
-    return np.concatenate(out) if out else np.empty(0, dtype=np.uint8)
-
-
-def _collect_votes_tracked(
-    view,
-    layout: BlockLayout,
-    n_votes: int,
-    rng: np.random.Generator,
-    budget: _BudgetTracker,
-) -> List[Tuple[int, int]]:
-    """(label, provenance size) per vote, checking chain invariants."""
-    ab = layout.total
-    m_per = layout.a * 2**layout.b
-    details: List[Tuple[int, int]] = []
-    for _ in range(n_votes):
-        for _ in range(_MAX_REDRAWS):
-            budget.charge(m_per)
-            bits, labels, start = view.draw_batch(m_per)
-            prov = [frozenset([start + j]) for j in range(m_per)]
-            sample = ISample(0, layout, bits, labels, prov)
-            for _ in range(layout.a - 1):
-                sample = merge_step(sample, rng)
-            sample.validate((bits, labels), first_index=start)
-            rows = sample.vectors
-            hit = (rows[:, 0] == 1) & ~rows[:, 1:].any(axis=1)
-            idx = np.flatnonzero(hit)
-            if len(idx):
-                j = int(idx[0])
-                assert sample.provenance is not None
-                details.append(
-                    (int(sample.labels[j]), len(sample.provenance[j]))
-                )
-                break
-        else:
-            raise BudgetExceededError(
-                f"vote incomplete after {_MAX_REDRAWS} redraws", budget.used
-            )
-    return details
+    labels = np.concatenate(out) if out else np.empty(0, dtype=np.uint8)
+    if not track:
+        return labels, None
+    width = 2 ** (layout.a - 1)
+    prov = np.concatenate(out_prov) if out_prov else np.empty((0, width), np.int64)
+    return labels, prov
 
 
 def _resolve_repetitions(source, config: SolverConfig) -> int:
@@ -504,7 +508,10 @@ def collect_votes(
 ) -> List[Tuple[int, Optional[int]]]:
     """Run vote pipelines only; returns (label, provenance size) pairs.
 
-    Provenance sizes are None unless config.track_provenance is set.
+    Provenance sizes are None unless config.track_provenance is set; a
+    size counts the draws a vote XORs once repeated draws cancel.
+    Tracking records provenance without changing any vote.  A finite
+    source's remaining rows count as a budget next to max_examples.
     Meant for calibration studies; recovery goes through recover_target.
     """
     layout = config.layout
@@ -515,12 +522,12 @@ def collect_votes(
         if seed is None:
             seed = source.rng_seed
         rng = np.random.default_rng(derive_seed(seed, "merge-votes"))
-    budget = _BudgetTracker(config.max_examples)
-    if config.track_provenance:
-        return [(l, s) for l, s in
-                _collect_votes_tracked(view, layout, n_votes, rng, budget)]
-    labels = _collect_votes_batched(view, layout, n_votes, rng, budget)
-    return [(int(l), None) for l in labels]
+    budget = _BudgetTracker(source, config.max_examples)
+    labels, prov = _collect_votes_batched(
+        view, layout, n_votes, rng, budget, config.track_provenance
+    )
+    sizes = [None] * len(labels) if prov is None else map(_chain_size, prov)
+    return [(int(l), s) for l, s in zip(labels, sizes)]
 
 
 def _majority(ones: int, zeros: int) -> int:
@@ -534,14 +541,10 @@ def _recover_bit(
     reps: int,
     rng: np.random.Generator,
     budget: _BudgetTracker,
-    tracked: bool,
+    track: bool,
 ) -> Tuple[int, Tuple[int, int]]:
-    if tracked:
-        details = _collect_votes_tracked(view, layout, reps, rng, budget)
-        ones = sum(l for l, _ in details)
-    else:
-        labels = _collect_votes_batched(view, layout, reps, rng, budget)
-        ones = int(labels.sum())
+    labels, _ = _collect_votes_batched(view, layout, reps, rng, budget, track)
+    ones = int(labels.sum())
     zeros = reps - ones
     return _majority(ones, zeros), (ones, zeros)
 
@@ -558,8 +561,8 @@ def recover_first_bit(
     steps and reads off the aggregated label of (1,0,...,0) if present,
     redrawing otherwise (the probe vector is missed with probability
     about 1/e per attempt).  Returns the bit and the (ones, zeros)
-    tally.  Raises BudgetExceededError when max_examples runs out or a
-    vote exceeds the redraw cap.
+    tally.  Raises BudgetExceededError when max_examples or a finite
+    source's remaining rows run out, or a vote exceeds the redraw cap.
     """
     layout = config.layout
     if source.k > layout.total:
@@ -570,7 +573,7 @@ def recover_first_bit(
             seed = source.rng_seed
         rng = np.random.default_rng(derive_seed(seed, "merge-bit-1"))
     view = _ShiftedView(source, layout.total, 0)
-    budget = _BudgetTracker(config.max_examples)
+    budget = _BudgetTracker(source, config.max_examples)
     return _recover_bit(view, layout, reps, rng, budget, config.track_provenance)
 
 
@@ -582,15 +585,17 @@ def recover_target(
     Coordinate r is recovered exactly like coordinate 1, but on a view
     of the stream whose examples are cyclically rotated by r-1 (labels
     are untouched; the rotated target has the wanted bit first).  All
-    bits share one example stream and one budget.  The merge RNG lanes
-    derive from `seed`, defaulting to the source's own seed.
+    bits share one example stream and one budget: max_examples and, for
+    a finite source, the rows it has left.  Running out ends the solve
+    with BUDGET_EXCEEDED and the examples drawn so far.  The merge RNG
+    lanes derive from `seed`, defaulting to the source's own seed.
     """
     layout = config.layout
     k = source.k
     if k > layout.total:
         raise ValueError("layout does not cover the source coordinates")
     reps = _resolve_repetitions(source, config)
-    budget = _BudgetTracker(config.max_examples)
+    budget = _BudgetTracker(source, config.max_examples)
     if seed is None:
         seed = source.rng_seed
     t0 = time.perf_counter()

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gf2 import BitVec, rank_ints
+from .gf2 import BitVec, back_substitute, eliminate
 from .instance import ParityTarget
 from .seeding import derive_seed
 
@@ -532,34 +532,6 @@ def kwise_to_unary_reduce(
 # parity learning from basis queries
 
 
-def _solve_ints(xs: Tuple[int, ...], ls: Tuple[int, ...], k: int) -> int:
-    """Unique c with <c, xs[i]> = ls[i]; caller guarantees xs is a basis."""
-    pivots: Dict[int, int] = {}
-    for x, l in zip(xs, ls):
-        row = x | (l << k)
-        while True:
-            cols = row & ((1 << k) - 1)
-            if not cols:
-                break
-            col = (cols & -cols).bit_length() - 1
-            if col in pivots:
-                row ^= pivots[col]
-            else:
-                pivots[col] = row
-                break
-    c = 0
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        acc = (row >> k) & 1
-        rest = row & ((1 << k) - 1) & ~(1 << col)
-        while rest:
-            low = rest & -rest
-            acc ^= (c >> (low.bit_length() - 1)) & 1
-            rest ^= low
-        c |= acc << col
-    return c
-
-
 def basis_query_learner(
     k: int,
     concept: Concept,
@@ -580,19 +552,19 @@ def basis_query_learner(
     if dist.n != k:
         raise ValueError("distribution width must equal k")
 
-    @lru_cache(maxsize=None)
-    def is_basis(xs: Tuple[int, ...]) -> bool:
-        return rank_ints(xs) == k
+    colmask = (1 << k) - 1
 
+    # one elimination per tuple serves all k+1 queries
     @lru_cache(maxsize=None)
     def pinned(xs: Tuple[int, ...], ls: Tuple[int, ...]) -> Optional[int]:
-        if not is_basis(xs):
-            return None
-        return _solve_ints(xs, ls, k)
+        """The parity the draws pin down, or None if they are no basis."""
+        pivots, _ = eliminate([x | l << k for x, l in zip(xs, ls)], colmask)
+        return back_substitute(pivots, k) if len(pivots) == k else None
 
     tau = 0.01
     p_basis = kwise_answer(
-        KWiseQuery(k, lambda xs, ls: is_basis(xs), tau, "basis-mass"),
+        KWiseQuery(k, lambda xs, ls: pinned(xs, ls) is not None, tau,
+                   "basis-mass"),
         concept, dist, Exact(), cap,
     )
     if p_basis <= 0.0:

@@ -170,6 +170,38 @@ def test_solve_budget_exceeded_exit_code(tmp_path, capsys):
     assert rows_from_csv(out)[0]["status"] == "budget_exceeded"
 
 
+def test_solve_bkw_short_file_reports_drawn_examples(tmp_path, capsys):
+    # k=12 at eta=0.125 needs more than 20,000 examples
+    p = tmp_path / "short12.lpn"
+    run(capsys, "gen", "--k", "12", "--count", "20000", "--eta", "0.125",
+        "--seed", "3", "--out", str(p))
+    code, out, _ = run(capsys, "solve", "--algo", "bkw", "--in", str(p))
+    assert code == 3
+    row = rows_from_csv(out)[0]
+    assert row["status"] == "budget_exceeded"
+    assert row["success"] == "false" and row["c_hat"] == ""
+    # whole rounds of a*2^b = 128 draws, until the next one did not fit
+    assert (row["a"], row["b"]) == ("2", "6")
+    assert int(row["examples_used"]) == 19712
+    assert float(row["wall_time_ms"]) > 0
+
+
+@pytest.mark.parametrize("algo,extra", [
+    ("mle", []),  # 2,000 default draws
+    ("gauss", ["--max-examples", "1600"]),
+])
+def test_solve_short_file_draws_nothing(tmp_path, capsys, algo, extra):
+    p = tmp_path / "short10.lpn"
+    run(capsys, "gen", "--k", "10", "--count", "1500", "--eta", "0.125",
+        "--seed", "3", "--out", str(p))
+    code, out, _ = run(capsys, "solve", "--algo", algo, "--in", str(p), *extra)
+    assert code == 3
+    row = rows_from_csv(out)[0]
+    assert row["status"] == "budget_exceeded"
+    assert row["examples_used"] == "0"
+    assert row["c_hat"] == ""
+
+
 # -- solve usage errors -----------------------------------------------
 
 
@@ -186,6 +218,8 @@ def test_solve_budget_exceeded_exit_code(tmp_path, capsys):
     (["solve", "--algo", "mle", "--k", "30", "--eta", "0.1"], "capped"),
     (["solve", "--algo", "mle", "--k", "8", "--eta", "0.1",
       "--seeds", "0"], "at least one"),
+    (["solve", "--algo", "bkw", "--k", "8", "--eta", "0.1",
+      "--seeds", ","], "at least one"),
 ])
 def test_usage_errors_exit_one(tmp_path, capsys, argv, fragment):
     code, _, err = run(capsys, *argv)

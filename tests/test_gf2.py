@@ -15,6 +15,7 @@ from lpn.gf2 import (
     express_in_span,
     gaussian_solve,
     is_basis,
+    pack_rows,
     rank_ints,
     xor,
 )
@@ -184,6 +185,68 @@ def test_express_in_span_random(k, data):
         for i in combo:
             acc = xor(acc, rows[i])
         assert acc == target
+
+
+def _span(rows, k):
+    """Every XOR of a subset of rows, built up one row at a time."""
+    span = {0}
+    for r in rows:
+        span |= {v ^ r for v in span}
+    return span
+
+
+def test_elimination_matches_brute_force():
+    # rank, span membership, the combination found and the solve status
+    # and solution, against enumeration of all 2^k vectors
+    rng = np.random.default_rng(2024)
+    for trial in range(400):
+        k = int(rng.integers(1, 9))
+        m = int(rng.integers(0, 12))
+        xs = [int(x) for x in rng.integers(0, 1 << k, size=m)]
+        span = _span(xs, k)
+        assert rank_ints(xs) == len(span).bit_length() - 1
+        rows = [BitVec(k, x) for x in xs]
+        if m == k:
+            assert is_basis(rows) == (len(span) == 1 << k)
+        for t in range(1 << k):
+            combo = express_in_span(rows, BitVec(k, t))
+            if t not in span:
+                assert combo is None
+                continue
+            assert combo == sorted(set(combo))
+            acc = 0
+            for i in combo:
+                acc ^= xs[i]
+            assert acc == t
+        if trial % 2:
+            labels = [int(l) for l in rng.integers(0, 2, size=m)]
+        else:  # consistent with a planted parity
+            c = int(rng.integers(0, 1 << k))
+            labels = [(x & c).bit_count() & 1 for x in xs]
+        fits = [
+            c for c in range(1 << k)
+            if all((x & c).bit_count() & 1 == l for x, l in zip(xs, labels))
+        ]
+        if m == 0:
+            continue  # a matrix without rows has no width to solve for
+        res = gaussian_solve(BitMatrix(rows, labels))
+        if not fits:
+            assert res.status is GaussStatus.INCONSISTENT
+        elif len(fits) > 1:
+            assert res.status is GaussStatus.UNDERDETERMINED
+        else:
+            assert res.status is GaussStatus.SOLVED
+            assert res.solution == BitVec(k, fits[0])
+
+
+def test_pack_rows_bit_order():
+    bits = np.array([[1, 0, 0], [0, 1, 1], [0, 0, 0]], dtype=np.uint8)
+    assert pack_rows(bits).tolist() == [0b001, 0b110, 0]
+    wide = np.zeros((2, 62), dtype=np.uint8)
+    wide[1, 61] = 1
+    assert pack_rows(wide).tolist() == [0, 1 << 61]
+    with pytest.raises(ValueError):
+        pack_rows(np.zeros((1, 63), dtype=np.uint8))
 
 
 # -- gaussian_solve ---------------------------------------------------

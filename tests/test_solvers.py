@@ -1,6 +1,7 @@
 """Bias formula, merge step, vote pipeline, and baseline solvers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpn.gf2 import BitVec, BlockLayout, GaussStatus
-from lpn.instance import Explicit, ParityTarget, new_source
+from lpn import solvers
+from lpn.instance import Explicit, ParityTarget, ReplaySource, new_source
 from lpn.solvers import (
     MLE_MAX_K,
     BudgetExceededError,
@@ -283,6 +285,60 @@ def test_collect_votes_bias_matches_formula():
     assert abs(rate - p) <= 3 * math.sqrt(p * (1 - p) / 400)
 
 
+@pytest.mark.parametrize("a,b", [(2, 4), (3, 3)])
+def test_tracking_provenance_changes_no_vote(a, b):
+    layout = BlockLayout(a, b)
+    k = layout.total
+    plain = SolverConfig(layout, repetitions=15)
+    tracked = replace(plain, track_provenance=True)
+
+    untracked_votes = collect_votes(new_source(k, 0.125, seed=21), plain, 60)
+    tracked_votes = collect_votes(new_source(k, 0.125, seed=21), tracked, 60)
+    assert [l for l, _ in tracked_votes] == [l for l, _ in untracked_votes]
+    assert all(size is None for _, size in untracked_votes)
+    sizes = {size for _, size in tracked_votes}
+    # chains of 2^(a-1) draws, shorter where one draw cancels itself
+    assert 2 ** (a - 1) in sizes
+    assert sizes <= set(range(2, 2 ** (a - 1) + 1, 2))
+
+    r0 = recover_target(new_source(k, 0.125, seed=22), plain)
+    r1 = recover_target(new_source(k, 0.125, seed=22), tracked)
+    assert r1.status is r0.status is SolverStatus.RECOVERED
+    assert (r1.c_hat, r1.examples_used, r1.per_bit_votes) == (
+        r0.c_hat, r0.examples_used, r0.per_bit_votes)
+
+    # each tracked vote XORs back to the probe e1 and its own label
+    src = new_source(k, 0.125, seed=23)
+    labels, prov = solvers._collect_votes_batched(
+        solvers._ShiftedView(src, k), layout, 40, np.random.default_rng(5),
+        solvers._BudgetTracker(src, None), track=True,
+    )
+    assert prov.shape == (40, 2 ** (a - 1))
+    bits, draw_labels, _ = new_source(k, 0.125, seed=23).draw_batch(
+        src.draw_count)
+    probe = np.zeros(k, dtype=np.uint8)
+    probe[0] = 1
+    assert (np.bitwise_xor.reduce(bits[prov], axis=1) == probe).all()
+    assert np.array_equal(np.bitwise_xor.reduce(draw_labels[prov], axis=1),
+                          labels)
+
+
+def test_provenance_check_rejects_a_wrong_draw():
+    rng = np.random.default_rng(3)
+    draws = rng.integers(0, 2, size=(8, 4), dtype=np.uint8)
+    draw_labels = rng.integers(0, 2, size=8, dtype=np.uint8)
+    prov = np.array([[0, 1], [2, 3]])
+    bits = draws[[0, 2]] ^ draws[[1, 3]]
+    labels = draw_labels[[0, 2]] ^ draw_labels[[1, 3]]
+    solvers._check_provenance(bits, labels, prov, draws, draw_labels)
+    with pytest.raises(AssertionError):
+        solvers._check_provenance(bits, labels ^ np.array([0, 1], np.uint8),
+                                  prov, draws, draw_labels)
+    draws[1, 0] ^= 1
+    with pytest.raises(AssertionError):
+        solvers._check_provenance(bits, labels, prov, draws, draw_labels)
+
+
 def test_votes_use_fresh_examples():
     src = new_source(8, 0.1, seed=8)
     cfg = SolverConfig(layout=BlockLayout(2, 4), repetitions=10)
@@ -338,6 +394,33 @@ def test_recover_target_budget_status():
     assert res.status is SolverStatus.BUDGET_EXCEEDED
     assert res.c_hat is None
     assert res.examples_used <= 300 + 2 * 2**4
+
+
+def short_replay(count, seed):
+    src = new_source(8, 0.1, seed=seed)
+    bits, labels, _ = src.draw_batch(count)
+    return ReplaySource(bits, labels, eta=0.1, seed=seed)
+
+
+def test_finite_source_is_a_budget():
+    # a bit takes 40 votes of 2*2^4 = 32 draws each, 1280 rows plus
+    # redraws; the replay holds 2000, so the solve ends on bit 2
+    cfg = SolverConfig(layout=BlockLayout(2, 4), repetitions=40)
+    src = short_replay(2000, 30)
+    res = recover_target(src, cfg)
+    assert res.status is SolverStatus.BUDGET_EXCEEDED
+    assert res.c_hat is None
+    assert res.examples_used == src.draw_count > 0
+    assert len(src) - res.examples_used < 40 * 32
+    assert res.wall_time_s > 0
+    with pytest.raises(BudgetExceededError):
+        recover_first_bit(short_replay(1000, 31), cfg)
+    with pytest.raises(BudgetExceededError):
+        collect_votes(short_replay(1000, 32), cfg, 40)
+    # the tighter of max_examples and the rows left wins
+    capped = replace(cfg, max_examples=1500)
+    src = short_replay(2000, 33)
+    assert recover_target(src, capped).examples_used == src.draw_count <= 1500
 
 
 def test_redraw_cap_trips_on_degenerate_distribution():

@@ -137,23 +137,20 @@ def test_labels_agree_is_one_for_zero_parity():
 
 
 def test_basis_probability_k2():
-    from lpn.gf2 import rank_ints
+    from lpn.gf2 import BitMatrix, GaussStatus, gaussian_solve, rank_ints
 
     c = parity_concept(0b01, 2)  # target (1, 0)
     dist = FiniteDistribution.uniform_over(2)
     q_basis = KWiseQuery(2, lambda xs, ls: rank_ints(xs) == 2, 0.01)
     assert kwise_answer(q_basis, c, dist) == 0.375
-    # the bit-1 refinement keeps the full basis mass, bit 2 none of it
-    from lpn.sq import _solve_ints
 
-    q1 = KWiseQuery(
-        2, lambda xs, ls: rank_ints(xs) == 2 and _solve_ints(xs, ls, 2) & 1,
-        0.01,
-    )
-    q2 = KWiseQuery(
-        2, lambda xs, ls: rank_ints(xs) == 2 and _solve_ints(xs, ls, 2) >> 1 & 1,
-        0.01,
-    )
+    # the bit-1 refinement keeps the full basis mass, bit 2 none of it
+    def solved_bit(xs, ls, i):
+        res = gaussian_solve(BitMatrix([BitVec(2, x) for x in xs], list(ls)))
+        return res.status is GaussStatus.SOLVED and res.solution.bit(i)
+
+    q1 = KWiseQuery(2, lambda xs, ls: solved_bit(xs, ls, 0), 0.01)
+    q2 = KWiseQuery(2, lambda xs, ls: solved_bit(xs, ls, 1), 0.01)
     assert kwise_answer(q1, c, dist) == 0.375
     assert kwise_answer(q2, c, dist) == 0.0
 
@@ -291,28 +288,6 @@ def test_reduction_rejects_bad_eps():
 
 
 # -- basis-query learner ----------------------------------------------
-
-
-def test_solve_ints_agrees_with_matrix_elimination():
-    from lpn.gf2 import BitMatrix, GaussStatus, gaussian_solve
-    from lpn.sq import _solve_ints
-
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        k = int(rng.integers(2, 7))
-        c = int(rng.integers(0, 1 << k))
-        xs = []
-        from lpn.gf2 import rank_ints
-
-        while rank_ints(xs) < k:
-            xs.append(int(rng.integers(1, 1 << k)))
-        ls = tuple((x & c).bit_count() & 1 for x in xs)
-        got = _solve_ints(tuple(xs), ls, k)
-        ref = gaussian_solve(
-            BitMatrix([BitVec(k, x) for x in xs], list(ls))
-        )
-        assert ref.status is GaussStatus.SOLVED
-        assert got == ref.solution.bits == c
 
 
 def test_basis_learner_k2_hand_case():
