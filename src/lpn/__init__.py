@@ -33,17 +33,7 @@ from .instfile import (
     replay_source,
     write_instance,
 )
-from .online import (
-    Captured,
-    EliminationMatrix,
-    MatrixBank,
-    OnlineReport,
-    Prediction,
-    Zeroed,
-    process_example,
-    reduce_through,
-    run_online,
-)
+from .online import OnlineReport, run_online
 from .solvers import (
     BudgetExceededError,
     ISample,

@@ -175,7 +175,8 @@ def _fmt(x) -> str:
 
 def _draw_samples(src, m: int) -> Optional[List[LabeledExample]]:
     """The next m examples, or None if a finite source holds fewer."""
-    if hasattr(src, "__len__") and m > len(src) - src.draw_count:
+    left = src.remaining()
+    if left is not None and m > left:
         return None
     bits, labels, start = src.draw_batch(m)
     return [
@@ -194,12 +195,8 @@ def _solve_one(task: Dict) -> Dict:
         "delta": _fmt(task["delta"]),
         "max_examples": _fmt(task["max_examples"]),
     }
-    if algo == "online" and None in (
-        task["blocks"], task["width"], task["matrices"]
-    ):
-        raise _UsageError("online needs --blocks, --width and --matrices")
-    if task["in_path"]:
-        data = read_instance(task["in_path"])
+    data = task["data"]
+    if data is not None:
         src = replay_source(data)
         k, eta = data.k, data.eta
         target = data.target
@@ -286,11 +283,16 @@ def _solve_one(task: Dict) -> Dict:
     # online
     g, w, t = task["blocks"], task["width"], task["matrices"]
     count = task["max_examples"]
+    left = src.remaining()
     if count is None:
-        if not task["in_path"]:
+        if left is None:
             raise _UsageError("online on a live source needs --max-examples")
-        count = len(src) - src.draw_count
+        count = left
     row.update(blocks=g, width=w, matrices=t, count=count)
+    if left is not None and count > left:
+        row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
+                   examples_used=src.draw_count)
+        return row
     rep = run_online(src, g, w, t, count)
     row.update(
         status="completed",
@@ -315,12 +317,23 @@ def cmd_solve(ns) -> int:
         raise _UsageError("need --in FILE, or --eta")
     if ns.in_path is not None and (ns.k is not None or ns.eta is not None):
         raise _UsageError("--in replaces --k/--eta")
+    if ns.algo == "online":
+        for flag in ("blocks", "width", "matrices"):
+            value = getattr(ns, flag)
+            if value is None:
+                raise _UsageError("online needs --blocks, --width and --matrices")
+            if value < 1:
+                raise _UsageError(f"--{flag} must be at least 1")
+    if ns.max_examples is not None and ns.max_examples < 0:
+        raise _UsageError("--max-examples must be nonnegative")
     seeds = _parse_seeds(ns.seeds)
+    # one decode serves every seed; each row replays the same arrays
+    data = read_instance(ns.in_path) if ns.in_path is not None else None
     tasks = [
         {
             "algo": ns.algo,
             "seed": seed,
-            "in_path": ns.in_path,
+            "data": data,
             "k": ns.k,
             "eta": ns.eta,
             "a": ns.a,

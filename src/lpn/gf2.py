@@ -51,6 +51,9 @@ class BitVec:
     def __setattr__(self, name, value):
         raise AttributeError("BitVec is immutable")
 
+    def __reduce__(self):
+        return (BitVec, (self.n, self.bits))
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -141,6 +141,10 @@ class _BufferedDraws:
         """Number of examples handed out so far."""
         return self._drawn
 
+    def remaining(self) -> Optional[int]:
+        """Examples a finite source has left to draw, None if unbounded."""
+        return None
+
     def _refill(self) -> None:
         raise NotImplementedError
 
@@ -218,6 +222,11 @@ class ExampleSource(_BufferedDraws):
                 else np.empty((0, k), dtype=np.uint8)
             )
 
+    def remaining(self) -> Optional[int]:
+        if isinstance(self.distribution, Stream):
+            return len(self._stream_bits) - self.draw_count
+        return None
+
     def _refill(self) -> None:
         dist = self.distribution
         if isinstance(dist, Uniform):
@@ -269,6 +278,9 @@ class ReplaySource(_BufferedDraws):
 
     def __len__(self) -> int:
         return len(self._bits)
+
+    def remaining(self) -> int:
+        return len(self._bits) - self.draw_count
 
     def _refill(self) -> None:
         if self._replay_pos >= len(self._bits):

@@ -4,224 +4,47 @@ Examples arrive one at a time from any distribution.  A bank of t
 elimination matrices digests them: each matrix holds at most one stored
 row per (block, nonzero block value) slot.  An incoming example is
 reduced through a matrix block by block; XORing stored rows either
-cancels it completely (Zeroed: the folded label is a noisy estimate of
+cancels it completely (zeroed: the folded label is a noisy estimate of
 the example's clean label) or leaves a residual whose leading block has
-no stored row yet (Captured: the residual is stored and the true label
+no stored row yet (captured: the residual is stored and the true label
 is requested).  An example zeroed by every matrix gets a majority-vote
 prediction; matrices vote independently because each stored label is
 used by exactly one matrix.
 
-The depth of a stored row at block j is at most 2^(j-1), so any Zeroed
+The depth of a stored row at block j is at most 2^(j-1), so any zeroed
 outcome folds at most 2^g - 1 stored rows and its depth, counting the
 incoming example itself, is at most 2^g.
 
-Two engines produce identical behavior: a dict-based one (reference,
-supports provenance tracking) and a table-based one that memoizes each
-matrix's action over the whole 2^(g*w) domain (fast for small g*w).
+Each matrix is a (g, 2^w) table of int64 row words: the residual in the
+low g*w bits, its label in bit 63, and slot 0 of every block the
+all-zero identity row.  Folding examples through a matrix is then g
+gathers and XORs with no branches.  An empty slot holds 0 and leaves
+the residual alone, so an example was captured exactly when its
+residual is nonzero after the last block.  A batch is folded through
+the matrices that hold rows; the examples before the first capture are
+final, the capture inserts one row, and only the examples that the same
+matrix captured are folded again: every example it zeroed missed the
+new slot, which was empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec, pack_rows
-from .instance import ParityTarget
+from .gf2 import pack_rows
 
-__all__ = [
-    "Row",
-    "Zeroed",
-    "Captured",
-    "Prediction",
-    "EliminationMatrix",
-    "MatrixBank",
-    "reduce_through",
-    "process_example",
-    "OnlineReport",
-    "run_online",
-]
+__all__ = ["OnlineReport", "run_online"]
 
-
-@dataclass
-class Row:
-    """A stored residual: vec has blocks below its slot's block zeroed."""
-
-    vec: int
-    label: int
-    depth: int
-    prov: Optional[frozenset] = None
-
-
-@dataclass(frozen=True)
-class Zeroed:
-    """The example folded to zero; label is the XOR of the used rows'
-    labels (plus the label passed in), depth counts the example itself
-    plus the depths of all used rows."""
-
-    label: int
-    depth: int
-    provenance: Optional[frozenset] = None
-
-
-@dataclass(frozen=True)
-class Captured:
-    """Reduction stopped at an empty slot (block, value); the residual
-    was stored there."""
-
-    block: int
-    value: int
-
-
-class EliminationMatrix:
-    """g blocks of w bits; at most one stored row per (block, value!=0)."""
-
-    def __init__(self, g: int, w: int, track_provenance: bool = False):
-        if g < 1 or w < 1:
-            raise ValueError("need g >= 1 blocks of w >= 1 bits")
-        self.g = g
-        self.w = w
-        self.rows: Dict[Tuple[int, int], Row] = {}
-        self.track_provenance = track_provenance
-
-    @property
-    def domain_bits(self) -> int:
-        return self.g * self.w
-
-    @property
-    def capacity(self) -> int:
-        return self.g * ((1 << self.w) - 1)
-
-    @property
-    def fill(self) -> int:
-        return len(self.rows)
-
-    def reduce(
-        self,
-        x: int,
-        label: int,
-        index: Optional[int] = None,
-        insert: bool = True,
-    ) -> Union[Zeroed, Captured]:
-        """Fold x through the stored rows, block 1 upward.
-
-        Starts from (label, depth 1).  On a miss the residual is stored
-        (when insert is set) and Captured is returned.  The provenance
-        of a Zeroed outcome covers the used rows only, so the XOR of
-        the referenced original examples equals x itself.
-        """
-        if x >> self.domain_bits:
-            raise ValueError("example does not fit the g*w-bit domain")
-        mask = (1 << self.w) - 1
-        vec, lab, dep = x, label, 1
-        prov: frozenset = frozenset()
-        for j in range(1, self.g + 1):
-            v = (vec >> (j - 1) * self.w) & mask
-            if v == 0:
-                continue
-            row = self.rows.get((j, v))
-            if row is None:
-                if insert:
-                    rp = None
-                    if self.track_provenance:
-                        rp = prov if index is None else prov ^ frozenset([index])
-                    assert vec & ((1 << (j - 1) * self.w) - 1) == 0
-                    self.rows[(j, v)] = Row(vec, lab, dep, rp)
-                return Captured(j, v)
-            vec ^= row.vec
-            lab ^= row.label
-            dep += row.depth
-            if self.track_provenance and row.prov is not None:
-                prov = prov ^ row.prov
-        assert vec == 0
-        return Zeroed(lab, dep, prov if self.track_provenance else None)
-
-
-def reduce_through(
-    matrix: EliminationMatrix, x: Union[BitVec, int], label: int
-) -> Union[Zeroed, Captured]:
-    """Public single-matrix reduction; see EliminationMatrix.reduce."""
-    if isinstance(x, BitVec):
-        if x.n != matrix.domain_bits:
-            raise ValueError("example length must be g*w")
-        x = x.bits
-    return matrix.reduce(x, label)
-
-
-@dataclass
-class Prediction:
-    """Outcome of pushing one example through a whole bank."""
-
-    kind: str  # "predicted" | "unknown"
-    bit: Optional[int]
-    votes_for: int
-    votes_against: int
-    tie: bool
-    captured_in: Optional[int] = None  # 1-based matrix index
-    max_vote_depth: int = 0
-    votes: Optional[List[Zeroed]] = None
-
-
-class MatrixBank:
-    def __init__(self, g: int, w: int, t: int, track_provenance: bool = False):
-        if t < 1:
-            raise ValueError("need at least one matrix")
-        self.g = g
-        self.w = w
-        self.t = t
-        self.track_provenance = track_provenance
-        self.matrices = [EliminationMatrix(g, w, track_provenance) for _ in range(t)]
-
-    @property
-    def capacity(self) -> int:
-        return self.t * self.g * ((1 << self.w) - 1)
-
-    @property
-    def fill(self) -> int:
-        return sum(m.fill for m in self.matrices)
-
-
-def process_example(
-    bank: MatrixBank,
-    x: Union[BitVec, int],
-    label_supplier: Callable[[], int],
-    index: Optional[int] = None,
-    collect: bool = False,
-) -> Prediction:
-    """Reduce x through every matrix, voting with the Zeroed outcomes.
-
-    The true (noisy) label is requested only when some matrix captures
-    the example; it is then folded into the freshly stored row so the
-    row's label matches its provenance.  Ties resolve to 0.
-    """
-    if isinstance(x, BitVec):
-        x = x.bits
-    votes_for = 0
-    votes_against = 0
-    max_depth = 0
-    votes: Optional[List[Zeroed]] = [] if collect else None
-    for mi, matrix in enumerate(bank.matrices, 1):
-        out = matrix.reduce(x, 0, index=index, insert=True)
-        if isinstance(out, Captured):
-            lab = int(label_supplier())
-            matrix.rows[(out.block, out.value)].label ^= lab
-            return Prediction(
-                "unknown", None, votes_for, votes_against, False, mi,
-                max_depth, votes,
-            )
-        if out.label:
-            votes_for += 1
-        else:
-            votes_against += 1
-        max_depth = max(max_depth, out.depth)
-        if votes is not None:
-            votes.append(out)
-    bit = 1 if votes_for > votes_against else 0
-    return Prediction(
-        "predicted", bit, votes_for, votes_against,
-        votes_for == votes_against, None, max_depth, votes,
-    )
+_BATCH = 4096
+# bit 63 of a row word carries its label; the low 63 bits its residual
+_VEC = (1 << 63) - 1
+_LABEL = -(1 << 63)
+# the bank's two int64 tables hold t * g * 2^w slots each; at this cap
+# they take 64 MB
+_MAX_SLOTS = 1 << 22
 
 
 @dataclass
@@ -233,10 +56,13 @@ class OnlineReport:
     errors: Optional[int]
     per_matrix_fill: List[int]
     capacity: int
-    max_vote_depth: int
+    max_vote_depth: int  # over every vote cast, 0 if none was
     depth_bound: int
+    # Always "simple": there is one engine.  The field stays because the
+    # benchmark's tracer splits online time by it.
     engine: str
-    votes_by_depth: Optional[Dict[int, List[int]]] = None  # s -> [correct, total]
+    # provenance size s -> [correct, total] over every vote cast
+    votes_by_depth: Optional[Dict[int, List[int]]] = None
     predictions: Optional[List[int]] = None  # per example: bit, or -1 if unknown
 
     @property
@@ -250,220 +76,150 @@ class OnlineReport:
         return self.errors / self.predicted
 
 
-def _run_simple(
-    source, g, w, t, count, track_provenance, collect_vote_stats, record
-) -> OnlineReport:
-    bank = MatrixBank(g, w, t, track_provenance)
-    target: Optional[ParityTarget] = getattr(source, "target", None)
-    predicted = unknown = ties = 0
-    errors: Optional[int] = 0 if target is not None else None
-    max_depth = 0
-    votes_by_depth: Optional[Dict[int, List[int]]] = (
-        {} if collect_vote_stats else None
-    )
-    predictions: Optional[List[int]] = [] if record else None
-    done = 0
-    while done < count:
-        take = min(4096, count - done)
-        bits, labels, start = source.draw_batch(take)
-        xs = pack_rows(bits)
-        clean = target.predict_rows(bits) if target is not None else None
-        for i in range(take):
-            lab_i = int(labels[i])
-            pred = process_example(
-                bank, int(xs[i]), lambda lab_i=lab_i: lab_i,
-                index=start + i, collect=collect_vote_stats,
-            )
-            max_depth = max(max_depth, pred.max_vote_depth)
-            if pred.kind == "unknown":
-                unknown += 1
-            else:
-                predicted += 1
-                ties += pred.tie
-                if clean is not None and pred.bit != int(clean[i]):
-                    assert errors is not None
-                    errors += 1
-            if predictions is not None:
-                predictions.append(-1 if pred.kind == "unknown" else pred.bit)
-            if votes_by_depth is not None and pred.votes and clean is not None:
-                for z in pred.votes:
-                    s = (
-                        len(z.provenance)
-                        if z.provenance is not None
-                        else z.depth - 1
-                    )
-                    row = votes_by_depth.setdefault(s, [0, 0])
-                    row[0] += int(z.label) == int(clean[i])
-                    row[1] += 1
-        done += take
-    return OnlineReport(
-        processed=count,
-        predicted=predicted,
-        unknown=unknown,
-        ties=ties,
-        errors=errors,
-        per_matrix_fill=[m.fill for m in bank.matrices],
-        capacity=bank.capacity,
-        max_vote_depth=max_depth,
-        depth_bound=1 << g,
-        engine="simple",
-        votes_by_depth=votes_by_depth,
-        predictions=predictions,
-    )
+class _Decoder:
+    """The bank's row tables and the tallies of one run."""
 
+    def __init__(self, g: int, w: int, t: int, stats: bool, record: bool):
+        self.g, self.w, self.t = g, w, t
+        shape = (t, g, 1 << w)
+        self.words = np.zeros(shape, dtype=np.int64)
+        self.depths = np.zeros(shape, dtype=np.int64)
+        # per row, a mask of the slots whose examples it XORs
+        self.prov = np.zeros(shape, dtype=object) if stats else None
+        self.fill = [0] * t
+        self.used = 0  # matrices [0, used) hold rows, the rest are empty
+        self.predicted = self.unknown = self.ties = self.errors = 0
+        self.max_depth = 0
+        self.votes_by_depth: Optional[Dict[int, List[int]]] = {} if stats else None
+        self.predictions: Optional[List[int]] = [] if record else None
 
-class _TabledMatrix:
-    """One elimination matrix with its action memoized over the domain.
-
-    For every domain value the tables say whether reduction zeroes or
-    captures, the folded label/depth (label passed in as 0, the depth
-    contribution of the example itself excluded), and for captures the
-    residual and its slot.  Tables are rebuilt after each insertion;
-    state freezes at the capture point, mirroring the reference engine.
-    """
-
-    def __init__(self, g: int, w: int):
-        self.g = g
-        self.w = w
-        self.domain = 1 << (g * w)
-        nslots = 1 << w
-        self.present = np.zeros((g, nslots), dtype=bool)
-        self.rvec = np.zeros((g, nslots), dtype=np.int64)
-        self.rlab = np.zeros((g, nslots), dtype=np.uint8)
-        self.rdep = np.zeros((g, nslots), dtype=np.int64)
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        D = self.domain
-        mask = (1 << self.w) - 1
-        resid = np.arange(D, dtype=np.int64)
-        lab = np.zeros(D, dtype=np.uint8)
-        dep = np.zeros(D, dtype=np.int64)
-        alive = np.ones(D, dtype=bool)
-        captured = np.zeros(D, dtype=bool)
-        cap_blk = np.zeros(D, dtype=np.int16)
-        cap_val = np.zeros(D, dtype=np.int64)
-        for j in range(1, self.g + 1):
-            bv = (resid >> ((j - 1) * self.w)) & mask
-            nz = alive & (bv != 0)
-            have = self.present[j - 1, bv]
-            hit = nz & have
-            miss = nz & ~have
-            cap_blk[miss] = j
-            cap_val[miss] = bv[miss]
-            captured |= miss
-            alive &= ~miss
-            resid[hit] ^= self.rvec[j - 1, bv[hit]]
-            lab[hit] ^= self.rlab[j - 1, bv[hit]]
-            dep[hit] += self.rdep[j - 1, bv[hit]]
-        assert not resid[alive].any()
-        self.zeroed = alive
-        self.z_lab = np.where(alive, lab, 0).astype(np.uint8)
-        self.z_dep = np.where(alive, dep, 0)
-        self.cap = captured
-        self.cap_blk = cap_blk
-        self.cap_val = cap_val
-        self.cap_resid = resid
-        self.cap_lab = lab
-        self.cap_dep = dep
-        self.any_cap = bool(captured.any())
-        # depth of any zeroed fold, incoming example included
-        self.max_zero_depth = int(dep[alive].max()) + 1 if alive.any() else 0
-        assert self.max_zero_depth <= 1 << self.g
-
-    @property
-    def fill(self) -> int:
-        return int(self.present.sum())
-
-    def insert(self, x: int, label: int) -> None:
-        """Store the row that reducing x leaves behind; x must capture."""
-        assert self.cap[x]
-        j = int(self.cap_blk[x])
-        v = int(self.cap_val[x])
-        assert not self.present[j - 1, v]
-        self.present[j - 1, v] = True
-        self.rvec[j - 1, v] = self.cap_resid[x]
-        self.rlab[j - 1, v] = int(self.cap_lab[x]) ^ label
-        self.rdep[j - 1, v] = int(self.cap_dep[x]) + 1
-        self.rebuild()
-
-
-def _run_tabled(source, g, w, t, count, record) -> OnlineReport:
-    target: Optional[ParityTarget] = getattr(source, "target", None)
-    matrices = [_TabledMatrix(g, w) for _ in range(t)]
-    D = 1 << (g * w)
-    total_votes = np.zeros(D, dtype=np.int64)
-    cap_count = np.zeros(D, dtype=np.int64)
-    for m in matrices:
-        total_votes += m.z_lab
-        cap_count += m.cap
-    clean_table: Optional[np.ndarray] = None
-    if target is not None:
-        dom_bits = np.unpackbits(
-            np.arange(D, dtype=np.uint32).view(np.uint8).reshape(D, 4),
-            axis=1, bitorder="little",
-        )[:, : g * w]
-        clean_table = target.predict_rows(dom_bits)
-    predicted = unknown = ties = 0
-    errors: Optional[int] = 0 if target is not None else None
-    max_depth = max(m.max_zero_depth for m in matrices)
-    predictions: Optional[List[int]] = [] if record else None
-    lo = 0  # matrices below lo are full and capture nothing
-    done = 0
-    while done < count:
-        take = min(2048, count - done)
-        bits, labels, _ = source.draw_batch(take)
-        xs = pack_rows(bits)
+    def feed(self, xs: np.ndarray, labels: np.ndarray,
+             clean: Optional[np.ndarray]) -> None:
+        """Decode one batch of packed examples, in order."""
+        n, t = len(xs), self.t
+        cap = np.empty(n, dtype=np.int64)  # capturing matrix, t if none
+        res = np.empty(n, dtype=np.int64)  # residual the capture left
+        ones = np.zeros(n, dtype=np.int64)  # label-1 votes cast so far
+        self._advance(xs, clean, np.arange(n), 0, cap, res, ones)
         pos = 0
-        while pos < take:
-            cc = cap_count[xs[pos:take]]
-            hits = np.flatnonzero(cc > 0)
-            stop = take if len(hits) == 0 else pos + int(hits[0])
-            if stop > pos:
-                sl = xs[pos:stop]
-                v2 = 2 * total_votes[sl]
-                bit = (v2 > t).astype(np.uint8)
-                predicted += stop - pos
-                ties += int(np.count_nonzero(v2 == t))
-                if clean_table is not None:
-                    assert errors is not None
-                    errors += int(np.count_nonzero(bit != clean_table[sl]))
-                if predictions is not None:
-                    predictions.extend(int(b) for b in bit)
-            if stop < take:
-                x = int(xs[stop])
-                while lo < t and not matrices[lo].any_cap:
-                    lo += 1
-                j = lo
-                while not matrices[j].cap[x]:
-                    j += 1
-                m = matrices[j]
-                total_votes -= m.z_lab
-                cap_count -= m.cap
-                m.insert(x, int(labels[stop]))
-                total_votes += m.z_lab
-                cap_count += m.cap
-                max_depth = max(max_depth, m.max_zero_depth)
-                unknown += 1
-                if predictions is not None:
-                    predictions.append(-1)
-                pos = stop + 1
-            else:
-                pos = stop
-        done += take
-    return OnlineReport(
-        processed=count,
-        predicted=predicted,
-        unknown=unknown,
-        ties=ties,
-        errors=errors,
-        per_matrix_fill=[m.fill for m in matrices],
-        capacity=t * g * ((1 << w) - 1),
-        max_vote_depth=max_depth,
-        depth_bound=1 << g,
-        engine="tabled",
-        predictions=predictions,
-    )
+        while pos < n:
+            pending = cap[pos:] < t
+            first = int(pending.argmax())
+            stop = pos + first if pending[first] else n
+            self._predict(ones[pos:stop], None if clean is None else clean[pos:stop])
+            if stop == n:
+                break
+            m = int(cap[stop])
+            j, v = self._insert(m, int(xs[stop]), int(labels[stop]))
+            self.unknown += 1
+            if self.predictions is not None:
+                self.predictions.append(-1)
+            pos = stop + 1
+            # a capture missed first at slot (j, v) exactly when its
+            # residual is zero below block j and v in block j
+            low = (1 << (j + 1) * self.w) - 1
+            hit = (cap[pos:] == m) & ((res[pos:] & low) == v << j * self.w)
+            self._advance(xs, clean, pos + np.flatnonzero(hit), m, cap, res, ones)
+
+    def _advance(self, xs, clean, idx, m, cap, res, ones) -> None:
+        """Fold examples idx through matrices m, m+1, ... while they are
+        zeroed, casting their votes; cap[idx] becomes the first matrix
+        that captures each one, or t, and res[idx] the residual there."""
+        x = xs[idx]
+        while len(idx) and m < self.used:
+            r, dep, slots = self._fold(m, x)
+            lost = (r & _VEC) != 0
+            if lost.any():
+                cap[idx[lost]] = m
+                res[idx[lost]] = r[lost]
+                keep = ~lost
+                idx, x, r = idx[keep], x[keep], r[keep]
+                dep = None if dep is None else dep[keep]
+                slots = [v[keep] for v in slots]
+            self._cast(idx, r < 0, dep, m, slots, clean, ones)
+            m += 1
+        cap[idx] = self.t
+        if not len(idx) or m == self.t:
+            return
+        # an empty matrix captures every nonzero example and gives the
+        # zero example a vote of 0 (always right) at depth 1
+        nonzero = x != 0
+        cap[idx[nonzero]] = m
+        res[idx[nonzero]] = x[nonzero]
+        zeros = (self.t - m) * (len(idx) - int(np.count_nonzero(nonzero)))
+        if zeros:
+            self.max_depth = max(self.max_depth, 1)
+            if self.votes_by_depth is not None and clean is not None:
+                row = self.votes_by_depth.setdefault(0, [0, 0])
+                row[0] += zeros
+                row[1] += zeros
+
+    def _fold(self, m: int, x: np.ndarray):
+        """The row words that folding x through matrix m leaves, their
+        depths (None once a vote has reached the bound 2^g) and, when
+        vote stats are kept, the slot each block used."""
+        depths = self.max_depth < 1 << self.g
+        r, dep, slots = x, 1, []
+        for j in range(self.g):
+            v = (r >> (j * self.w)) & ((1 << self.w) - 1)
+            r = r ^ self.words[m, j][v]
+            if depths:
+                dep = dep + self.depths[m, j][v]
+            if self.prov is not None:
+                slots.append(v)
+        return r, dep if depths else None, slots
+
+    def _cast(self, idx, lab, dep, m, slots, clean, ones) -> None:
+        """Votes of matrix m for examples idx, which it zeroes."""
+        if not len(idx):
+            return
+        ones[idx] += lab
+        if dep is not None:
+            self.max_depth = max(self.max_depth, int(dep.max()))
+        if self.votes_by_depth is None or clean is None:
+            return
+        prov = 0
+        for j, v in enumerate(slots):
+            prov = prov ^ self.prov[m, j][v]
+        for s, ok in zip(prov.tolist(), (lab == clean[idx]).tolist()):
+            row = self.votes_by_depth.setdefault(s.bit_count(), [0, 0])
+            row[0] += ok
+            row[1] += 1
+
+    def _insert(self, m: int, x: int, label: int) -> Tuple[int, int]:
+        """Store the residual that x leaves in matrix m, which captures
+        it; returns the slot (block, value)."""
+        r, dep, prov = x, 1, 0
+        for j in range(self.g):
+            v = (r >> (j * self.w)) & ((1 << self.w) - 1)
+            if v == 0:
+                continue
+            word = int(self.words[m, j, v])
+            if word == 0:
+                self.words[m, j, v] = r ^ _LABEL if label else r
+                self.depths[m, j, v] = dep
+                if self.prov is not None:
+                    self.prov[m, j, v] = prov ^ (1 << (j << self.w | v))
+                self.fill[m] += 1
+                self.used = max(self.used, m + 1)
+                return j, v
+            r ^= word
+            dep += int(self.depths[m, j, v])
+            if self.prov is not None:
+                prov ^= self.prov[m, j, v]
+        raise AssertionError("the matrix zeroes the example")
+
+    def _predict(self, ones: np.ndarray, clean: Optional[np.ndarray]) -> None:
+        if not len(ones):
+            return
+        twice = 2 * ones
+        bit = (twice > self.t).astype(np.uint8)
+        self.predicted += len(ones)
+        self.ties += int(np.count_nonzero(twice == self.t))
+        if clean is not None:
+            self.errors += int(np.count_nonzero(bit != clean))
+        if self.predictions is not None:
+            self.predictions.extend(bit.tolist())
 
 
 def run_online(
@@ -472,46 +228,60 @@ def run_online(
     w: int,
     t: int,
     count: Optional[int] = None,
-    engine: str = "auto",
-    track_provenance: bool = False,
     collect_vote_stats: bool = False,
     record_predictions: bool = False,
 ) -> OnlineReport:
     """Feed `count` examples from the source through a fresh bank.
 
-    The number of Unknown outcomes never exceeds the bank capacity
+    The number of unknown outcomes never exceeds the bank capacity
     t*g*(2^w - 1); once every matrix is full, all further examples are
     predicted.  With a noiseless source, predictions are always correct
-    because each vote is an exact XOR of clean labels.
+    because each vote is an exact XOR of clean labels.  Ties resolve
+    to 0.
 
-    engine "auto" picks the memoized implementation when the domain is
-    small and no per-vote introspection was requested.  Both engines
-    are deterministic and produce identical outcomes.
+    count defaults to the rows a finite source has left, and may not
+    exceed them.  collect_vote_stats fills votes_by_depth, keyed by the
+    number of stored examples a vote XORs; record_predictions lists
+    each example's outcome.
     """
+    if g < 1 or w < 1 or t < 1:
+        raise ValueError("need g >= 1 blocks of w >= 1 bits and t >= 1 matrices")
+    if g * w > 62:
+        raise ValueError(f"g*w={g * w} exceeds the 62-bit example limit")
+    if t * g << w > _MAX_SLOTS:
+        raise ValueError(f"t*g*2^w={t * g << w} slots exceed the limit of "
+                         f"{_MAX_SLOTS}")
     if source.k != g * w:
         raise ValueError(f"source supplies {source.k}-bit examples, need g*w={g * w}")
+    left = source.remaining()
     if count is None:
-        if hasattr(source, "__len__"):
-            count = len(source) - source.draw_count
-        else:
+        if left is None:
             raise ValueError("count is required for a generative source")
-    if engine == "auto":
-        engine = (
-            "tabled"
-            if g * w <= 12
-            and not track_provenance
-            and not collect_vote_stats
-            else "simple"
-        )
-    if engine == "tabled":
-        if track_provenance or collect_vote_stats:
-            raise ValueError("the tabled engine does not track votes or provenance")
-        if g * w > 24:
-            raise ValueError("domain too wide for the tabled engine")
-        return _run_tabled(source, g, w, t, count, record_predictions)
-    if engine != "simple":
-        raise ValueError(f"unknown engine {engine!r}")
-    return _run_simple(
-        source, g, w, t, count, track_provenance, collect_vote_stats,
-        record_predictions,
+        count = left
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if left is not None and count > left:
+        raise ValueError(f"the source has {left} examples left, {count} requested")
+    target = getattr(source, "target", None)
+    dec = _Decoder(g, w, t, collect_vote_stats, record_predictions)
+    done = 0
+    while done < count:
+        take = min(_BATCH, count - done)
+        bits, labels, _ = source.draw_batch(take)
+        clean = target.predict_rows(bits) if target is not None else None
+        dec.feed(pack_rows(bits), labels, clean)
+        done += take
+    return OnlineReport(
+        processed=count,
+        predicted=dec.predicted,
+        unknown=dec.unknown,
+        ties=dec.ties,
+        errors=dec.errors if target is not None else None,
+        per_matrix_fill=dec.fill,
+        capacity=t * g * ((1 << w) - 1),
+        max_vote_depth=dec.max_depth,
+        depth_bound=1 << g,
+        engine="simple",
+        votes_by_depth=dec.votes_by_depth,
+        predictions=dec.predictions,
     )

@@ -366,8 +366,8 @@ class _BudgetTracker:
 
     def __init__(self, source, max_examples: Optional[int]):
         limit = max_examples
-        if hasattr(source, "__len__"):
-            left = len(source) - source.draw_count
+        left = source.remaining()
+        if left is not None:
             limit = left if limit is None else min(limit, left)
         self.limit = limit
         self.used = 0

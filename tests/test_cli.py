@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from lpn import cli
 from lpn.cli import SOLVE_COLUMNS, SQ_COLUMNS, _parse_seeds, main
 from lpn.instfile import read_instance
 
@@ -161,6 +162,28 @@ def test_solve_worker_pool_matches_serial(capsys, monkeypatch):
     assert pooled == serial
 
 
+def test_in_file_is_decoded_once_per_command(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "once.lpn"
+    run(capsys, "gen", "--k", "8", "--count", "30000", "--eta", "0.125",
+        "--seed", "4", "--out", str(p), "--with-target")
+    reads = []
+    monkeypatch.setattr(cli, "read_instance",
+                        lambda path: reads.append(path) or read_instance(path))
+    argv = ["solve", "--algo", "bkw", "--in", str(p), "--seeds", "3"]
+    monkeypatch.setenv("LPN_THREADS", "1")
+    _, serial, _ = run(capsys, *argv)
+    assert len(reads) == 1
+    monkeypatch.setenv("LPN_THREADS", "2")
+    _, pooled, _ = run(capsys, *argv)
+    assert len(reads) == 2
+    rows, pooled_rows = rows_from_csv(serial), rows_from_csv(pooled)
+    for row in rows + pooled_rows:
+        assert float(row.pop("wall_time_ms")) > 0
+    assert rows == pooled_rows
+    assert [r["seed"] for r in rows] == ["0", "1", "2"]
+    assert all(r["success"] == "true" for r in rows)
+
+
 def test_solve_budget_exceeded_exit_code(tmp_path, capsys):
     p = tmp_path / "tiny.lpn"
     run(capsys, "gen", "--k", "8", "--count", "10", "--eta", "0.0",
@@ -189,6 +212,8 @@ def test_solve_bkw_short_file_reports_drawn_examples(tmp_path, capsys):
 @pytest.mark.parametrize("algo,extra", [
     ("mle", []),  # 2,000 default draws
     ("gauss", ["--max-examples", "1600"]),
+    ("online", ["--blocks", "2", "--width", "5", "--matrices", "2",
+                "--max-examples", "1600"]),
 ])
 def test_solve_short_file_draws_nothing(tmp_path, capsys, algo, extra):
     p = tmp_path / "short10.lpn"
@@ -220,6 +245,17 @@ def test_solve_short_file_draws_nothing(tmp_path, capsys, algo, extra):
       "--seeds", "0"], "at least one"),
     (["solve", "--algo", "bkw", "--k", "8", "--eta", "0.1",
       "--seeds", ","], "at least one"),
+    (["solve", "--algo", "online", "--eta", "0.1", "--blocks", "2",
+      "--width", "4", "--matrices", "0", "--max-examples", "9"],
+     "--matrices must be at least 1"),
+    (["solve", "--algo", "online", "--eta", "0.1", "--blocks", "0",
+      "--width", "4", "--matrices", "2", "--max-examples", "9"],
+     "--blocks must be at least 1"),
+    (["solve", "--algo", "online", "--eta", "0.1", "--blocks", "2",
+      "--width", "-1", "--matrices", "2", "--max-examples", "9"],
+     "--width must be at least 1"),
+    (["solve", "--algo", "mle", "--k", "8", "--eta", "0.1",
+      "--max-examples", "-5"], "--max-examples must be nonnegative"),
 ])
 def test_usage_errors_exit_one(tmp_path, capsys, argv, fragment):
     code, _, err = run(capsys, *argv)

@@ -1,5 +1,7 @@
 """Bit vector, block, and GF(2) elimination tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,11 @@ def test_immutable():
     v = V("10")
     with pytest.raises(AttributeError):
         v.bits = 3
+
+
+def test_pickle_round_trip():
+    v = V("0110100")
+    assert pickle.loads(pickle.dumps(v)) == v
 
 
 def test_weight_and_len():

@@ -140,6 +140,20 @@ def test_stream_serves_in_order_then_exhausts():
         src.draw()
 
 
+def test_remaining_counts_the_rows_of_finite_sources():
+    xs = tuple(V(s) for s in ("1000", "0100", "0010"))
+    stream = new_source(4, 0.0, distribution=Stream(xs), seed=0)
+    stream.draw()
+    assert stream.remaining() == 2
+    assert new_source(4, 0.1, seed=0).remaining() is None
+    point = Explicit((V("1111"),), (1.0,))
+    assert new_source(4, 0.1, distribution=point, seed=0).remaining() is None
+    bits, labels, _ = new_source(4, 0.1, seed=0).draw_batch(10)
+    replay = ReplaySource(bits, labels)
+    replay.draw_batch(4)
+    assert replay.remaining() == 6
+
+
 def test_stream_vector_length_checked():
     with pytest.raises(ValueError):
         new_source(4, 0.0, distribution=Stream((V("10101"),)), seed=0)

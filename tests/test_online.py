@@ -1,4 +1,5 @@
-"""Online per-example elimination: reduction, voting, both engines."""
+"""Online per-example elimination: reduction and voting in the reference
+decoder, and the batch engine checked against it."""
 
 import math
 
@@ -7,16 +8,17 @@ import pytest
 
 from lpn.gf2 import BitVec
 from lpn.instance import ReplaySource, new_source
-from lpn.online import (
+from lpn.online import run_online
+from lpn.solvers import predicted_bias
+from online_oracle import (
     Captured,
     EliminationMatrix,
     MatrixBank,
     Zeroed,
     process_example,
     reduce_through,
-    run_online,
+    run_reference,
 )
-from lpn.solvers import predicted_bias
 
 V = BitVec.from_string
 
@@ -169,34 +171,43 @@ def replay_of(k, eta, seed, count):
 
 
 def test_noiseless_run_has_zero_errors():
-    for engine in ("simple", "tabled"):
-        rep = run_online(replay_of(8, 0.0, 8, 6000), g=2, w=4, t=3,
-                         engine=engine)
-        assert rep.errors == 0
-        assert rep.engine == engine
-        assert rep.processed == 6000
-        assert rep.predicted + rep.unknown == 6000
-
-
-def test_engines_agree_exactly():
-    a = run_online(replay_of(8, 0.25, 9, 8000), g=2, w=4, t=5,
-                   engine="simple", record_predictions=True)
-    b = run_online(replay_of(8, 0.25, 9, 8000), g=2, w=4, t=5,
-                   engine="tabled", record_predictions=True)
-    assert (a.predicted, a.unknown, a.ties, a.errors) == (
-        b.predicted, b.unknown, b.ties, b.errors
-    )
-    assert a.per_matrix_fill == b.per_matrix_fill
-    assert a.max_vote_depth == b.max_vote_depth
-    assert a.predictions == b.predictions
-
-
-def test_auto_engine_picks_tabled_for_small_domains():
-    rep = run_online(replay_of(8, 0.1, 10, 1000), g=2, w=4, t=2)
-    assert rep.engine == "tabled"
-    rep = run_online(replay_of(8, 0.1, 10, 1000), g=2, w=4, t=2,
-                     track_provenance=True)
+    rep = run_online(replay_of(8, 0.0, 8, 6000), g=2, w=4, t=3)
+    assert rep.errors == 0
     assert rep.engine == "simple"
+    assert rep.processed == 6000
+    assert rep.predicted + rep.unknown == 6000
+
+
+# one layout per domain width g*w, blocks kept narrow enough that a
+# few thousand examples fill some matrices and leave votes to count
+LAYOUTS = {6: (2, 3), 8: (2, 4), 12: (3, 4), 16: (4, 4), 32: (16, 2),
+           62: (31, 2)}
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.25])
+@pytest.mark.parametrize("t", [1, 5, 40])
+@pytest.mark.parametrize("gw", sorted(LAYOUTS))
+def test_matches_reference(gw, t, eta):
+    g, w = LAYOUTS[gw]
+    seed = 900 + gw + t
+    got = run_online(replay_of(gw, eta, seed, 4000), g, w, t,
+                     collect_vote_stats=True, record_predictions=True)
+    want = run_reference(replay_of(gw, eta, seed, 4000), g, w, t, 4000,
+                         collect_vote_stats=True, record_predictions=True)
+    assert got == want
+    assert got.unknown == sum(got.per_matrix_fill)
+
+
+def test_max_vote_depth_is_over_cast_votes():
+    x = np.array([[1, 0, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)
+    label = np.zeros(1, dtype=np.uint8)
+    assert run_online(ReplaySource(x, label), 2, 4, 3).max_vote_depth == 0
+    assert run_online(replay_of(8, 0.1, 21, 0), 2, 4, 3).max_vote_depth == 0
+    # the repeat folds into matrix 1 at depth 2, then matrix 2 captures it
+    rep = run_online(ReplaySource(np.repeat(x, 2, 0), np.repeat(label, 2)),
+                     2, 4, 2, collect_vote_stats=True)
+    assert (rep.predicted, rep.unknown, rep.max_vote_depth) == (0, 2, 2)
+    assert rep.votes_by_depth == {}  # no target, so nothing to score
 
 
 def test_unknowns_respect_capacity():
@@ -224,7 +235,7 @@ def test_single_matrix_error_rate_matches_chain_formula():
     for seed in range(12):
         rep = run_online(
             replay_of(8, eta, 130 + seed, 12000), g=2, w=4, t=1,
-            engine="simple", track_provenance=True, collect_vote_stats=True,
+            collect_vote_stats=True,
         )
         assert rep.votes_by_depth
         expected = correct = total = 0.0
@@ -269,12 +280,20 @@ def test_source_width_must_match_layout():
         run_online(new_source(8, 0.1, seed=17), g=2, w=3, t=1, count=10)
 
 
-def test_tabled_engine_limits():
+def test_layout_limits():
+    with pytest.raises(ValueError, match="62-bit"):
+        run_online(new_source(64, 0.1, seed=19), g=32, w=2, t=1, count=10)
+    with pytest.raises(ValueError, match="slots"):
+        run_online(new_source(24, 0.1, seed=19), g=1, w=24, t=1, count=10)
+    with pytest.raises(ValueError):
+        run_online(new_source(8, 0.1, seed=19), g=2, w=4, t=0, count=10)
+    # the widest domain works
+    rep = run_online(new_source(62, 0.1, seed=19), g=31, w=2, t=2, count=100)
+    assert rep.processed == 100
+
+
+def test_count_beyond_a_finite_source_is_refused():
     src = replay_of(8, 0.1, 18, 100)
-    with pytest.raises(ValueError):
-        run_online(src, g=2, w=4, t=1, engine="tabled", track_provenance=True)
-    with pytest.raises(ValueError):
-        run_online(new_source(26, 0.1, seed=19), g=13, w=2, t=1, count=10,
-                   engine="tabled")
-    with pytest.raises(ValueError):
-        run_online(src, g=2, w=4, t=1, engine="mystery")
+    with pytest.raises(ValueError, match="100 examples left"):
+        run_online(src, g=2, w=4, t=1, count=101)
+    assert src.draw_count == 0

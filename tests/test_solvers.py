@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lpn.gf2 import BitVec, BlockLayout, GaussStatus
 from lpn import solvers
-from lpn.instance import Explicit, ParityTarget, ReplaySource, new_source
+from lpn.instance import Explicit, ParityTarget, ReplaySource, Stream, new_source
 from lpn.solvers import (
     MLE_MAX_K,
     BudgetExceededError,
@@ -421,6 +421,20 @@ def test_finite_source_is_a_budget():
     capped = replace(cfg, max_examples=1500)
     src = short_replay(2000, 33)
     assert recover_target(src, capped).examples_used == src.draw_count <= 1500
+
+
+def test_finite_stream_source_is_a_budget():
+    # 30 votes of 32 draws need 960 rows; the stream holds 500
+    rng = np.random.default_rng(34)
+    xs = tuple(BitVec.from_bits_row(row)
+               for row in rng.integers(0, 2, size=(500, 8), dtype=np.uint8))
+    src = new_source(8, 0.1, distribution=Stream(xs), seed=34)
+    assert src.remaining() == 500
+    cfg = SolverConfig(layout=BlockLayout(2, 4), repetitions=30)
+    res = recover_target(src, cfg)
+    assert res.status is SolverStatus.BUDGET_EXCEEDED
+    assert res.examples_used == src.draw_count == 0
+    assert src.remaining() == 500
 
 
 def test_redraw_cap_trips_on_degenerate_distribution():
