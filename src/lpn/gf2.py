@@ -3,9 +3,11 @@
 Vectors live in Python ints, least significant bit first: bit 0 of the
 integer is coordinate 1 of the vector.  The same convention is used for
 the byte-level instance file format (byte 0 holds coordinates 1..8,
-coordinate 1 in the least significant bit) and for numpy 0/1 matrices
-(column 0 is coordinate 1), so values move between representations
-without any reindexing.
+coordinate 1 in the least significant bit), for numpy 0/1 matrices
+(column 0 is coordinate 1) and for int64 row words (pack_rows; the bkw
+merge and the online decoder keep the label in bit 63 and so take up
+to 62 coordinates), so values move between representations without any
+reindexing.
 """
 
 from __future__ import annotations
@@ -218,13 +220,19 @@ class BitMatrix:
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """(m, n) 0/1 rows to int64 values, coordinate 1 least significant."""
-    if bits.shape[1] > 62:
+    m, n = bits.shape
+    if n > 62:
         raise ValueError("rows too wide to pack into int64")
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    val = packed[:, 0].astype(np.int64)
-    for j in range(1, packed.shape[1]):
-        val |= packed[:, j].astype(np.int64) << (8 * j)
-    return val
+    nb = -(-n // 8)
+    if n % 8 or bits.dtype != np.uint8 or not bits.flags.c_contiguous:
+        padded = np.zeros((m, 8 * nb), dtype=np.uint8)
+        padded[:, :n] = bits
+        bits = padded
+    # byte i of an 8-byte group lands in bit 56+i of this product, so
+    # its top byte holds the group's eight coordinates
+    val = np.zeros((m, 8), dtype=np.uint8)
+    val[:, :nb] = bits.view("<u8") * np.uint64(0x0102040810204080) >> np.uint64(56)
+    return val.view("<i8").ravel()
 
 
 def eliminate(

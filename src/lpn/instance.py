@@ -66,8 +66,9 @@ class ParityTarget:
 
     def predict_rows(self, bits: np.ndarray) -> np.ndarray:
         """Clean labels for a (m, k) 0/1 matrix of examples."""
-        c_row = self.c.to_bits_row().astype(np.int64)
-        return (bits.astype(np.int64) @ c_row & 1).astype(np.uint8)
+        cols = np.flatnonzero(self.c.to_bits_row())
+        # a uint8 sum wraps at 256, which keeps its parity
+        return bits[:, cols].sum(axis=1, dtype=np.uint8) & 1
 
 
 class Uniform:

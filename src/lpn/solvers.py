@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -55,8 +55,15 @@ MLE_MAX_K = 26
 # contains the probe vector
 _MAX_REDRAWS = 50
 
-# soft bound on the working-set size of one batched vote round, in cells
+# a vote round collects max(1, _ROUND_CELLS // (a*2^b * a*b)) votes
+# from one draw of a*2^b examples per vote.  The round size decides
+# which draws each vote uses, so changing this constant changes rows.
 _ROUND_CELLS = 50_000_000
+
+# a row word holds coordinate 1 in bit 0 and the label in bit 63, as in
+# the online decoder; layouts wider than this do not fit
+_MAX_WIDTH = 62
+_VEC = (1 << 63) - 1
 
 
 class SolverStatus(enum.Enum):
@@ -261,25 +268,28 @@ class ISample:
             raise AssertionError(f"rows stray outside V_{self.i}")
         if self.provenance is None:
             return
-        for row, label, prov in zip(self.vectors, self.labels, self.provenance):
-            if not prov:
-                raise AssertionError("empty provenance set")
-            if len(prov) > 2**self.i:
-                raise AssertionError(f"provenance larger than 2^{self.i}")
-            if originals is not None:
-                obits, olabels = originals
-                acc = np.zeros(self.layout.total, dtype=np.uint8)
-                lab = 0
-                for idx in prov:
-                    acc ^= obits[idx]
-                    lab ^= int(olabels[idx])
-                if not np.array_equal(acc, row) or lab != int(label):
-                    raise AssertionError("provenance does not reproduce the entry")
+        sizes = np.array([len(p) for p in self.provenance], dtype=np.int64)
+        if (sizes == 0).any():
+            raise AssertionError("empty provenance set")
+        if (sizes > 2**self.i).any():
+            raise AssertionError(f"provenance larger than 2^{self.i}")
+        if originals is not None:
+            # pad each set with the index of one appended zero row
+            draws = np.append(_to_words(*originals), 0)
+            prov = np.full((len(sizes), 2**self.i), len(draws) - 1)
+            prov[np.arange(2**self.i) < sizes[:, None]] = np.fromiter(
+                (j for p in self.provenance for j in p), np.int64, sizes.sum()
+            )
+            _check_provenance(_to_words(self.vectors, self.labels), prov, draws)
+
+
+def _to_words(bits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(m, n) 0/1 rows and their labels to int64 row words."""
+    return pack_rows(bits) | labels.astype(np.int64) << 63
 
 
 def _merge_segmented(
-    bits: np.ndarray,
-    labels: np.ndarray,
+    x: np.ndarray,
     seg: np.ndarray,
     layout: BlockLayout,
     level: int,
@@ -288,10 +298,11 @@ def _merge_segmented(
 ):
     """One merge step applied independently inside each segment.
 
-    Rows are grouped by (segment, value of block a-level); one uniform
-    random representative per group is XORed into the rest of its group
-    and then dropped.  Returns the new rows in (segment, block value)
-    order; groups of size one vanish entirely.
+    x holds int64 row words (label in bit 63) and seg their int64
+    segment ids.  Rows are grouped by (segment, value of block a-level);
+    one uniform random representative per group is XORed into the rest
+    of its group and then dropped.  Returns the new rows and segments in
+    (segment, block value) order; groups of size one vanish entirely.
 
     prov, when given, is an (s, w) int array: row r is the XOR of the
     rows indexed by prov[r].  An output row gets its own row's w
@@ -300,35 +311,35 @@ def _merge_segmented(
     a, b = layout.a, layout.b
     if level > a - 2:
         raise ValueError("nothing left to merge at this level")
-    j0 = a - level  # 1-based block to collapse
-    lo, hi = layout.bounds(j0)
-    s = len(bits)
+    lo, _ = layout.bounds(a - level)  # the block to collapse
+    s = len(x)
     if s == 0:
-        return bits, labels, seg, None if prov is None else np.hstack([prov, prov])
-    key = seg.astype(np.int64) << b
-    key |= pack_rows(bits[:, lo:hi])
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
+        return x, seg, None if prov is None else np.hstack([prov, prov])
+    mask = (1 << b) - 1
+    key = seg << b
+    key |= (x >> lo) & mask
+    # key << sh | position sorts into the stable order of key, and faster
+    sh = (s - 1).bit_length()
+    if int(key.max()) >> (63 - sh) == 0:
+        key <<= sh
+        key |= np.arange(s)
+        key.sort()
+        order, ks = key & ((1 << sh) - 1), key >> sh
+    else:
+        order = np.argsort(key, kind="stable")
+        ks = key[order]
     starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
     sizes = np.diff(np.r_[starts, s])
     rep_pos = starts + rng.integers(0, sizes)
-    gid = np.repeat(np.arange(len(starts)), sizes)
-    rep_for = rep_pos[gid]
     keep = np.ones(s, dtype=bool)
     keep[rep_pos] = False
 
-    rep = rep_for[keep]
-    bs = bits[order]
-    ls = labels[order]
-    out_bits = bs[keep] ^ bs[rep]
-    out_labels = ls[keep] ^ ls[rep]
-    out_seg = seg[order][keep]
-    assert not out_bits[:, lo:hi].any(), "collapsed block must be zero"
-    out_prov: Optional[np.ndarray] = None
-    if prov is not None:
-        ps = prov[order]
-        out_prov = np.hstack([ps[keep], ps[rep]])
-    return out_bits, out_labels, out_seg, out_prov
+    rows = order[keep]
+    reps = order[np.repeat(rep_pos, sizes)[keep]]
+    out = x[rows] ^ x[reps]
+    assert not (out & mask << lo).any(), "collapsed block must be zero"
+    out_prov = None if prov is None else np.hstack([prov[rows], prov[reps]])
+    return out, ks[keep] >> b, out_prov
 
 
 def merge_step(
@@ -346,14 +357,16 @@ def merge_step(
         rng = np.random.default_rng(rng)
     seg = np.zeros(len(sample), dtype=np.int64)
     rows = None if sample.provenance is None else np.arange(len(sample))[:, None]
-    bits, labels, _, pairs = _merge_segmented(
-        sample.vectors, sample.labels, seg, sample.layout, sample.i, rng, rows
+    x, _, pairs = _merge_segmented(
+        _to_words(sample.vectors, sample.labels), seg, sample.layout, sample.i,
+        rng, rows,
     )
     prov = None
     if pairs is not None:
         old = sample.provenance
         prov = [old[i] ^ old[j] for i, j in pairs.tolist()]
-    return ISample(sample.i + 1, sample.layout, bits, labels, prov)
+    bits = (x[:, None] >> np.arange(sample.layout.total) & 1).astype(np.uint8)
+    return ISample(sample.i + 1, sample.layout, bits, x < 0, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -381,45 +394,32 @@ class _BudgetTracker:
 
 
 class _ShiftedView:
-    """Cyclic coordinate rotation of a source, zero-padded to a width.
+    """Cyclic coordinate rotation of a source as int64 row words.
 
     Rotating every example and the (implicit) target together preserves
     labels, and moves target coordinate 1+shift into position 1 where
-    the vote machinery can see it.
+    the vote machinery can see it.  Coordinates past the source's k are
+    zero.
     """
 
     def __init__(self, src, width: int, shift: int = 0):
-        if width < src.k:
-            raise ValueError("view must be at least as wide as the source")
         self._src = src
         self.k = width
         self.shift = shift % width
 
-    @property
-    def eta(self):
-        return self._src.eta
-
-    @property
-    def draw_count(self) -> int:
-        return self._src.draw_count
-
-    def draw_batch(self, m: int):
+    def draw_batch(self, m: int) -> Tuple[np.ndarray, int]:
+        """Next m examples as rotated row words, and the first index."""
         bits, labels, start = self._src.draw_batch(m)
-        if self.k > bits.shape[1]:
-            pad = np.zeros((len(bits), self.k - bits.shape[1]), dtype=np.uint8)
-            bits = np.concatenate([bits, pad], axis=1)
+        x = pack_rows(bits)
         if self.shift:
-            bits = np.roll(bits, -self.shift, axis=1)
-        return bits, labels, start
+            w, p = self.k, self.shift
+            x = (x >> p | x << (w - p)) & ((1 << w) - 1)
+        return x | labels.astype(np.int64) << 63, start
 
 
-def _check_provenance(bits, labels, prov, draws, draw_labels) -> None:
-    """Raise AssertionError unless each row is the XOR of its draws."""
-    acc, lab = draws[prov[:, 0]], draw_labels[prov[:, 0]]
-    for j in range(1, prov.shape[1]):
-        acc ^= draws[prov[:, j]]
-        lab ^= draw_labels[prov[:, j]]
-    if not (np.array_equal(acc, bits) and np.array_equal(lab, labels)):
+def _check_provenance(x, prov, draws) -> None:
+    """Raise AssertionError unless each row word is the XOR of its draws."""
+    if not np.array_equal(np.bitwise_xor.reduce(draws[prov], axis=1), x):
         raise AssertionError("provenance does not reproduce the merged rows")
 
 
@@ -427,6 +427,27 @@ def _chain_size(indices: np.ndarray) -> int:
     """Draws left in a chain once repeated draws cancel in pairs."""
     _, counts = np.unique(indices, return_counts=True)
     return int(np.count_nonzero(counts & 1))
+
+
+def _vote_round(draws, seg, layout: BlockLayout, rng, track: bool):
+    """Reduce each segment of draws through a-1 merges and read its vote.
+
+    Returns, in segment order, the row word of each segment's first
+    probe hit (e1, label in bit 63) and, with track set, the draws each
+    one XORs; every merged row is then checked against its draws.
+    """
+    x = draws
+    prov = np.arange(len(draws))[:, None] if track else None
+    for level in range(layout.a - 1):
+        x, seg, prov = _merge_segmented(x, seg, layout, level, rng, prov)
+    if prov is not None:
+        _check_provenance(x, prov, draws)
+    idx = np.flatnonzero((x & _VEC) == 1)
+    # rows come out segment-major, so the first hit per segment is the
+    # first row of that segment among the hits
+    _, first = np.unique(seg[idx], return_index=True)
+    hits = idx[first]
+    return x[hits], None if prov is None else prov[hits]
 
 
 def _collect_votes_batched(
@@ -445,36 +466,23 @@ def _collect_votes_batched(
     otherwise that array is None.  Tracking uses no randomness, so the
     labels are the same either way.
     """
-    ab = layout.total
     m_per = layout.a * 2**layout.b
-    chunk_votes = max(1, _ROUND_CELLS // (m_per * ab))
-    out: List[np.ndarray] = []
-    out_prov: List[np.ndarray] = []
+    chunk_votes = max(1, _ROUND_CELLS // (m_per * layout.total))
+    out = [np.empty(0, np.int64)]
+    out_prov = [np.empty((0, 2 ** (layout.a - 1)), np.int64)]
     remaining = n_votes
     while remaining > 0:
         pending = min(chunk_votes, remaining)
         remaining -= pending
         for _ in range(_MAX_REDRAWS):
             budget.charge(pending * m_per)
-            draws, draw_labels, start = view.draw_batch(pending * m_per)
-            bits, labels = draws, draw_labels
+            draws, start = view.draw_batch(pending * m_per)
             seg = np.repeat(np.arange(pending, dtype=np.int64), m_per)
-            prov = np.arange(len(draws))[:, None] if track else None
-            for level in range(layout.a - 1):
-                bits, labels, seg, prov = _merge_segmented(
-                    bits, labels, seg, layout, level, rng, prov
-                )
+            votes, prov = _vote_round(draws, seg, layout, rng, track)
+            out.append(votes)
             if prov is not None:
-                _check_provenance(bits, labels, prov, draws, draw_labels)
-            hit = (bits[:, 0] == 1) & ~bits[:, 1:].any(axis=1)
-            idx = np.flatnonzero(hit)
-            # rows come out segment-major, so the first hit per segment
-            # is the first row of that segment among the hits
-            _, first = np.unique(seg[idx], return_index=True)
-            out.append(labels[idx[first]])
-            if prov is not None:
-                out_prov.append(start + prov[idx[first]])
-            pending -= len(first)
+                out_prov.append(start + prov)
+            pending -= len(votes)
             if pending == 0:
                 break
         else:
@@ -482,12 +490,17 @@ def _collect_votes_batched(
                 f"{pending} votes still incomplete after {_MAX_REDRAWS} redraws",
                 budget.used,
             )
-    labels = np.concatenate(out) if out else np.empty(0, dtype=np.uint8)
-    if not track:
-        return labels, None
-    width = 2 ** (layout.a - 1)
-    prov = np.concatenate(out_prov) if out_prov else np.empty((0, width), np.int64)
-    return labels, prov
+    labels = (np.concatenate(out) < 0).astype(np.uint8)
+    return labels, np.concatenate(out_prov) if track else None
+
+
+def _check_layout(k: int, layout: BlockLayout) -> None:
+    if k > layout.total:
+        raise ValueError("layout does not cover the source coordinates")
+    if layout.total > _MAX_WIDTH:
+        raise ValueError(
+            f"a*b={layout.total} exceeds the {_MAX_WIDTH}-bit limit of bkw"
+        )
 
 
 def _resolve_repetitions(source, config: SolverConfig) -> int:
@@ -515,8 +528,7 @@ def collect_votes(
     Meant for calibration studies; recovery goes through recover_target.
     """
     layout = config.layout
-    if source.k > layout.total:
-        raise ValueError("layout does not cover the source coordinates")
+    _check_layout(source.k, layout)
     view = _ShiftedView(source, layout.total, shift)
     if rng is None:
         if seed is None:
@@ -565,8 +577,7 @@ def recover_first_bit(
     source's remaining rows run out, or a vote exceeds the redraw cap.
     """
     layout = config.layout
-    if source.k > layout.total:
-        raise ValueError("layout does not cover the source coordinates")
+    _check_layout(source.k, layout)
     reps = _resolve_repetitions(source, config)
     if rng is None:
         if seed is None:
@@ -592,8 +603,7 @@ def recover_target(
     """
     layout = config.layout
     k = source.k
-    if k > layout.total:
-        raise ValueError("layout does not cover the source coordinates")
+    _check_layout(k, layout)
     reps = _resolve_repetitions(source, config)
     budget = _BudgetTracker(source, config.max_examples)
     if seed is None:

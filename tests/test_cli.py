@@ -256,6 +256,8 @@ def test_solve_short_file_draws_nothing(tmp_path, capsys, algo, extra):
      "--width must be at least 1"),
     (["solve", "--algo", "mle", "--k", "8", "--eta", "0.1",
       "--max-examples", "-5"], "--max-examples must be nonnegative"),
+    (["solve", "--algo", "bkw", "--k", "8", "--eta", "0.1",
+      "--a", "2", "--b", "32"], "62-bit limit"),
 ])
 def test_usage_errors_exit_one(tmp_path, capsys, argv, fragment):
     code, _, err = run(capsys, *argv)

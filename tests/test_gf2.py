@@ -252,6 +252,14 @@ def test_pack_rows_bit_order():
     wide = np.zeros((2, 62), dtype=np.uint8)
     wide[1, 61] = 1
     assert pack_rows(wide).tolist() == [0, 1 << 61]
+    rng = np.random.default_rng(6)
+    full = rng.integers(0, 2, size=(40, 64), dtype=np.uint8)
+    full[0] = 1
+    for n in range(1, 63):
+        # contiguous rows, a strided column slice and booleans
+        for rows in (full[:, :n].copy(), full[:, 64 - n:], full[:, :n] == 1):
+            want = [BitVec.from_bits_row(r).bits for r in rows]
+            assert pack_rows(rows).tolist() == want
     with pytest.raises(ValueError):
         pack_rows(np.zeros((1, 63), dtype=np.uint8))
 

@@ -41,6 +41,20 @@ def test_parity_target_predicts():
     assert list(t.predict_rows(rows)) == [1, 1, 0]
 
 
+@pytest.mark.parametrize("k", [1, 24, 62, 300])
+def test_predict_rows_matches_matmul(k):
+    rng = np.random.default_rng(k)
+    bits = rng.integers(0, 2, size=(400, k), dtype=np.uint8)
+    bits[0] = 1  # at k=300 an all-ones target sums 300 ones here
+    targets = [BitVec.random(k, rng) for _ in range(4)] + [BitVec(k, (1 << k) - 1)]
+    for c in targets:
+        t = ParityTarget(c)
+        want = (bits.astype(np.int64) @ c.to_bits_row().astype(np.int64) & 1)
+        got = t.predict_rows(bits)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want.astype(np.uint8))
+
+
 def test_same_seed_same_stream():
     a = new_source(8, 0.25, seed=11)
     b = new_source(8, 0.25, seed=11)

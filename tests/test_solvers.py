@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import merge_oracle
 from lpn.gf2 import BitVec, BlockLayout, GaussStatus
 from lpn import solvers
 from lpn.instance import Explicit, ParityTarget, ReplaySource, Stream, new_source
@@ -189,6 +190,29 @@ def test_isample_validate_catches_stray_rows():
         bad.validate()
 
 
+def test_isample_validate_rejects_bad_provenance():
+    layout = BlockLayout(3, 3)
+    rng = np.random.default_rng(12)
+    bits = rng.integers(0, 2, size=(300, 9), dtype=np.uint8)
+    labels = rng.integers(0, 2, size=300, dtype=np.uint8)
+    out = merge_step(merge_step(zero_sample(layout, bits, labels), rng=rng),
+                     rng=rng)
+    out.validate(originals=(bits, labels))
+    flipped = out.labels.copy()
+    flipped[0] ^= 1
+    wrong = bits.copy()
+    wrong[min(out.provenance[0]), 0] ^= 1
+    rest = out.provenance[1:]
+    for sample, originals in [
+        (replace(out, labels=flipped), (bits, labels)),
+        (out, (wrong, labels)),
+        (replace(out, provenance=[frozenset()] + rest), None),
+        (replace(out, provenance=[frozenset(range(5))] + rest), None),
+    ]:
+        with pytest.raises(AssertionError):
+            sample.validate(originals=originals)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 4),
@@ -314,29 +338,131 @@ def test_tracking_provenance_changes_no_vote(a, b):
         solvers._BudgetTracker(src, None), track=True,
     )
     assert prov.shape == (40, 2 ** (a - 1))
-    bits, draw_labels, _ = new_source(k, 0.125, seed=23).draw_batch(
+    draws, _ = solvers._ShiftedView(new_source(k, 0.125, seed=23), k).draw_batch(
         src.draw_count)
-    probe = np.zeros(k, dtype=np.uint8)
-    probe[0] = 1
-    assert (np.bitwise_xor.reduce(bits[prov], axis=1) == probe).all()
-    assert np.array_equal(np.bitwise_xor.reduce(draw_labels[prov], axis=1),
-                          labels)
+    chains = np.bitwise_xor.reduce(draws[prov], axis=1)
+    assert ((chains & solvers._VEC) == 1).all()
+    assert np.array_equal((chains < 0).astype(np.uint8), labels)
 
 
 def test_provenance_check_rejects_a_wrong_draw():
     rng = np.random.default_rng(3)
-    draws = rng.integers(0, 2, size=(8, 4), dtype=np.uint8)
-    draw_labels = rng.integers(0, 2, size=8, dtype=np.uint8)
+    draws = solvers._to_words(rng.integers(0, 2, size=(8, 4), dtype=np.uint8),
+                              rng.integers(0, 2, size=8, dtype=np.uint8))
     prov = np.array([[0, 1], [2, 3]])
-    bits = draws[[0, 2]] ^ draws[[1, 3]]
-    labels = draw_labels[[0, 2]] ^ draw_labels[[1, 3]]
-    solvers._check_provenance(bits, labels, prov, draws, draw_labels)
+    x = draws[[0, 2]] ^ draws[[1, 3]]
+    solvers._check_provenance(x, prov, draws)
+    with pytest.raises(AssertionError):  # the second row's label flipped
+        solvers._check_provenance(x ^ np.array([0, -(1 << 63)]), prov, draws)
+    draws[1] ^= 1
     with pytest.raises(AssertionError):
-        solvers._check_provenance(bits, labels ^ np.array([0, 1], np.uint8),
-                                  prov, draws, draw_labels)
-    draws[1, 0] ^= 1
-    with pytest.raises(AssertionError):
-        solvers._check_provenance(bits, labels, prov, draws, draw_labels)
+        solvers._check_provenance(x, prov, draws)
+
+
+# -- the packed vote pipeline against the uint8 reference -------------
+
+DIFF_LAYOUTS = [(2, 4), (3, 3), (3, 8), (4, 5), (2, 31), (1, 8)]
+
+
+def colliding_rows(w, b, n, rng):
+    """n rows of width w, half uniform and half from a pool of 16 rows
+    with coordinates 1 and b flipped at random, so merges meet and
+    leave e1, e_b and e1 + e_b in block 1."""
+    rows = rng.integers(0, 2, size=(n, w), dtype=np.uint8)
+    pool = rng.integers(0, 2, size=(16, w), dtype=np.uint8)
+    half = rows[: n // 2]
+    half[:] = pool[rng.integers(0, 16, size=len(half))]
+    half[:, [0, b - 1]] ^= rng.integers(0, 2, size=(len(half), 2), dtype=np.uint8)
+    return rows
+
+
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("where", ["0", "1", "W-1"])
+@pytest.mark.parametrize("a,b", DIFF_LAYOUTS)
+def test_packed_round_matches_reference(a, b, where, track):
+    layout = BlockLayout(a, b)
+    w = layout.total
+    shift = {"0": 0, "1": 1, "W-1": w - 1}[where]
+    rng = np.random.default_rng([a, b, shift])
+    n_seg, per = 6, 400
+    # unrotate, so the view's rotation brings the pool rows back
+    rows = np.roll(colliding_rows(w, b, n_seg * per, rng), shift, axis=1)
+    labels = rng.integers(0, 2, size=len(rows), dtype=np.uint8)
+    bits, ref_labels, _ = merge_oracle.ShiftedView(
+        ReplaySource(rows, labels), w, shift).draw_batch(len(rows))
+    words, _ = solvers._ShiftedView(
+        ReplaySource(rows, labels), w, shift).draw_batch(len(rows))
+    assert np.array_equal(words, solvers._to_words(bits, ref_labels))
+
+    seg = np.repeat(np.arange(n_seg, dtype=np.int64), per)
+    ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+    want, want_prov = merge_oracle.vote_round(
+        bits, ref_labels, seg, layout, ref_rng, track)
+    got, prov = solvers._vote_round(words, seg, layout, rng, track)
+    assert len(want) > 0
+    assert ((got & solvers._VEC) == 1).all()
+    assert np.array_equal((got < 0).astype(np.uint8), want)
+    if track:
+        assert np.array_equal(prov, want_prov)
+    else:
+        assert prov is None and want_prov is None
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("where", ["0", "1", "k-1"])
+@pytest.mark.parametrize("a,b", [l for l in DIFF_LAYOUTS if l != (2, 31)])
+def test_packed_votes_match_reference(monkeypatch, a, b, where, track):
+    # one coordinate of padding; rounds of 7 votes, so a run spans rounds
+    layout = BlockLayout(a, b)
+    w, k = layout.total, layout.total - 1
+    shift = {"0": 0, "1": 1, "k-1": k - 1}[where]
+    m_per = a * 2**b
+    monkeypatch.setattr(solvers, "_ROUND_CELLS", 7 * m_per * w)
+    ref_src, src = new_source(k, 0.125, seed=31), new_source(k, 0.125, seed=31)
+    ref_rng, rng = np.random.default_rng(32), np.random.default_rng(32)
+    want, want_prov = merge_oracle.collect_votes(
+        merge_oracle.ShiftedView(ref_src, w, shift), layout, 30, 7, ref_rng,
+        track)
+    got, prov = solvers._collect_votes_batched(
+        solvers._ShiftedView(src, w, shift), layout, 30, rng,
+        solvers._BudgetTracker(src, None), track)
+    assert np.array_equal(got, want)
+    if track:
+        assert np.array_equal(prov, want_prov)
+    else:
+        assert prov is None and want_prov is None
+    assert src.draw_count == ref_src.draw_count
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_merge_order_does_not_depend_on_the_sort_used():
+    # segment ids this large leave no room for positions beside the key,
+    # so the merge falls back to a stable argsort of the key alone
+    layout = BlockLayout(3, 5)
+    rng = np.random.default_rng(40)
+    x = solvers._to_words(rng.integers(0, 2, size=(3000, 15), dtype=np.uint8),
+                          rng.integers(0, 2, size=3000, dtype=np.uint8))
+    seg = np.repeat(np.arange(5, dtype=np.int64), 600)
+    prov = np.arange(3000)[:, None]
+    r1, r2 = np.random.default_rng(41), np.random.default_rng(41)
+    want = solvers._merge_segmented(x, seg, layout, 0, r1, prov)
+    got = solvers._merge_segmented(x, seg << 50, layout, 0, r2, prov)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1] << 50)
+    assert np.array_equal(got[2], want[2])
+    assert r1.bit_generator.state == r2.bit_generator.state
+
+
+def test_layouts_wider_than_62_bits_are_refused():
+    src = new_source(8, 0.0, seed=1)
+    cfg = SolverConfig(BlockLayout(2, 32), repetitions=3)
+    for call in (lambda: recover_target(src, cfg),
+                 lambda: recover_first_bit(src, cfg),
+                 lambda: collect_votes(src, cfg, 3)):
+        with pytest.raises(ValueError, match="62-bit"):
+            call()
+    assert src.draw_count == 0
 
 
 def test_votes_use_fresh_examples():
