@@ -274,6 +274,7 @@ class ISample:
         if (sizes > 2**self.i).any():
             raise AssertionError(f"provenance larger than 2^{self.i}")
         if originals is not None:
+            _check_layout(self.layout.total, self.layout)
             # pad each set with the index of one appended zero row
             draws = np.append(_to_words(*originals), 0)
             prov = np.full((len(sizes), 2**self.i), len(draws) - 1)
@@ -318,16 +319,14 @@ def _merge_segmented(
     mask = (1 << b) - 1
     key = seg << b
     key |= (x >> lo) & mask
-    # key << sh | position sorts into the stable order of key, and faster
+    # key << sh | position sorts into the stable order of key, and faster;
+    # segments and keys are bounded by the round size, so both fit
     sh = (s - 1).bit_length()
-    if int(key.max()) >> (63 - sh) == 0:
-        key <<= sh
-        key |= np.arange(s)
-        key.sort()
-        order, ks = key & ((1 << sh) - 1), key >> sh
-    else:
-        order = np.argsort(key, kind="stable")
-        ks = key[order]
+    assert int(key.max()) >> (63 - sh) == 0, "sort key overflows 63 bits"
+    key <<= sh
+    key |= np.arange(s)
+    key.sort()
+    order, ks = key & ((1 << sh) - 1), key >> sh
     starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
     sizes = np.diff(np.r_[starts, s])
     rep_pos = starts + rng.integers(0, sizes)
@@ -353,6 +352,7 @@ def merge_step(
     """
     if sample.i > sample.layout.a - 2:
         raise ValueError("sample is already fully reduced")
+    _check_layout(sample.layout.total, sample.layout)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     seg = np.zeros(len(sample), dtype=np.int64)

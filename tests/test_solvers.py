@@ -338,11 +338,13 @@ def test_tracking_provenance_changes_no_vote(a, b):
         solvers._BudgetTracker(src, None), track=True,
     )
     assert prov.shape == (40, 2 ** (a - 1))
-    draws, _ = solvers._ShiftedView(new_source(k, 0.125, seed=23), k).draw_batch(
+    bits, draw_labels, _ = new_source(k, 0.125, seed=23).draw_batch(
         src.draw_count)
-    chains = np.bitwise_xor.reduce(draws[prov], axis=1)
-    assert ((chains & solvers._VEC) == 1).all()
-    assert np.array_equal((chains < 0).astype(np.uint8), labels)
+    probe = np.zeros(k, dtype=np.uint8)
+    probe[0] = 1
+    assert (np.bitwise_xor.reduce(bits[prov], axis=1) == probe).all()
+    assert np.array_equal(np.bitwise_xor.reduce(draw_labels[prov], axis=1),
+                          labels)
 
 
 def test_provenance_check_rejects_a_wrong_draw():
@@ -436,30 +438,17 @@ def test_packed_votes_match_reference(monkeypatch, a, b, where, track):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_merge_order_does_not_depend_on_the_sort_used():
-    # segment ids this large leave no room for positions beside the key,
-    # so the merge falls back to a stable argsort of the key alone
-    layout = BlockLayout(3, 5)
-    rng = np.random.default_rng(40)
-    x = solvers._to_words(rng.integers(0, 2, size=(3000, 15), dtype=np.uint8),
-                          rng.integers(0, 2, size=3000, dtype=np.uint8))
-    seg = np.repeat(np.arange(5, dtype=np.int64), 600)
-    prov = np.arange(3000)[:, None]
-    r1, r2 = np.random.default_rng(41), np.random.default_rng(41)
-    want = solvers._merge_segmented(x, seg, layout, 0, r1, prov)
-    got = solvers._merge_segmented(x, seg << 50, layout, 0, r2, prov)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1] << 50)
-    assert np.array_equal(got[2], want[2])
-    assert r1.bit_generator.state == r2.bit_generator.state
-
-
 def test_layouts_wider_than_62_bits_are_refused():
     src = new_source(8, 0.0, seed=1)
     cfg = SolverConfig(BlockLayout(2, 32), repetitions=3)
+    wide = ISample(0, BlockLayout(2, 32), np.zeros((4, 64), dtype=np.uint8),
+                   np.zeros(4, dtype=np.uint8), [frozenset([r]) for r in range(4)])
+    wide.validate()  # the structural checks need no packing
     for call in (lambda: recover_target(src, cfg),
                  lambda: recover_first_bit(src, cfg),
-                 lambda: collect_votes(src, cfg, 3)):
+                 lambda: collect_votes(src, cfg, 3),
+                 lambda: merge_step(wide, 0),
+                 lambda: wide.validate((wide.vectors, wide.labels))):
         with pytest.raises(ValueError, match="62-bit"):
             call()
     assert src.draw_count == 0
