@@ -178,9 +178,14 @@ def _draw_samples(src, m: int) -> Optional[List[LabeledExample]]:
     left = src.remaining()
     if left is not None and m > left:
         return None
-    bits, labels, start = src.draw_batch(m)
+    words, labels, start = src.draw_batch(m, packed=True)
+    raw, step = words.tobytes(), words.shape[1] * 8
     return [
-        LabeledExample(BitVec.from_bits_row(bits[i]), int(labels[i]), start + i)
+        LabeledExample(
+            BitVec(src.k, int.from_bytes(raw[i * step : (i + 1) * step], "little")),
+            int(labels[i]),
+            start + i,
+        )
         for i in range(m)
     ]
 

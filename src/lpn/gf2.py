@@ -4,10 +4,12 @@ Vectors live in Python ints, least significant bit first: bit 0 of the
 integer is coordinate 1 of the vector.  The same convention is used for
 the byte-level instance file format (byte 0 holds coordinates 1..8,
 coordinate 1 in the least significant bit), for numpy 0/1 matrices
-(column 0 is coordinate 1) and for int64 row words (pack_rows; the bkw
-merge and the online decoder keep the label in bit 63 and so take up
-to 62 coordinates), so values move between representations without any
-reindexing.
+(column 0 is coordinate 1), for the (m, ceil(k/64)) uint64 row words
+that example sources hold (pack_words; coordinate 1 in bit 0 of word
+0, so their little-endian bytes are the file's bytes) and for int64
+row words (pack_rows; the bkw merge and the online decoder keep the
+label in bit 63 and so take up to 62 coordinates), so values move
+between representations without any reindexing.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ __all__ = [
     "xor",
     "block",
     "pack_rows",
+    "pack_words",
+    "unpack_words",
     "eliminate",
     "back_substitute",
     "rank_ints",
@@ -218,11 +222,13 @@ class BitMatrix:
         return len(self.rows)
 
 
-def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """(m, n) 0/1 rows to int64 values, coordinate 1 least significant."""
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """(m, n) 0/1 rows to (m, ceil(n/64)) uint64 row words.
+
+    Coordinate 1 is bit 0 of word 0, so the words' little-endian bytes
+    are the rows' hex bytes in the instance file format.
+    """
     m, n = bits.shape
-    if n > 62:
-        raise ValueError("rows too wide to pack into int64")
     nb = -(-n // 8)
     if n % 8 or bits.dtype != np.uint8 or not bits.flags.c_contiguous:
         padded = np.zeros((m, 8 * nb), dtype=np.uint8)
@@ -230,9 +236,25 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
         bits = padded
     # byte i of an 8-byte group lands in bit 56+i of this product, so
     # its top byte holds the group's eight coordinates
-    val = np.zeros((m, 8), dtype=np.uint8)
-    val[:, :nb] = bits.view("<u8") * np.uint64(0x0102040810204080) >> np.uint64(56)
-    return val.view("<i8").ravel()
+    out = np.zeros((m, 8 * -(-n // 64)), dtype=np.uint8)
+    out[:, :nb] = bits.view("<u8") * np.uint64(0x0102040810204080) >> np.uint64(56)
+    return out.view("<u8")
+
+
+def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """(m, ceil(n/64)) uint64 row words back to (m, n) 0/1 uint8 rows."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
+
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(m, n) 0/1 rows to int64 values, coordinate 1 least significant."""
+    m, n = bits.shape
+    if n > 62:
+        raise ValueError("rows too wide to pack into int64")
+    if n == 0:
+        return np.zeros(m, dtype=np.int64)
+    return pack_words(bits)[:, 0].view(np.int64)
 
 
 def eliminate(

@@ -6,6 +6,11 @@ independently with probability eta.  Sources are fully reproducible:
 the stream is generated in fixed-size chunks from a PCG64 generator, so
 the sequence of examples depends only on the seed, never on whether the
 caller used draw() or draw_batch() or how it sliced its requests.
+
+A source holds each chunk in one form: (m, ceil(k/64)) uint64 row
+words, coordinate 1 in bit 0 of word 0 (gf2.pack_words), beside one
+uint8 label per row.  draw_batch(m, packed=True) hands out those words;
+plain draw_batch(m) unpacks them into a (m, k) 0/1 uint8 matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gf2 import BitVec
+from .gf2 import BitVec, pack_words, unpack_words
 from .seeding import derive_seed
 
 __all__ = [
@@ -69,6 +74,18 @@ class ParityTarget:
         cols = np.flatnonzero(self.c.to_bits_row())
         # a uint8 sum wraps at 256, which keeps its parity
         return bits[:, cols].sum(axis=1, dtype=np.uint8) & 1
+
+    def predict_words(self, words: np.ndarray) -> np.ndarray:
+        """Clean labels for (m, ceil(k/64)) uint64 row words."""
+        c = _vector_words((self.c,), self.k)
+        return np.bitwise_count(np.bitwise_xor.reduce(words & c, axis=1)) & 1
+
+
+def _vector_words(vectors: Sequence[BitVec], k: int) -> np.ndarray:
+    """Vectors of length k as (len(vectors), ceil(k/64)) uint64 row words."""
+    nw = -(-k // 64)
+    raw = b"".join(v.bits.to_bytes(8 * nw, "little") for v in vectors)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(vectors), nw)
 
 
 class Uniform:
@@ -132,7 +149,7 @@ class _BufferedDraws:
     k: int
 
     def __init__(self):
-        self._buf_bits: Optional[np.ndarray] = None
+        self._buf_words: Optional[np.ndarray] = None
         self._buf_labels: Optional[np.ndarray] = None
         self._buf_pos = 0
         self._drawn = 0
@@ -150,29 +167,40 @@ class _BufferedDraws:
         raise NotImplementedError
 
     def draw(self) -> LabeledExample:
-        bits, labels, start = self.draw_batch(1)
-        return LabeledExample(BitVec.from_bits_row(bits[0]), int(labels[0]), start)
+        words, labels, start = self.draw_batch(1, packed=True)
+        x = BitVec(self.k, int.from_bytes(words.tobytes(), "little"))
+        return LabeledExample(x, int(labels[0]), start)
 
-    def draw_batch(self, m: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Next m examples as ((m, k) 0/1 matrix, labels, first index)."""
+    def draw_batch(
+        self, m: int, packed: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Next m examples as (rows, labels, first index).
+
+        rows is the (m, k) 0/1 uint8 matrix or, with packed set, the
+        (m, ceil(k/64)) uint64 row words the source holds.
+        """
         if m < 0:
             raise ValueError("batch size must be nonnegative")
         start = self._drawn
-        out_bits = np.empty((m, self.k), dtype=np.uint8)
+        if packed:
+            out = np.empty((m, -(-self.k // 64)), dtype="<u8")
+        else:
+            out = np.empty((m, self.k), dtype=np.uint8)
         out_labels = np.empty(m, dtype=np.uint8)
         got = 0
         while got < m:
-            if self._buf_bits is None or self._buf_pos >= len(self._buf_bits):
+            if self._buf_words is None or self._buf_pos >= len(self._buf_words):
                 self._refill()
-            assert self._buf_bits is not None and self._buf_labels is not None
-            take = min(m - got, len(self._buf_bits) - self._buf_pos)
+            assert self._buf_words is not None and self._buf_labels is not None
+            take = min(m - got, len(self._buf_words) - self._buf_pos)
             sl = slice(self._buf_pos, self._buf_pos + take)
-            out_bits[got : got + take] = self._buf_bits[sl]
+            words = self._buf_words[sl]
+            out[got : got + take] = words if packed else unpack_words(words, self.k)
             out_labels[got : got + take] = self._buf_labels[sl]
             self._buf_pos += take
             got += take
         self._drawn += m
-        return out_bits, out_labels, start
+        return out, out_labels, start
 
 
 class ExampleSource(_BufferedDraws):
@@ -209,44 +237,46 @@ class ExampleSource(_BufferedDraws):
         self.target = target
         self._stream_pos = 0
         if isinstance(self.distribution, Explicit):
-            self._support_bits = np.stack(
-                [v.to_bits_row() for v in self.distribution.support]
-            )
+            if self.distribution.support[0].n != k:
+                raise ValueError("support vectors must have length k")
+            self._support_words = _vector_words(self.distribution.support, k)
             self._probs = np.asarray(self.distribution.probs, dtype=np.float64)
             self._probs = self._probs / self._probs.sum()
         elif isinstance(self.distribution, Stream):
             if self.distribution.xs and self.distribution.xs[0].n != k:
                 raise ValueError("stream vectors must have length k")
-            self._stream_bits = (
-                np.stack([v.to_bits_row() for v in self.distribution.xs])
-                if self.distribution.xs
-                else np.empty((0, k), dtype=np.uint8)
-            )
+            self._stream_words = _vector_words(self.distribution.xs, k)
 
     def remaining(self) -> Optional[int]:
         if isinstance(self.distribution, Stream):
-            return len(self._stream_bits) - self.draw_count
+            return len(self._stream_words) - self.draw_count
         return None
 
     def _refill(self) -> None:
         dist = self.distribution
         if isinstance(dist, Uniform):
-            bits = self._rng.integers(0, 2, size=(_CHUNK, self.k), dtype=np.uint8)
+            # the stream's bits are integers(0, 2, (_CHUNK, k), uint8),
+            # which numpy computes as the top bit of each little-endian
+            # byte of these outputs and never rejects; _CHUNK * k bytes
+            # fill whole outputs, so the generator ends in the same state
+            raw = self._rng.bit_generator.random_raw(_CHUNK * self.k // 8)
+            raw = raw.astype("<u8", copy=False).view(np.uint8)
+            words = pack_words(raw.reshape(_CHUNK, self.k) >> 7)
         elif isinstance(dist, Explicit):
-            idx = self._rng.choice(len(self._support_bits), size=_CHUNK, p=self._probs)
-            bits = self._support_bits[idx]
+            idx = self._rng.choice(len(self._support_words), size=_CHUNK, p=self._probs)
+            words = self._support_words[idx]
         else:
-            remaining = len(self._stream_bits) - self._stream_pos
+            remaining = len(self._stream_words) - self._stream_pos
             if remaining <= 0:
                 raise StreamExhausted("the example stream is exhausted")
             take = min(_CHUNK, remaining)
-            bits = self._stream_bits[self._stream_pos : self._stream_pos + take]
+            words = self._stream_words[self._stream_pos : self._stream_pos + take]
             self._stream_pos += take
-        clean = self.target.predict_rows(bits)
+        clean = self.target.predict_words(words)
         # noise variates are drawn for every chunk, eta = 0 included,
         # so the x-stream does not depend on the noise rate
-        flips = (self._rng.random(len(bits)) < float(self.eta)).astype(np.uint8)
-        self._buf_bits = bits
+        flips = (self._rng.random(len(words)) < float(self.eta)).astype(np.uint8)
+        self._buf_words = words
         self._buf_labels = clean ^ flips
         self._buf_pos = 0
 
@@ -263,34 +293,35 @@ class ReplaySource(_BufferedDraws):
         target: Optional[ParityTarget] = None,
     ):
         super().__init__()
-        bits = np.asarray(bits, dtype=np.uint8)
-        labels = np.asarray(labels, dtype=np.uint8)
+        bits, labels = np.asarray(bits), np.asarray(labels)
         if bits.ndim != 2 or len(labels) != len(bits):
             raise ValueError("need a (m, k) bit matrix and m labels")
+        if not all(((a == 0) | (a == 1)).all() for a in (bits, labels)):
+            raise ValueError("bits and labels must be 0 or 1")
         self.k = bits.shape[1]
         self.eta = (
             eta if isinstance(eta, NoiseRate) or eta is None else NoiseRate(float(eta))
         )
         self.rng_seed = seed
         self.target = target
-        self._bits = bits
-        self._labels = labels
+        self._words = pack_words(bits)
+        self._labels = labels.astype(np.uint8)
         self._replay_pos = 0
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return len(self._words)
 
     def remaining(self) -> int:
-        return len(self._bits) - self.draw_count
+        return len(self._words) - self.draw_count
 
     def _refill(self) -> None:
-        if self._replay_pos >= len(self._bits):
+        if self._replay_pos >= len(self._words):
             raise StreamExhausted(
-                f"replay holds {len(self._bits)} examples, all consumed"
+                f"replay holds {len(self._words)} examples, all consumed"
             )
-        take = min(_CHUNK, len(self._bits) - self._replay_pos)
+        take = min(_CHUNK, len(self._words) - self._replay_pos)
         sl = slice(self._replay_pos, self._replay_pos + take)
-        self._buf_bits = self._bits[sl]
+        self._buf_words = self._words[sl]
         self._buf_labels = self._labels[sl]
         self._replay_pos += take
         self._buf_pos = 0

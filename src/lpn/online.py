@@ -34,8 +34,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .gf2 import pack_rows
-
 __all__ = ["OnlineReport", "run_online"]
 
 _BATCH = 4096
@@ -267,9 +265,9 @@ def run_online(
     done = 0
     while done < count:
         take = min(_BATCH, count - done)
-        bits, labels, _ = source.draw_batch(take)
-        clean = target.predict_rows(bits) if target is not None else None
-        dec.feed(pack_rows(bits), labels, clean)
+        words, labels, _ = source.draw_batch(take, packed=True)
+        clean = target.predict_words(words) if target is not None else None
+        dec.feed(words[:, 0].view(np.int64), labels, clean)
         done += take
     return OnlineReport(
         processed=count,

@@ -409,8 +409,8 @@ class _ShiftedView:
 
     def draw_batch(self, m: int) -> Tuple[np.ndarray, int]:
         """Next m examples as rotated row words, and the first index."""
-        bits, labels, start = self._src.draw_batch(m)
-        x = pack_rows(bits)
+        words, labels, start = self._src.draw_batch(m, packed=True)
+        x = words[:, 0].view(np.int64)
         if self.shift:
             w, p = self.k, self.shift
             x = (x >> p | x << (w - p)) & ((1 << w) - 1)

@@ -11,6 +11,10 @@ is a noisy estimate of the example's clean label) or leaves a residual
 whose leading block has no stored row yet (Captured: the residual is
 stored and the true label is requested).  An example zeroed by every
 matrix gets a majority-vote prediction.
+
+Provenance, when tracked, is an int bitmask over draw indices: bit i
+set means original example i is one of the XORed terms, so combining
+two rows XORs their masks and repeated draws cancel in pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ class Row:
     vec: int
     label: int
     depth: int
-    prov: Optional[frozenset] = None
+    prov: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class Zeroed:
 
     label: int
     depth: int
-    provenance: Optional[frozenset] = None
+    provenance: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ class EliminationMatrix:
             raise ValueError("example does not fit the g*w-bit domain")
         mask = (1 << self.w) - 1
         vec, lab, dep = x, label, 1
-        prov: frozenset = frozenset()
+        prov = 0
         for j in range(1, self.g + 1):
             v = (vec >> (j - 1) * self.w) & mask
             if v == 0:
@@ -103,7 +107,7 @@ class EliminationMatrix:
                 if insert:
                     rp = None
                     if self.track_provenance:
-                        rp = prov if index is None else prov ^ frozenset([index])
+                        rp = prov if index is None else prov ^ 1 << index
                     assert vec & ((1 << (j - 1) * self.w) - 1) == 0
                     self.rows[(j, v)] = Row(vec, lab, dep, rp)
                 return Captured(j, v)
@@ -114,6 +118,11 @@ class EliminationMatrix:
                 prov = prov ^ row.prov
         assert vec == 0
         return Zeroed(lab, dep, prov if self.track_provenance else None)
+
+
+def provenance_indices(mask: int) -> List[int]:
+    """The draw indices set in a provenance bitmask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def reduce_through(
@@ -246,7 +255,7 @@ def run_reference(
                 predictions.append(-1 if pred.kind == "unknown" else pred.bit)
             if votes_by_depth is not None and pred.votes and clean is not None:
                 for z in pred.votes:
-                    row = votes_by_depth.setdefault(len(z.provenance), [0, 0])
+                    row = votes_by_depth.setdefault(z.provenance.bit_count(), [0, 0])
                     row[0] += int(z.label) == int(clean[i])
                     row[1] += 1
         done += take

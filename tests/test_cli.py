@@ -8,6 +8,8 @@ import pytest
 
 from lpn import cli
 from lpn.cli import SOLVE_COLUMNS, SQ_COLUMNS, _parse_seeds, main
+from lpn.gf2 import BitVec
+from lpn.instance import LabeledExample, new_source
 from lpn.instfile import read_instance
 
 
@@ -82,6 +84,15 @@ def test_solve_mle_live_source(capsys):
     for row in rows:
         assert row["status"] == "recovered"
         assert row["success"] == "true"
+
+
+@pytest.mark.parametrize("k", [7, 70])
+def test_draw_samples_match_the_rows_drawn(k):
+    # mle and gauss build their samples from row words
+    bits, labels, _ = new_source(k, 0.1, seed=4).draw_batch(5000)
+    want = [LabeledExample(BitVec.from_bits_row(b), int(l), i)
+            for i, (b, l) in enumerate(zip(bits, labels))]
+    assert cli._draw_samples(new_source(k, 0.1, seed=4), 5000) == want
 
 
 def test_solve_bkw_auto_and_explicit_layout(capsys):

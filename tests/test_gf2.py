@@ -18,6 +18,8 @@ from lpn.gf2 import (
     gaussian_solve,
     is_basis,
     pack_rows,
+    pack_words,
+    unpack_words,
     rank_ints,
     xor,
 )
@@ -262,6 +264,23 @@ def test_pack_rows_bit_order():
             assert pack_rows(rows).tolist() == want
     with pytest.raises(ValueError):
         pack_rows(np.zeros((1, 63), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 24, 62, 63, 64, 65, 300])
+def test_pack_words_round_trip(n):
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2, size=(50, n), dtype=np.uint8)
+    bits[0] = 1
+    words = pack_words(bits)
+    assert words.dtype == np.dtype("<u8") and words.shape == (50, -(-n // 64))
+    for row, w in zip(bits, words):
+        want = BitVec.from_bits_row(row).bits
+        assert int.from_bytes(w.tobytes(), "little") == want
+    # strided and boolean rows pack the same
+    assert np.array_equal(pack_words(np.repeat(bits, 2, axis=1)[:, ::2]), words)
+    assert np.array_equal(pack_words(bits == 1), words)
+    back = unpack_words(words, n)
+    assert back.dtype == np.uint8 and np.array_equal(back, bits)
 
 
 # -- gaussian_solve ---------------------------------------------------

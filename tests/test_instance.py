@@ -7,6 +7,7 @@ import pytest
 
 from lpn.gf2 import BitVec
 from lpn.instance import (
+    ExampleSource,
     Explicit,
     LabeledExample,
     NoiseRate,
@@ -173,6 +174,13 @@ def test_stream_vector_length_checked():
         new_source(4, 0.0, distribution=Stream((V("10101"),)), seed=0)
 
 
+def test_explicit_support_length_checked():
+    # shorter and longer supports were accepted and failed at the first draw
+    for support in ("1011", "10110010"):
+        with pytest.raises(ValueError, match="length k"):
+            ExampleSource(6, 0.1, Explicit((V(support),), (1.0,)))
+
+
 def test_random_target_consumes_rng_before_examples():
     # fixing the target must not shift the x stream relative to random
     a = new_source(8, 0.0, seed=21)
@@ -191,6 +199,15 @@ def test_replay_source_batches_and_exhaustion():
     assert np.array_equal(got_bits, bits) and np.array_equal(got_labels, labels)
     with pytest.raises(StreamExhausted):
         rep.draw()
+
+
+def test_replay_source_rejects_values_other_than_0_and_1():
+    for bits, labels in [([[2, 0, 1]], [1]), ([[1, 0, 1]], [3]),
+                         ([[1, -1, 0]], [0]), ([[0.5, 0, 1]], [0])]:
+        with pytest.raises(ValueError, match="0 or 1"):
+            ReplaySource(np.array(bits), np.array(labels))
+    rep = ReplaySource(np.array([[True, False, True]]), np.array([1]))
+    assert rep.draw() == LabeledExample(V("101"), 1, 0)
 
 
 def test_empirical_error_basics():
@@ -237,3 +254,126 @@ def test_labeled_example_is_a_named_tuple():
 def test_uniform_equality():
     assert Uniform() == Uniform()
     assert new_source(4, 0.0, seed=1).distribution == Uniform()
+
+
+# -- row words against the stream definition ---------------------------
+
+WORD_KS = [1, 7, 8, 24, 62, 63, 300]
+# three whole chunks and part of a fourth
+STREAM_LEN = 3 * 4096 + 100
+# slices that end on the first chunk boundary, cross the second with
+# single draws and the third inside a batch that ends the stream
+SLICES = [1, 4095, 4094, 4, 4090, 104]
+
+
+def _file_bytes(bits):
+    """Row words as bytes, built with np.packbits: the instance file's
+    row bytes, padded with zero bytes to whole 64-bit words."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((len(bits), 8 * -(-bits.shape[1] // 64)), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out
+
+
+def _live_state(rng):
+    """The part of a PCG64 state that decides its future output; the
+    buffered 32-bit half counts only while has_uint32 is set."""
+    st = rng.bit_generator.state
+    return st["state"], st["has_uint32"], st["uinteger"] if st["has_uint32"] else None
+
+
+def _make_source(name, k, seed):
+    rng = np.random.default_rng([k, seed])
+    if name == "replay":
+        bits = rng.integers(0, 2, size=(STREAM_LEN, k), dtype=np.uint8)
+        labels = rng.integers(0, 2, size=STREAM_LEN, dtype=np.uint8)
+        return ReplaySource(bits, labels)
+    if name == "uniform":
+        dist = Uniform()
+    elif name == "explicit":
+        vecs = tuple(BitVec.random(k, rng) for _ in range(5))
+        dist = Explicit(vecs, (0.4, 0.3, 0.15, 0.1, 0.05))
+    else:
+        dist = Stream(tuple(BitVec.random(k, rng) for _ in range(STREAM_LEN)))
+    return ExampleSource(k, 0.125, dist, seed=seed)
+
+
+def _reference_stream(src, chunks):
+    """src's stream drawn as instance.py defines it, the way it was drawn
+    before sources held row words: (4096, k) chunks from
+    integers(0, 2, uint8), a support or the stream's rows, clean labels
+    from predict_rows, then one random() per row for the noise."""
+    dist, k, eta = src.distribution, src.k, float(src.eta)
+    rng = np.random.default_rng(src.rng_seed)
+    if isinstance(dist, Explicit):
+        support = np.stack([v.to_bits_row() for v in dist.support])
+        probs = np.asarray(dist.probs, dtype=np.float64)
+        probs = probs / probs.sum()
+    elif isinstance(dist, Stream):
+        rows = np.stack([v.to_bits_row() for v in dist.xs])
+    bits, labels = [], []
+    for i in range(chunks):
+        if isinstance(dist, Uniform):
+            x = rng.integers(0, 2, size=(4096, k), dtype=np.uint8)
+        elif isinstance(dist, Explicit):
+            x = support[rng.choice(len(support), size=4096, p=probs)]
+        else:
+            x = rows[4096 * i : 4096 * (i + 1)]
+        bits.append(x)
+        labels.append(src.target.predict_rows(x) ^ (rng.random(len(x)) < eta))
+    return np.concatenate(bits), np.concatenate(labels).astype(np.uint8), rng
+
+
+@pytest.mark.parametrize("dist", ["uniform", "explicit", "stream"])
+@pytest.mark.parametrize("k", WORD_KS)
+def test_word_source_matches_stream_definition(k, dist):
+    # if a numpy release changes its bounded-integer path for uint8,
+    # the Uniform case fails here
+    for seed in range(3):
+        src = _make_source(dist, k, seed)
+        bits, labels, ref = _reference_stream(src, 4)
+        words, got_labels, start = src.draw_batch(len(bits), packed=True)
+        assert start == 0
+        assert words.dtype == np.dtype("<u8")
+        assert words.shape == (len(bits), -(-k // 64))
+        assert np.array_equal(words.view(np.uint8), _file_bytes(bits))
+        assert np.array_equal(got_labels, labels)
+        assert _live_state(src._rng) == _live_state(ref)
+        # the generator goes on exactly as the reference's does
+        assert np.array_equal(src._rng.integers(0, 2**32, 8), ref.integers(0, 2**32, 8))
+
+
+@pytest.mark.parametrize("k", WORD_KS)
+def test_replay_words_match_its_rows(k):
+    rng = np.random.default_rng(k)
+    bits = rng.integers(0, 2, size=(STREAM_LEN, k), dtype=np.uint8)
+    labels = rng.integers(0, 2, size=STREAM_LEN, dtype=np.uint8)
+    rep = ReplaySource(bits, labels)
+    words, got_labels, _ = rep.draw_batch(STREAM_LEN, packed=True)
+    assert np.array_equal(words.view(np.uint8), _file_bytes(bits))
+    assert np.array_equal(got_labels, labels)
+    assert rep.remaining() == 0
+
+
+@pytest.mark.parametrize("dist", ["uniform", "explicit", "stream", "replay"])
+@pytest.mark.parametrize("k", WORD_KS)
+def test_draw_forms_give_one_stream(k, dist):
+    bits, labels, _ = _make_source(dist, k, 5).draw_batch(STREAM_LEN)
+    packed, unpacked = _make_source(dist, k, 5), _make_source(dist, k, 5)
+    pos = 0
+    for m in SLICES:
+        words, wl, start = packed.draw_batch(m, packed=True)
+        assert start == pos
+        assert np.array_equal(words.view(np.uint8), _file_bytes(bits[pos : pos + m]))
+        assert np.array_equal(wl, labels[pos : pos + m])
+        if m <= 4:
+            for i in range(pos, pos + m):
+                ex = unpacked.draw()
+                assert ex == (BitVec.from_bits_row(bits[i]), labels[i], i)
+        else:
+            b, bl, start = unpacked.draw_batch(m)
+            assert start == pos
+            assert np.array_equal(b, bits[pos : pos + m])
+            assert np.array_equal(bl, labels[pos : pos + m])
+        pos += m
+    assert packed.draw_count == unpacked.draw_count == STREAM_LEN

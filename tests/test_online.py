@@ -16,6 +16,7 @@ from online_oracle import (
     MatrixBank,
     Zeroed,
     process_example,
+    provenance_indices,
     reduce_through,
     run_reference,
 )
@@ -153,7 +154,7 @@ def test_zeroed_provenance_reconstructs_example_and_label():
         for z in pred.votes:
             acc = BitVec.zeros(8)
             lab = 0
-            for idx in z.provenance:
+            for idx in provenance_indices(z.provenance):
                 acc ^= drawn[idx].x
                 lab ^= drawn[idx].label
             assert acc == ex.x and lab == z.label
