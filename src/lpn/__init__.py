@@ -1,7 +1,6 @@
 """Solvers and experiment harness for learning parity with noise."""
 
 from .gf2 import (
-    BitMatrix,
     BitVec,
     BlockLayout,
     GaussResult,

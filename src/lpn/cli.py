@@ -22,12 +22,12 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec, BlockLayout, GaussStatus
-from .instance import LabeledExample, new_source
+from .gf2 import BlockLayout, GaussStatus
+from .instance import new_source
 from .instfile import (
     InstanceFormatError,
     generate_instance,
@@ -173,21 +173,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _draw_samples(src, m: int) -> Optional[List[LabeledExample]]:
-    """The next m examples, or None if a finite source holds fewer."""
+def _draw_samples(src, m: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The next m examples as (row words, labels), or None if a finite
+    source holds fewer."""
     left = src.remaining()
     if left is not None and m > left:
         return None
-    words, labels, start = src.draw_batch(m, packed=True)
-    raw, step = words.tobytes(), words.shape[1] * 8
-    return [
-        LabeledExample(
-            BitVec(src.k, int.from_bytes(raw[i * step : (i + 1) * step], "little")),
-            int(labels[i]),
-            start + i,
-        )
-        for i in range(m)
-    ]
+    words, labels, _ = src.draw_batch(m, packed=True)
+    return words, labels
 
 
 def _solve_one(task: Dict) -> Dict:
@@ -253,12 +246,13 @@ def _solve_one(task: Dict) -> Dict:
     if algo == "mle":
         if k > MLE_MAX_K:
             raise _UsageError(f"mle is capped at k={MLE_MAX_K}")
-        samples = _draw_samples(src, task["max_examples"] or 2000)
-        if samples is None:
+        m = task["max_examples"]
+        drawn = _draw_samples(src, 2000 if m is None else m)
+        if drawn is None:
             row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
                        examples_used=src.draw_count)
             return row
-        h = mle_bruteforce(samples, k)
+        h = mle_bruteforce(*drawn, k)
         row.update(
             status="recovered",
             c_hat=h.c.to_bytes_le().hex(),
@@ -268,12 +262,13 @@ def _solve_one(task: Dict) -> Dict:
         return row
 
     if algo == "gauss":
-        samples = _draw_samples(src, task["max_examples"] or 3 * k)
-        if samples is None:
+        m = task["max_examples"]
+        drawn = _draw_samples(src, 3 * k if m is None else m)
+        if drawn is None:
             row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
                        examples_used=src.draw_count)
             return row
-        gr = gaussian_baseline(samples, k)
+        gr = gaussian_baseline(*drawn, k)
         solved = gr.status is GaussStatus.SOLVED
         row.update(
             status=gr.status.value,
@@ -331,6 +326,8 @@ def cmd_solve(ns) -> int:
                 raise _UsageError(f"--{flag} must be at least 1")
     if ns.max_examples is not None and ns.max_examples < 0:
         raise _UsageError("--max-examples must be nonnegative")
+    if ns.max_examples == 0 and ns.algo in ("mle", "gauss"):
+        raise _UsageError(f"--max-examples must be positive for {ns.algo}")
     seeds = _parse_seeds(ns.seeds)
     # one decode serves every seed; each row replays the same arrays
     data = read_instance(ns.in_path) if ns.in_path is not None else None

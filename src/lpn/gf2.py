@@ -15,14 +15,13 @@ between representations without any reindexing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "BitVec",
-    "BitMatrix",
     "BlockLayout",
     "GaussStatus",
     "GaussResult",
@@ -196,32 +195,6 @@ def block(v: BitVec, layout: BlockLayout, j: int) -> BitVec:
     return BitVec(layout.b, (v.bits >> lo) & ((1 << layout.b) - 1))
 
 
-@dataclass
-class BitMatrix:
-    """A list of equal-length rows, optionally with a 0/1 label per row."""
-
-    rows: List[BitVec]
-    labels: Optional[List[int]] = None
-
-    def __post_init__(self):
-        if self.rows:
-            n = self.rows[0].n
-            if any(r.n != n for r in self.rows):
-                raise ValueError("rows must share one length")
-        if self.labels is not None:
-            if len(self.labels) != len(self.rows):
-                raise ValueError("labels must match rows one to one")
-            if any(l not in (0, 1) for l in self.labels):
-                raise ValueError("labels must be 0 or 1")
-
-    @property
-    def ncols(self) -> int:
-        return self.rows[0].n if self.rows else 0
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 def pack_words(bits: np.ndarray) -> np.ndarray:
     """(m, n) 0/1 rows to (m, ceil(n/64)) uint64 row words.
 
@@ -345,20 +318,20 @@ class GaussResult:
     solution: Optional[BitVec] = None
 
 
-def gaussian_solve(matrix: BitMatrix) -> GaussResult:
-    """Solve rows . c = labels over GF(2).
+def gaussian_solve(
+    rows: Sequence[int], labels: Sequence[int], n: int
+) -> GaussResult:
+    """Solve <row, c> = label over GF(2) for int-packed rows of n bits.
 
     Returns SOLVED with the unique solution when the rows have full
     column rank, UNDERDETERMINED when consistent but rank deficient, and
     INCONSISTENT when no solution exists.  An inconsistent system is
     reported as such even if it is also rank deficient.
     """
-    if matrix.labels is None:
-        raise ValueError("gaussian_solve needs labeled rows")
-    n = matrix.ncols
+    if len(rows) != len(labels):
+        raise ValueError("labels must match rows one to one")
     pivots, residues = eliminate(
-        (r.bits | l << n for r, l in zip(matrix.rows, matrix.labels)),
-        (1 << n) - 1,
+        (r | l << n for r, l in zip(rows, labels)), (1 << n) - 1
     )
     if residues:  # a row reduced to 0 = 1
         return GaussResult(GaussStatus.INCONSISTENT)

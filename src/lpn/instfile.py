@@ -118,15 +118,15 @@ def read_instance(path: str) -> InstanceData:
     if k < 1:
         raise InstanceFormatError("k must be positive", 1)
 
+    if len(raw_lines) - 1 < count:  # before allocating count rows
+        raise InstanceFormatError(
+            f"header promises {count} examples, file has {len(raw_lines) - 1}",
+            len(raw_lines) + 1,
+        )
     bits = np.zeros((count, k), dtype=np.uint8)
     labels = np.zeros(count, dtype=np.uint8)
     target: Optional[BitVec] = None
     body = raw_lines[1:]
-    if len(body) < count:
-        raise InstanceFormatError(
-            f"header promises {count} examples, file has {len(body)}",
-            len(raw_lines) + 1,
-        )
     for i in range(count):
         line_no = i + 2
         parts = body[i].split()

@@ -20,14 +20,14 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .gf2 import (
-    BitMatrix, BitVec, BlockLayout, GaussResult, gaussian_solve, pack_rows,
+    BitVec, BlockLayout, GaussResult, gaussian_solve, pack_rows, unpack_words,
 )
-from .instance import LabeledExample, NoiseRate, ParityTarget
+from .instance import NoiseRate, ParityTarget
 from .seeding import derive_seed
 
 __all__ = [
@@ -215,15 +215,16 @@ class ISample:
     """A batch of vectors uniform over V_i, with aggregated labels.
 
     V_i is the subspace where the last i blocks of the layout are zero.
-    vectors is a (s, a*b) 0/1 matrix.  provenance, when tracked, holds
-    per row the set of original draw indices whose XOR produced it.
+    vectors is a (s, a*b) 0/1 matrix.  provenance, when tracked, is an
+    (s, w) int array with w <= 2^i: row r is the XOR of the original
+    draws indexed by provenance[r], where repeated draws cancel.
     """
 
     i: int
     layout: BlockLayout
     vectors: np.ndarray
     labels: np.ndarray
-    provenance: Optional[List[frozenset]] = None
+    provenance: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.uint8)
@@ -234,54 +235,34 @@ class ISample:
             raise ValueError("vectors must be a (s, a*b) matrix")
         if len(self.labels) != len(self.vectors):
             raise ValueError("labels must match vectors one to one")
-        if self.provenance is not None and len(self.provenance) != len(self.vectors):
-            raise ValueError("provenance must match vectors one to one")
-
-    @classmethod
-    def from_pairs(
-        cls,
-        i: int,
-        layout: BlockLayout,
-        pairs: Sequence[Tuple[BitVec, int]],
-        provenance: Optional[List[frozenset]] = None,
-    ) -> "ISample":
-        vectors = np.stack([v.to_bits_row() for v, _ in pairs]) if pairs else np.empty(
-            (0, layout.total), dtype=np.uint8
-        )
-        labels = np.array([l for _, l in pairs], dtype=np.uint8)
-        return cls(i, layout, vectors, labels, provenance)
+        if self.provenance is not None:
+            self.provenance = np.asarray(self.provenance, dtype=np.int64)
+            if (self.provenance.ndim != 2
+                    or len(self.provenance) != len(self.vectors)):
+                raise ValueError("provenance must be a (s, w) index array")
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def entries(self) -> Iterator[Tuple[BitVec, int]]:
-        for row, label in zip(self.vectors, self.labels):
-            yield BitVec.from_bits_row(row), int(label)
 
     def validate(
         self, originals: Optional[Tuple[np.ndarray, np.ndarray]] = None
     ) -> None:
         """Check structural invariants; with the original draws also
-        check that provenance sets reproduce each vector and label."""
+        check that the provenance reproduces each vector and label."""
         zero_from = (self.layout.a - self.i) * self.layout.b
         if self.vectors[:, zero_from:].any():
             raise AssertionError(f"rows stray outside V_{self.i}")
         if self.provenance is None:
             return
-        sizes = np.array([len(p) for p in self.provenance], dtype=np.int64)
-        if (sizes == 0).any():
-            raise AssertionError("empty provenance set")
-        if (sizes > 2**self.i).any():
-            raise AssertionError(f"provenance larger than 2^{self.i}")
+        w = self.provenance.shape[1]
+        if not 1 <= w <= 2**self.i:
+            raise AssertionError(f"provenance width {w} outside 1..2^{self.i}")
         if originals is not None:
             _check_layout(self.layout.total, self.layout)
-            # pad each set with the index of one appended zero row
-            draws = np.append(_to_words(*originals), 0)
-            prov = np.full((len(sizes), 2**self.i), len(draws) - 1)
-            prov[np.arange(2**self.i) < sizes[:, None]] = np.fromiter(
-                (j for p in self.provenance for j in p), np.int64, sizes.sum()
+            _check_provenance(
+                _to_words(self.vectors, self.labels), self.provenance,
+                _to_words(*originals),
             )
-            _check_provenance(_to_words(self.vectors, self.labels), prov, draws)
 
 
 def _to_words(bits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -356,15 +337,10 @@ def merge_step(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     seg = np.zeros(len(sample), dtype=np.int64)
-    rows = None if sample.provenance is None else np.arange(len(sample))[:, None]
-    x, _, pairs = _merge_segmented(
+    x, _, prov = _merge_segmented(
         _to_words(sample.vectors, sample.labels), seg, sample.layout, sample.i,
-        rng, rows,
+        rng, sample.provenance,
     )
-    prov = None
-    if pairs is not None:
-        old = sample.provenance
-        prov = [old[i] ^ old[j] for i, j in pairs.tolist()]
     bits = (x[:, None] >> np.arange(sample.layout.total) & 1).astype(np.uint8)
     return ISample(sample.i + 1, sample.layout, bits, x < 0, prov)
 
@@ -641,29 +617,36 @@ def recover_target(
 # baselines
 
 
-def mle_bruteforce(samples: Sequence[LabeledExample], k: int) -> ParityTarget:
-    """Candidate parity with the fewest disagreements on the samples.
+def _check_words(words: np.ndarray, labels: np.ndarray, k: int) -> None:
+    if words.ndim != 2 or words.shape[1] != -(-k // 64):
+        raise ValueError(f"rows must be (m, {-(-k // 64)}) words for k={k}")
+    if len(labels) != len(words):
+        raise ValueError("labels must match rows one to one")
 
-    Scans all 2^k candidates in Gray-code order, maintaining the
-    prediction vector as one big integer and flipping a single column
-    per step.  Ties go to the numerically smallest candidate
-    (coordinate 1 least significant).  Refuses k above MLE_MAX_K.
+
+def mle_bruteforce(
+    words: np.ndarray, labels: np.ndarray, k: int
+) -> ParityTarget:
+    """Candidate parity with the fewest disagreements on the examples.
+
+    words are (m, ceil(k/64)) uint64 row words (gf2.pack_words) and
+    labels their m 0/1 labels.  Scans all 2^k candidates in Gray-code
+    order, maintaining the prediction vector as one big integer and
+    flipping a single column per step.  Ties go to the numerically
+    smallest candidate (coordinate 1 least significant).  Refuses k
+    above MLE_MAX_K.
     """
-    if not samples:
+    if not len(labels):
         raise ValueError("cannot fit a target to zero samples")
     if k > MLE_MAX_K:
         raise ValueError(f"mle_bruteforce is capped at k={MLE_MAX_K}")
-    if any(s.x.n != k for s in samples):
-        raise ValueError("sample length mismatch")
-    cols = [0] * k
-    labels_int = 0
-    for si, ex in enumerate(samples):
-        xb = ex.x.bits
-        while xb:
-            low = xb & -xb
-            cols[low.bit_length() - 1] |= 1 << si
-            xb ^= low
-        labels_int |= ex.label << si
+    _check_words(words, labels, k)
+    # column j as an m-bit int, example i in bit i
+    col_bytes = np.packbits(unpack_words(words, k), axis=0, bitorder="little")
+    cols = [int.from_bytes(c.tobytes(), "little") for c in col_bytes.T]
+    labels_int = int.from_bytes(
+        np.packbits(labels, bitorder="little").tobytes(), "little"
+    )
     best_c = 0
     best_err = labels_int.bit_count()
     preds = 0
@@ -680,14 +663,21 @@ def mle_bruteforce(samples: Sequence[LabeledExample], k: int) -> ParityTarget:
     return ParityTarget(BitVec(k, best_c))
 
 
-def gaussian_baseline(samples: Sequence[LabeledExample], k: int) -> GaussResult:
-    """Solve the samples as exact linear equations.
+def gaussian_baseline(
+    words: np.ndarray, labels: np.ndarray, k: int
+) -> GaussResult:
+    """Solve the examples as exact linear equations.
 
-    Only meaningful on noiseless data: any flipped label shows up as an
-    inconsistent system (or a wrong solution if the flips happen to
-    stay consistent).
+    words are (m, ceil(k/64)) uint64 row words and labels their m 0/1
+    labels.  Only meaningful on noiseless data: any flipped label shows
+    up as an inconsistent system (or a wrong solution if the flips
+    happen to stay consistent).
     """
-    if any(s.x.n != k for s in samples):
-        raise ValueError("sample length mismatch")
-    matrix = BitMatrix([s.x for s in samples], [s.label for s in samples])
-    return gaussian_solve(matrix)
+    _check_words(words, labels, k)
+    raw = np.ascontiguousarray(words, dtype="<u8").tobytes()
+    step = words.shape[1] * 8
+    rows = [
+        int.from_bytes(raw[i : i + step], "little")
+        for i in range(0, len(raw), step)
+    ]
+    return gaussian_solve(rows, labels.tolist(), k)

@@ -219,12 +219,36 @@ def sq_answer(
     return _distort(p, query.tau, mode)
 
 
+def _exact_prob(dist: FiniteDistribution, k: int, pred: Callable,
+                *columns: Sequence) -> float:
+    """Pr[pred] over k independent draws from dist, by enumeration.
+
+    Each column is indexed like dist.points; pred gets, for each tuple
+    of draws, one k-tuple of entries per column.  Tuples are visited in
+    lexicographic order of their point indices, and a non-uniform
+    probability is summed in that order.
+    """
+    n = len(dist.points)
+    if n**k > KWISE_ENUM_CAP:
+        raise ValueError(
+            f"{n}^{k} tuples exceed the enumeration cap of {KWISE_ENUM_CAP}"
+        )
+    # product() over each column in lockstep yields the same index tuples
+    args = zip(*(itertools.product(col, repeat=k) for col in columns))
+    if dist.is_uniform:
+        return sum(1 for a in args if pred(*a)) / n**k
+    p = 0.0
+    for a, ws in zip(args, itertools.product(dist.weights, repeat=k)):
+        if pred(*a):
+            p += math.prod(ws)
+    return p
+
+
 def kwise_answer(
     query: KWiseQuery,
     concept: Concept,
     dist: FiniteDistribution,
     mode: OracleMode = Exact(),
-    cap: int = KWISE_ENUM_CAP,
 ) -> float:
     """Answer a k-wise query; exact answers enumerate all |D|^k tuples."""
     pts = dist.points
@@ -242,26 +266,7 @@ def kwise_answer(
             for row in idx
         )
         return hits / mode.samples
-    if len(pts) ** k > cap:
-        raise ValueError(
-            f"{len(pts)}^{k} tuples exceed the enumeration cap of {cap}"
-        )
-    w = dist.weights
-    pred = query.predicate
-    if dist.is_uniform:
-        hits = sum(
-            1
-            for idx in itertools.product(range(len(pts)), repeat=k)
-            if pred(tuple(pts[i] for i in idx),
-                    tuple(int(labels[i]) for i in idx))
-        )
-        p = hits / len(pts) ** k
-    else:
-        p = 0.0
-        for idx in itertools.product(range(len(pts)), repeat=k):
-            if pred(tuple(pts[i] for i in idx),
-                    tuple(int(labels[i]) for i in idx)):
-                p += math.prod(w[i] for i in idx)
+    p = _exact_prob(dist, k, query.predicate, pts, labels.tolist())
     return _distort(p, query.tau, mode)
 
 
@@ -362,22 +367,12 @@ def sq_dimension(
 class UnlabeledDraws:
     """Label-free access to the example distribution.
 
-    kwise_prob answers Pr[pred(x_1..x_k)] for independent draws; with
-    exact=False it is estimated from `samples` sampled tuples instead
-    of enumerated.
+    kwise_prob answers Pr[pred(x_1..x_k)] for independent draws exactly,
+    by enumerating every k-tuple.
     """
 
-    def __init__(
-        self,
-        dist: FiniteDistribution,
-        exact: bool = True,
-        samples: int = 10_000,
-        cap: int = KWISE_ENUM_CAP,
-    ):
+    def __init__(self, dist: FiniteDistribution):
         self.dist = dist
-        self.exact = exact
-        self.samples = samples
-        self.cap = cap
 
     def sample_tuple(self, k: int, rng: np.random.Generator) -> Tuple[int, ...]:
         idx = rng.choice(
@@ -386,33 +381,9 @@ class UnlabeledDraws:
         return tuple(self.dist.points[i] for i in idx)
 
     def kwise_prob(
-        self, pred: Callable[[Tuple[int, ...]], int], k: int,
-        rng: Optional[np.random.Generator] = None,
+        self, pred: Callable[[Tuple[int, ...]], int], k: int
     ) -> float:
-        pts = self.dist.points
-        if not self.exact:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            hits = 0
-            for _ in range(self.samples):
-                if pred(self.sample_tuple(k, rng)):
-                    hits += 1
-            return hits / self.samples
-        if len(pts) ** k > self.cap:
-            raise ValueError("tuple space exceeds the enumeration cap")
-        w = self.dist.weights
-        if self.dist.is_uniform:
-            hits = sum(
-                1
-                for idx in itertools.product(range(len(pts)), repeat=k)
-                if pred(tuple(pts[i] for i in idx))
-            )
-            return hits / len(pts) ** k
-        p = 0.0
-        for idx in itertools.product(range(len(pts)), repeat=k):
-            if pred(tuple(pts[i] for i in idx)):
-                p += math.prod(w[i] for i in idx)
-        return p
+        return _exact_prob(self.dist, k, pred, self.dist.points)
 
 
 @dataclass
@@ -519,7 +490,7 @@ def kwise_to_unary_reduce(
     estimate = 0.0
     for lvec in patterns:
         estimate += unlabeled.kwise_prob(
-            lambda xs, lvec=lvec: query.predicate(xs, lvec), k, rng
+            lambda xs, lvec=lvec: query.predicate(xs, lvec), k
         )
     estimate /= 2**k
     bound = 4.0 * eps * (2**k - 1) / 2**k
@@ -536,7 +507,6 @@ def basis_query_learner(
     k: int,
     concept: Concept,
     dist: Optional[FiniteDistribution] = None,
-    cap: int = KWISE_ENUM_CAP,
 ) -> ParityTarget:
     """Learn a parity exactly with k+1 exact k-wise queries.
 
@@ -565,7 +535,7 @@ def basis_query_learner(
     p_basis = kwise_answer(
         KWiseQuery(k, lambda xs, ls: pinned(xs, ls) is not None, tau,
                    "basis-mass"),
-        concept, dist, Exact(), cap,
+        concept, dist, Exact(),
     )
     if p_basis <= 0.0:
         raise ValueError("distribution never yields a basis")
@@ -580,7 +550,7 @@ def basis_query_learner(
                 tau,
                 f"basis-bit-{i + 1}",
             ),
-            concept, dist, Exact(), cap,
+            concept, dist, Exact(),
         )
         if ans > p_basis / 2:
             bits |= 1 << i

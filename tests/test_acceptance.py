@@ -17,7 +17,7 @@ import pytest
 from scipy import stats
 
 from lpn.gf2 import BitVec, BlockLayout, express_in_span
-from lpn.instance import LabeledExample, new_source
+from lpn.instance import new_source
 from lpn.online import run_online
 from lpn.solvers import (
     ISample,
@@ -83,13 +83,8 @@ def test_ac02_matches_mle_at_k16():
     agree = 0
     for seed in range(100):
         src = new_source(16, 0.2, seed=seed)
-        bits, labels, start = src.draw_batch(2000)
-        samples = [
-            LabeledExample(BitVec.from_bits_row(bits[i]), int(labels[i]),
-                           start + i)
-            for i in range(len(bits))
-        ]
-        h = mle_bruteforce(samples, 16)
+        words, labels, _ = src.draw_batch(2000, packed=True)
+        h = mle_bruteforce(words, labels, 16)
         res = recover_target(src, cfg)
         if (h.c == src.target.c
                 and res.status is SolverStatus.RECOVERED
@@ -141,7 +136,7 @@ def test_ac04_merge_invariants_random():
         bits = rng.integers(0, 2, size=(s, layout.total), dtype=np.uint8)
         bits[:, (a - i) * b:] = 0  # an i-sample: last i blocks zero
         labels = rng.integers(0, 2, size=s, dtype=np.uint8)
-        prov = [frozenset({j}) for j in range(s)]
+        prov = np.arange(s)[:, None]
         sample = ISample(i, layout, bits.copy(), labels.copy(), prov)
         out = merge_step(sample, rng)
         try:
@@ -149,7 +144,8 @@ def test_ac04_merge_invariants_random():
                 raise AssertionError("merge lost more than one per class")
             if out.i != i + 1:
                 raise AssertionError("level did not advance")
-            if any(len(p) != 2 for p in out.provenance):
+            pairs = out.provenance
+            if pairs.shape[1] != 2 or (pairs[:, 0] == pairs[:, 1]).any():
                 raise AssertionError("output is not a pair of inputs")
             out.validate(originals=(bits, labels))
         except AssertionError:

@@ -4,12 +4,13 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from lpn import cli
 from lpn.cli import SOLVE_COLUMNS, SQ_COLUMNS, _parse_seeds, main
-from lpn.gf2 import BitVec
-from lpn.instance import LabeledExample, new_source
+from lpn.gf2 import unpack_words
+from lpn.instance import new_source
 from lpn.instfile import read_instance
 
 
@@ -88,11 +89,12 @@ def test_solve_mle_live_source(capsys):
 
 @pytest.mark.parametrize("k", [7, 70])
 def test_draw_samples_match_the_rows_drawn(k):
-    # mle and gauss build their samples from row words
+    # mle and gauss take the examples as row words
     bits, labels, _ = new_source(k, 0.1, seed=4).draw_batch(5000)
-    want = [LabeledExample(BitVec.from_bits_row(b), int(l), i)
-            for i, (b, l) in enumerate(zip(bits, labels))]
-    assert cli._draw_samples(new_source(k, 0.1, seed=4), 5000) == want
+    words, got = cli._draw_samples(new_source(k, 0.1, seed=4), 5000)
+    assert words.shape == (5000, -(-k // 64))
+    assert np.array_equal(unpack_words(words, k), bits)
+    assert np.array_equal(got, labels)
 
 
 def test_solve_bkw_auto_and_explicit_layout(capsys):
@@ -269,6 +271,10 @@ def test_solve_short_file_draws_nothing(tmp_path, capsys, algo, extra):
       "--max-examples", "-5"], "--max-examples must be nonnegative"),
     (["solve", "--algo", "bkw", "--k", "8", "--eta", "0.1",
       "--a", "2", "--b", "32"], "62-bit limit"),
+    (["solve", "--algo", "mle", "--k", "8", "--eta", "0.1",
+      "--max-examples", "0"], "--max-examples must be positive for mle"),
+    (["solve", "--algo", "gauss", "--k", "8", "--eta", "0.1",
+      "--max-examples", "0"], "--max-examples must be positive for gauss"),
 ])
 def test_usage_errors_exit_one(tmp_path, capsys, argv, fragment):
     code, _, err = run(capsys, *argv)

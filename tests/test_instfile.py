@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lpn.cli import main
 from lpn.gf2 import BitVec
 from lpn.instfile import (
     InstanceData,
@@ -114,6 +115,18 @@ def test_count_mismatch_reported(tmp_path):
     path = write_text(tmp_path, "LPN v1 k=8 eta=0.1 seed=0 count=2\n01 1\n")
     with pytest.raises(InstanceFormatError):
         read_instance(path)
+
+
+def test_huge_count_is_a_format_error(tmp_path, capsys):
+    # the count check comes before any array of count rows is allocated
+    path = write_text(
+        tmp_path, "LPN v1 k=12 eta=0.1 seed=0 count=10000000000000\n0100 1\n"
+    )
+    with pytest.raises(InstanceFormatError) as exc:
+        read_instance(path)
+    assert exc.value.line_no == 3
+    assert main(["solve", "--algo", "mle", "--in", path]) == 2
+    assert "line 3: header promises" in capsys.readouterr().err
 
 
 def test_bad_label_reports_its_line(tmp_path):

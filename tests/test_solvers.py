@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import merge_oracle
-from lpn.gf2 import BitVec, BlockLayout, GaussStatus
+from lpn.gf2 import BitVec, BlockLayout, GaussStatus, back_substitute, eliminate
 from lpn import solvers
 from lpn.instance import Explicit, ParityTarget, ReplaySource, Stream, new_source
 from lpn.solvers import (
@@ -111,7 +111,7 @@ def zero_sample(layout, bits, labels=None, prov=True):
     bits = np.asarray(bits, dtype=np.uint8)
     if labels is None:
         labels = np.zeros(len(bits), dtype=np.uint8)
-    provenance = [frozenset([i]) for i in range(len(bits))] if prov else None
+    provenance = np.arange(len(bits))[:, None] if prov else None
     return ISample(0, layout, bits, labels, provenance)
 
 
@@ -126,11 +126,11 @@ def test_merge_worked_example():
     # the two classes are {0110, 1110} and {1001, 0101}; each output is
     # the XOR of one class, so labels and provenance follow suit
     by_vec = {
-        BitVec.from_bits_row(r): (int(l), p)
+        BitVec.from_bits_row(r): (int(l), sorted(p.tolist()))
         for r, l, p in zip(out.vectors, out.labels, out.provenance)
     }
-    assert by_vec[V("1000")] == (1, frozenset([0, 1]))
-    assert by_vec[V("1100")] == (0, frozenset([2, 3]))
+    assert by_vec[V("1000")] == (1, [0, 1])
+    assert by_vec[V("1100")] == (0, [2, 3])
     out.validate()
 
 
@@ -201,13 +201,15 @@ def test_isample_validate_rejects_bad_provenance():
     flipped = out.labels.copy()
     flipped[0] ^= 1
     wrong = bits.copy()
-    wrong[min(out.provenance[0]), 0] ^= 1
-    rest = out.provenance[1:]
+    # a draw that row 0 XORs an odd number of times
+    drawn, times = np.unique(out.provenance[0], return_counts=True)
+    wrong[drawn[times % 2 == 1][0], 0] ^= 1
     for sample, originals in [
         (replace(out, labels=flipped), (bits, labels)),
         (out, (wrong, labels)),
-        (replace(out, provenance=[frozenset()] + rest), None),
-        (replace(out, provenance=[frozenset(range(5))] + rest), None),
+        # widths 0 and 5 lie outside 1..2^2
+        (replace(out, provenance=out.provenance[:, :0]), None),
+        (replace(out, provenance=out.provenance[:, [0, 0, 1, 2, 3]]), None),
     ]:
         with pytest.raises(AssertionError):
             sample.validate(originals=originals)
@@ -231,8 +233,9 @@ def test_merge_structure_random(a, b, s, seed):
     zero_from = (a - 1) * b
     assert not out.vectors[:, zero_from:].any()
     out.validate(originals=(bits, labels))
-    for p in out.provenance:
-        assert len(p) == 2  # each merged row combines exactly two inputs
+    # each merged row combines exactly two distinct inputs
+    assert out.provenance.shape == (len(out), 2)
+    assert (out.provenance[:, 0] != out.provenance[:, 1]).all()
 
 
 def test_two_merges_track_provenance_to_depth_four():
@@ -245,7 +248,8 @@ def test_two_merges_track_provenance_to_depth_four():
     assert out.i == 2
     assert len(out) >= 600 - 2 * 2**3
     out.validate(originals=(bits, labels))
-    sizes = {len(p) for p in out.provenance}
+    assert out.provenance.shape == (len(out), 4)
+    sizes = {solvers._chain_size(p) for p in out.provenance}
     assert sizes <= {2, 4} and 4 in sizes
 
 
@@ -264,7 +268,7 @@ def test_aggregated_labels_match_bias_formula():
     clean = src.target.predict_rows(out.vectors)
     by_size = {}
     for ok, p in zip(clean == out.labels, out.provenance):
-        by_size.setdefault(len(p), []).append(bool(ok))
+        by_size.setdefault(solvers._chain_size(p), []).append(bool(ok))
     for s_chain, oks in by_size.items():
         if len(oks) < 200:
             continue
@@ -442,7 +446,7 @@ def test_layouts_wider_than_62_bits_are_refused():
     src = new_source(8, 0.0, seed=1)
     cfg = SolverConfig(BlockLayout(2, 32), repetitions=3)
     wide = ISample(0, BlockLayout(2, 32), np.zeros((4, 64), dtype=np.uint8),
-                   np.zeros(4, dtype=np.uint8), [frozenset([r]) for r in range(4)])
+                   np.zeros(4, dtype=np.uint8), np.arange(4)[:, None])
     wide.validate()  # the structural checks need no packing
     for call in (lambda: recover_target(src, cfg),
                  lambda: recover_first_bit(src, cfg),
@@ -582,6 +586,12 @@ def test_auto_repetitions_need_a_noise_rate():
 # -- brute-force MLE --------------------------------------------------
 
 
+def draw_words(src, m):
+    """The next m examples of src as (row words, labels)."""
+    words, labels, _ = src.draw_batch(m, packed=True)
+    return words, labels
+
+
 def naive_mle(samples, k):
     best, best_err = 0, len(samples) + 1
     for cand in range(1 << k):
@@ -593,38 +603,42 @@ def naive_mle(samples, k):
 
 
 def test_mle_agrees_with_naive_enumeration():
-    src = new_source(6, 0.2, seed=15)
-    samples = [src.draw() for _ in range(60)]
-    assert mle_bruteforce(samples, 6).c == naive_mle(samples, 6)
+    # odd k and m not a multiple of 8 leave padding in the packed columns
+    for k, m, seed in [(6, 60, 15), (1, 5, 1), (7, 61, 7), (13, 37, 13)]:
+        src = new_source(k, 0.2, seed=seed)
+        samples = [src.draw() for _ in range(m)]
+        words, labels = draw_words(new_source(k, 0.2, seed=seed), m)
+        assert mle_bruteforce(words, labels, k).c == naive_mle(samples, k)
 
 
 def test_mle_noiseless_recovers():
     for seed in range(5):
         src = new_source(8, 0.0, seed=200 + seed)
-        samples = [src.draw() for _ in range(24)]
-        assert mle_bruteforce(samples, 8) == src.target
+        assert mle_bruteforce(*draw_words(src, 24), 8) == src.target
 
 
 def test_mle_tie_break_is_smallest_candidate():
     src = new_source(4, 0.0, distribution=Explicit((V("0000"),), (1.0,)), seed=1)
-    samples = [src.draw() for _ in range(10)]
-    assert mle_bruteforce(samples, 4).c == BitVec.zeros(4)
+    assert mle_bruteforce(*draw_words(src, 10), 4).c == BitVec.zeros(4)
 
 
 def test_mle_rejects_bad_inputs():
-    src = new_source(4, 0.0, seed=1)
+    words, labels = draw_words(new_source(4, 0.0, seed=1), 3)
     with pytest.raises(ValueError):
-        mle_bruteforce([], 4)
+        mle_bruteforce(words[:0], labels[:0], 4)
     with pytest.raises(ValueError):
-        mle_bruteforce([src.draw()], MLE_MAX_K + 1)
+        mle_bruteforce(words, labels, MLE_MAX_K + 1)
+    with pytest.raises(ValueError):  # one label short
+        mle_bruteforce(words, labels[:2], 4)
+    with pytest.raises(ValueError):  # words for a k above 64
+        mle_bruteforce(np.zeros((3, 2), np.uint64), labels, 4)
 
 
 def test_mle_moderate_noise_k16():
     hits = 0
     for seed in range(5):
         src = new_source(16, 0.2, seed=300 + seed)
-        samples = [src.draw() for _ in range(2000)]
-        hits += mle_bruteforce(samples, 16) == src.target
+        hits += mle_bruteforce(*draw_words(src, 2000), 16) == src.target
     assert hits == 5
 
 
@@ -633,8 +647,7 @@ def test_mle_moderate_noise_k16():
 
 def test_gaussian_baseline_noiseless():
     src = new_source(8, 0.0, seed=16)
-    samples = [src.draw() for _ in range(24)]
-    res = gaussian_baseline(samples, 8)
+    res = gaussian_baseline(*draw_words(src, 24), 8)
     assert res.status is GaussStatus.SOLVED
     assert res.solution == src.target.c
 
@@ -642,14 +655,32 @@ def test_gaussian_baseline_noiseless():
 def test_gaussian_baseline_underdetermined():
     src = new_source(8, 0.0, distribution=Explicit((V("10000000"),), (1.0,)),
                      seed=17)
-    samples = [src.draw() for _ in range(10)]
-    assert gaussian_baseline(samples, 8).status is GaussStatus.UNDERDETERMINED
+    res = gaussian_baseline(*draw_words(src, 10), 8)
+    assert res.status is GaussStatus.UNDERDETERMINED
 
 
 def test_gaussian_baseline_breaks_under_noise():
     statuses = set()
     for seed in range(5):
         src = new_source(8, 0.25, seed=400 + seed)
-        samples = [src.draw() for _ in range(48)]
-        statuses.add(gaussian_baseline(samples, 8).status)
+        statuses.add(gaussian_baseline(*draw_words(src, 48), 8).status)
     assert GaussStatus.INCONSISTENT in statuses
+
+
+@pytest.mark.parametrize("eta,m", [(0.0, 40), (0.0, 90), (0.05, 300)])
+def test_gaussian_baseline_matches_elimination_on_two_word_rows(eta, m):
+    # k=70 rows span two words; the reference eliminates BitVec ints
+    k = 70
+    src = new_source(k, eta, seed=18)
+    examples = [src.draw() for _ in range(m)]
+    pivots, residues = eliminate(
+        [ex.x.bits | ex.label << k for ex in examples], (1 << k) - 1
+    )
+    if residues:
+        want = (GaussStatus.INCONSISTENT, None)
+    elif len(pivots) < k:
+        want = (GaussStatus.UNDERDETERMINED, None)
+    else:
+        want = (GaussStatus.SOLVED, BitVec(k, back_substitute(pivots, k)))
+    res = gaussian_baseline(*draw_words(new_source(k, eta, seed=18), m), k)
+    assert (res.status, res.solution) == want

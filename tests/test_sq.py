@@ -137,7 +137,7 @@ def test_labels_agree_is_one_for_zero_parity():
 
 
 def test_basis_probability_k2():
-    from lpn.gf2 import BitMatrix, GaussStatus, gaussian_solve, rank_ints
+    from lpn.gf2 import GaussStatus, gaussian_solve, rank_ints
 
     c = parity_concept(0b01, 2)  # target (1, 0)
     dist = FiniteDistribution.uniform_over(2)
@@ -146,7 +146,7 @@ def test_basis_probability_k2():
 
     # the bit-1 refinement keeps the full basis mass, bit 2 none of it
     def solved_bit(xs, ls, i):
-        res = gaussian_solve(BitMatrix([BitVec(2, x) for x in xs], list(ls)))
+        res = gaussian_solve(xs, ls, 2)
         return res.status is GaussStatus.SOLVED and res.solution.bit(i)
 
     q1 = KWiseQuery(2, lambda xs, ls: solved_bit(xs, ls, 0), 0.01)
