@@ -84,7 +84,7 @@ class ParityTarget:
 def _vector_words(vectors: Sequence[BitVec], k: int) -> np.ndarray:
     """Vectors of length k as (len(vectors), ceil(k/64)) uint64 row words."""
     nw = -(-k // 64)
-    raw = b"".join(v.bits.to_bytes(8 * nw, "little") for v in vectors)
+    raw = bytearray().join(v.bits.to_bytes(8 * nw, "little") for v in vectors)
     return np.frombuffer(raw, dtype="<u8").reshape(len(vectors), nw)
 
 
@@ -292,20 +292,47 @@ class ReplaySource(_BufferedDraws):
         seed: int = 0,
         target: Optional[ParityTarget] = None,
     ):
-        super().__init__()
         bits, labels = np.asarray(bits), np.asarray(labels)
         if bits.ndim != 2 or len(labels) != len(bits):
             raise ValueError("need a (m, k) bit matrix and m labels")
-        if not all(((a == 0) | (a == 1)).all() for a in (bits, labels)):
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("bits and labels must be 0 or 1")
-        self.k = bits.shape[1]
+        self._load(pack_words(bits), labels, bits.shape[1], eta, seed, target)
+
+    @classmethod
+    def from_words(
+        cls,
+        words: np.ndarray,
+        labels: np.ndarray,
+        k: int,
+        eta: Union[float, NoiseRate, None] = None,
+        seed: int = 0,
+        target: Optional[ParityTarget] = None,
+    ) -> "ReplaySource":
+        """Replay (m, ceil(k/64)) uint64 row words, the draw_batch(packed=True) form."""
+        src = cls.__new__(cls)
+        src._load(np.asarray(words), labels, k, eta, seed, target)
+        return src
+
+    def _load(self, words, labels, k, eta, seed, target) -> None:
+        super().__init__()
+        labels = np.asarray(labels)
+        if words.dtype != np.uint64 or words.shape != (len(words), -(-k // 64)):
+            raise ValueError("need (m, ceil(k/64)) uint64 row words")
+        if labels.shape != (len(words),):
+            raise ValueError("need one label per row")
+        if not ((labels == 0) | (labels == 1)).all():
+            raise ValueError("bits and labels must be 0 or 1")
+        if k % 64 and (words[:, -1] >> np.uint64(k % 64)).any():
+            raise ValueError(f"row words have bits set beyond coordinate {k}")
+        self.k = k
         self.eta = (
             eta if isinstance(eta, NoiseRate) or eta is None else NoiseRate(float(eta))
         )
         self.rng_seed = seed
         self.target = target
-        self._words = pack_words(bits)
-        self._labels = labels.astype(np.uint8)
+        self._words = words
+        self._labels = labels.astype(np.uint8, copy=False)
         self._replay_pos = 0
 
     def __len__(self) -> int:

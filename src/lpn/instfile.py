@@ -10,18 +10,25 @@ Vectors are hex-encoded little endian: ceil(k/8) bytes, byte 0 holding
 coordinates 1..8 with coordinate 1 in the least significant bit.  Pad
 bits beyond coordinate k must be zero.  Writing is deterministic, the
 same data always produces byte-identical files.
+
+Examples are held as (m, ceil(k/64)) uint64 row words (gf2.pack_words),
+whose little-endian bytes are the file's hex bytes, so both directions
+are bulk array work.  The writer's canonical form (lowercase digits,
+single spaces, '\\n' line ends) is decoded in one pass; any other file
+goes through the line parser, which alone decides what is accepted and
+which line an error names.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .gf2 import BitVec
-from .instance import NoiseRate, ParityTarget, ReplaySource, new_source
+from .gf2 import BitVec, unpack_words
+from .instance import NoiseRate, ParityTarget, ReplaySource, _vector_words, new_source
 
 __all__ = [
     "InstanceData",
@@ -37,6 +44,11 @@ _HEADER_RE = re.compile(
     r"^LPN v1 k=(\d+) eta=([0-9.eE+-]+) seed=(\d+) count=(\d+)$"
 )
 
+# canonical digits and their values; 0xFF marks every other byte
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_DIGIT_VALUE = np.full(256, 0xFF, dtype=np.uint8)
+_DIGIT_VALUE[_HEX_DIGITS] = np.arange(16, dtype=np.uint8)
+
 
 @dataclass
 class InstanceData:
@@ -45,13 +57,20 @@ class InstanceData:
     k: int
     eta: float
     seed: int
-    bits: np.ndarray  # (count, k) uint8
+    words: np.ndarray  # (count, ceil(k/64)) uint64 row words
     labels: np.ndarray  # (count,) uint8
     target: Optional[BitVec] = None
 
     @property
     def count(self) -> int:
-        return len(self.bits)
+        return len(self.words)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The examples as a read-only (count, k) 0/1 uint8 matrix."""
+        bits = unpack_words(self.words, self.k)
+        bits.flags.writeable = False
+        return bits
 
 
 class InstanceFormatError(ValueError):
@@ -62,27 +81,114 @@ class InstanceFormatError(ValueError):
         self.line_no = line_no
 
 
-def _row_hex(row: np.ndarray) -> str:
-    return bytes(np.packbits(row, bitorder="little")).hex()
-
-
 def format_instance(data: InstanceData) -> str:
-    if data.bits.shape != (data.count, data.k):
-        raise ValueError("bit matrix shape does not match header")
-    lines = [
-        f"LPN v1 k={data.k} eta={data.eta!r} seed={data.seed} count={data.count}"
-    ]
-    labels = data.labels
-    for row, label in zip(data.bits, labels):
-        lines.append(f"{_row_hex(row)} {int(label)}")
+    """The file text for data; refuses anything read_instance would refuse."""
+    k = data.k
+    if k < 1:
+        raise ValueError("k must be positive")
+    NoiseRate(float(data.eta))
+    if data.seed < 0:
+        raise ValueError("seed must be nonnegative")
+    words, labels = np.asarray(data.words), np.asarray(data.labels)
+    nb, nw = -(-k // 8), -(-k // 64)
+    if words.dtype != np.uint64 or words.shape != (len(words), nw):
+        raise ValueError(f"words must be (count, {nw}) uint64 row words")
+    if labels.shape != (len(words),) or not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("need one label per row, each 0 or 1")
+    if k % 64 and (words[:, -1] >> np.uint64(k % 64)).any():
+        raise ValueError(f"row words have bits set beyond coordinate {k}")
+    if data.target is not None and data.target.n != k:
+        raise ValueError(f"target must have {k} coordinates")
+    header = f"LPN v1 k={k} eta={float(data.eta)!r} seed={data.seed} count={len(words)}"
+    # row i is its ceil(k/8) little-endian bytes as digit pairs, ' ', label, '\n'
+    cells = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)[:, :nb]
+    body = np.empty((len(words), 2 * nb + 3), dtype=np.uint8)
+    body[:, 0 : 2 * nb : 2] = _HEX_DIGITS[cells >> 4]
+    body[:, 1 : 2 * nb : 2] = _HEX_DIGITS[cells & 15]
+    body[:, 2 * nb] = ord(" ")
+    body[:, 2 * nb + 1] = labels.astype(np.uint8) + ord("0")
+    body[:, 2 * nb + 2] = ord("\n")
+    lines = [header, "\n", body.tobytes().decode("ascii")]
     if data.target is not None:
-        lines.append(f"TARGET {data.target.to_bytes_le().hex()}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"TARGET {data.target.to_bytes_le().hex()}\n")
+    return "".join(lines)
 
 
 def write_instance(path: str, data: InstanceData) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(format_instance(data))
+
+
+def _parse_header(line: str) -> Tuple[int, float, int, int]:
+    """(k, eta, seed, count) from line 1."""
+    m = _HEADER_RE.match(line)
+    if not m:
+        raise InstanceFormatError(
+            "header must be 'LPN v1 k=<k> eta=<eta> seed=<seed> count=<m>'", 1
+        )
+    try:
+        k, seed, count = (int(m.group(i)) for i in (1, 3, 4))
+        eta = float(NoiseRate(float(m.group(2))))
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc), 1) from None
+    if k < 1:
+        raise InstanceFormatError("k must be positive", 1)
+    if k >= 1 << 63:
+        raise InstanceFormatError("k must be below 2**63", 1)
+    return k, eta, seed, count
+
+
+def _decode_hex(cells: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """(m, 2*ceil(k/8)) digit bytes as (m, ceil(k/64)) row words.
+
+    None unless every byte is a lowercase hex digit and every pad bit
+    beyond coordinate k is zero.
+    """
+    nibbles = _DIGIT_VALUE[cells]
+    if (nibbles == 0xFF).any():
+        return None
+    nb = cells.shape[1] // 2
+    raw = np.zeros((len(cells), 8 * -(-k // 64)), dtype=np.uint8)
+    raw[:, :nb] = nibbles[:, 0::2] << 4 | nibbles[:, 1::2]
+    if k % 8 and (raw[:, nb - 1] >> (k % 8)).any():
+        return None
+    return raw.view("<u8")
+
+
+def _read_canonical(raw: bytes) -> Optional[InstanceData]:
+    """Decode a file in format_instance's exact form; None for any other file."""
+    head, sep, body = raw.partition(b"\n")
+    if not sep or not head.isascii():
+        return None
+    try:
+        k, eta, seed, count = _parse_header(head.decode("ascii"))
+    except InstanceFormatError:
+        return None
+    nhex = 2 * -(-k // 8)
+    width = nhex + 3
+    size = count * width
+    tail = body[size:]
+    if len(body) < size or len(tail) not in (0, nhex + 8):
+        return None
+    rows = np.frombuffer(body, dtype=np.uint8, count=size).reshape(count, width)
+    if (rows[:, nhex] != ord(" ")).any() or (rows[:, nhex + 2] != ord("\n")).any():
+        return None
+    labels = rows[:, nhex + 1] - np.uint8(ord("0"))
+    if (labels > 1).any():
+        return None
+    words = _decode_hex(rows[:, :nhex], k)
+    if words is None:
+        return None
+    target = None
+    if tail:
+        if not (tail.startswith(b"TARGET ") and tail.endswith(b"\n")):
+            return None
+        cells = np.frombuffer(tail, dtype=np.uint8, count=nhex, offset=7)
+        c = _decode_hex(cells.reshape(1, nhex), k)
+        if c is None:
+            return None
+        target = BitVec(k, int.from_bytes(c.tobytes(), "little"))
+    return InstanceData(k, eta, seed, words, labels, target)
 
 
 def _parse_vector(field: str, k: int, line_no: int) -> BitVec:
@@ -98,32 +204,31 @@ def _parse_vector(field: str, k: int, line_no: int) -> BitVec:
         raise InstanceFormatError(str(exc), line_no) from None
 
 
-def read_instance(path: str) -> InstanceData:
-    with open(path, "r", encoding="ascii") as fh:
-        raw_lines = fh.read().splitlines()
+def _read_lines(raw: bytes) -> InstanceData:
+    """The strict line-by-line reader, for any file.
+
+    Lines end at any of str.splitlines' breaks, so CRLF files read as
+    LF ones; fields are split on whitespace and digits may be uppercase.
+    Nothing sized by k is allocated before every row has been checked.
+    """
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_no = len((raw[: exc.start].decode("ascii") + "x").splitlines())
+        raise InstanceFormatError(
+            f"non-ASCII byte 0x{raw[exc.start]:02x}", line_no
+        ) from None
+    raw_lines = text.splitlines()
     if not raw_lines:
         raise InstanceFormatError("empty file, expected a header", 1)
-    m = _HEADER_RE.match(raw_lines[0])
-    if not m:
-        raise InstanceFormatError(
-            "header must be 'LPN v1 k=<k> eta=<eta> seed=<seed> count=<m>'", 1
-        )
-    k = int(m.group(1))
-    try:
-        eta = float(NoiseRate(float(m.group(2))))
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc), 1) from None
-    seed = int(m.group(3))
-    count = int(m.group(4))
-    if k < 1:
-        raise InstanceFormatError("k must be positive", 1)
+    k, eta, seed, count = _parse_header(raw_lines[0])
 
     if len(raw_lines) - 1 < count:  # before allocating count rows
         raise InstanceFormatError(
             f"header promises {count} examples, file has {len(raw_lines) - 1}",
             len(raw_lines) + 1,
         )
-    bits = np.zeros((count, k), dtype=np.uint8)
+    rows = []
     labels = np.zeros(count, dtype=np.uint8)
     target: Optional[BitVec] = None
     body = raw_lines[1:]
@@ -134,10 +239,9 @@ def read_instance(path: str) -> InstanceData:
             raise InstanceFormatError(
                 "example lines must be '<hex(x)> <label>'", line_no
             )
-        vec = _parse_vector(parts[0], k, line_no)
+        rows.append(_parse_vector(parts[0], k, line_no))
         if parts[1] not in ("0", "1"):
             raise InstanceFormatError(f"label must be 0 or 1, got {parts[1]!r}", line_no)
-        bits[i] = vec.to_bits_row()
         labels[i] = int(parts[1])
     extra = body[count:]
     if extra:
@@ -151,7 +255,14 @@ def read_instance(path: str) -> InstanceData:
         target = _parse_vector(parts[1], k, line_no)
         if len(extra) > 1:
             raise InstanceFormatError("content after the TARGET line", line_no + 1)
-    return InstanceData(k=k, eta=eta, seed=seed, bits=bits, labels=labels, target=target)
+    return InstanceData(k, eta, seed, _vector_words(rows, k), labels, target)
+
+
+def read_instance(path: str) -> InstanceData:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = _read_canonical(raw)
+    return data if data is not None else _read_lines(raw)
 
 
 def generate_instance(
@@ -159,12 +270,12 @@ def generate_instance(
 ) -> InstanceData:
     """Draw a fresh instance from a uniform source with a random target."""
     src = new_source(k, eta, seed=seed)
-    bits, labels, _ = src.draw_batch(count)
+    words, labels, _ = src.draw_batch(count, packed=True)
     return InstanceData(
         k=k,
         eta=float(src.eta),
         seed=seed,
-        bits=bits,
+        words=words,
         labels=labels,
         target=src.target.c if with_target else None,
     )
@@ -172,6 +283,6 @@ def generate_instance(
 
 def replay_source(data: InstanceData) -> ReplaySource:
     target = ParityTarget(data.target) if data.target is not None else None
-    return ReplaySource(
-        data.bits, data.labels, eta=data.eta, seed=data.seed, target=target
+    return ReplaySource.from_words(
+        data.words, data.labels, data.k, eta=data.eta, seed=data.seed, target=target
     )

@@ -307,6 +307,57 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("text,fragment", [
+    (b"LPN v1 k=8 eta=0.1 seed=0 count=1\n\xff1 1\n",
+     "line 2: non-ASCII byte 0xff"),
+    (b"LPN v1 k=100000000000000 eta=0.1 seed=0 count=1\n01 1\n",
+     "line 2: expected 25000000000000 hex digits"),
+])
+def test_unreadable_file_exits_two_without_rows(tmp_path, capsys, text, fragment):
+    p = tmp_path / "bad.lpn"
+    p.write_bytes(text)
+    code, out, err = run(capsys, "solve", "--algo", "mle", "--in", str(p),
+                         "--max-examples", "1")
+    assert code == 2
+    assert out == ""  # no row: nothing was drawn
+    assert fragment in err
+
+
+@pytest.mark.parametrize("algo,extra,status", [
+    ("bkw", [], "recovered"),
+    ("mle", ["--max-examples", "500"], "recovered"),
+    ("gauss", ["--max-examples", "200"], "inconsistent"),
+    ("online", ["--blocks", "2", "--width", "4", "--matrices", "2",
+                "--max-examples", "3000"], "completed"),
+])
+def test_crlf_and_uppercase_files_give_the_canonical_rows(
+    tmp_path, capsys, monkeypatch, algo, extra, status
+):
+    canonical = tmp_path / "canonical.lpn"
+    run(capsys, "gen", "--k", "8", "--count", "30000", "--eta", "0.125",
+        "--seed", "4", "--out", str(canonical), "--with-target")
+    raw = canonical.read_bytes()
+    head, _, body = raw.partition(b"\n")
+    crlf, upper = tmp_path / "crlf.lpn", tmp_path / "upper.lpn"
+    crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
+    upper.write_bytes(head + b"\n" + body.upper())
+    results = []
+    for path in (canonical, crlf, upper):
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LPN_THREADS", threads)
+            code, out, _ = run(capsys, "solve", "--algo", algo, "--in", str(path),
+                               "--seeds", "2", *extra)
+            rows = rows_from_csv(out)
+            for row in rows:
+                row.pop("wall_time_ms")
+            results.append((code, rows))
+    assert all(r == results[0] for r in results)
+    code, rows = results[0]
+    assert code == 0
+    assert [r["status"] for r in rows] == [status, status]
+    assert all(int(r["examples_used"]) > 0 for r in rows)
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "solve", "--help")[0] == 0

@@ -210,6 +210,24 @@ def test_replay_source_rejects_values_other_than_0_and_1():
     assert rep.draw() == LabeledExample(V("101"), 1, 0)
 
 
+def test_replay_source_from_words_matches_bits_and_checks_them():
+    bits, labels, _ = new_source(70, 0.125, seed=8).draw_batch(300)
+    words, _, _ = new_source(70, 0.125, seed=8).draw_batch(300, packed=True)
+    a, b = ReplaySource(bits, labels), ReplaySource.from_words(words, labels, 70)
+    assert b.k == 70 and len(b) == 300
+    got, want = a.draw_batch(300, packed=True), b.draw_batch(300, packed=True)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    for w, lab, fragment in [
+        (words | np.uint64(1 << 6), labels, "beyond coordinate 70"),
+        (words, labels + 1, "0 or 1"),
+        (words[:, :1], labels, "row words"),
+        (words.view(np.int64), labels, "row words"),
+        (words, labels[:-1], "one label per row"),
+    ]:
+        with pytest.raises(ValueError, match=fragment):
+            ReplaySource.from_words(w, lab, 70)
+
+
 def test_empirical_error_basics():
     src = new_source(8, 0.0, seed=31)
     sample = [src.draw() for _ in range(500)]
