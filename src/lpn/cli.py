@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
@@ -183,6 +184,14 @@ def _draw_samples(src, m: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return words, labels
 
 
+def _timed(row: Dict, solve, *args):
+    """solve(*args), with its wall time in row["wall_time_ms"]."""
+    t0 = time.perf_counter()
+    out = solve(*args)
+    row["wall_time_ms"] = _fmt((time.perf_counter() - t0) * 1e3)
+    return out
+
+
 def _solve_one(task: Dict) -> Dict:
     algo = task["algo"]
     seed = task["seed"]
@@ -230,11 +239,10 @@ def _solve_one(task: Dict) -> Dict:
             )
         row.update(a=cfg.layout.a, b=cfg.layout.b,
                    repetitions=cfg.repetitions)
-        res = recover_target(src, cfg, seed=seed)
+        res = _timed(row, recover_target, src, cfg, seed)
         status = res.status.value
         c_hat = res.c_hat.c if res.c_hat is not None else None
         row["examples_used"] = res.examples_used
-        row["wall_time_ms"] = _fmt(res.wall_time_s * 1e3)
         row["status"] = status
         row["c_hat"] = c_hat.to_bytes_le().hex() if c_hat is not None else ""
         recovered = status == SolverStatus.RECOVERED.value
@@ -252,7 +260,7 @@ def _solve_one(task: Dict) -> Dict:
             row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
                        examples_used=src.draw_count)
             return row
-        h = mle_bruteforce(*drawn, k)
+        h = _timed(row, mle_bruteforce, *drawn, k)
         row.update(
             status="recovered",
             c_hat=h.c.to_bytes_le().hex(),
@@ -268,7 +276,7 @@ def _solve_one(task: Dict) -> Dict:
             row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
                        examples_used=src.draw_count)
             return row
-        gr = gaussian_baseline(*drawn, k)
+        gr = _timed(row, gaussian_baseline, *drawn, k)
         solved = gr.status is GaussStatus.SOLVED
         row.update(
             status=gr.status.value,
@@ -293,7 +301,7 @@ def _solve_one(task: Dict) -> Dict:
         row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
                    examples_used=src.draw_count)
         return row
-    rep = run_online(src, g, w, t, count)
+    rep = _timed(row, run_online, src, g, w, t, count)
     row.update(
         status="completed",
         predicted=rep.predicted,

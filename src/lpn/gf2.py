@@ -4,12 +4,12 @@ Vectors live in Python ints, least significant bit first: bit 0 of the
 integer is coordinate 1 of the vector.  The same convention is used for
 the byte-level instance file format (byte 0 holds coordinates 1..8,
 coordinate 1 in the least significant bit), for numpy 0/1 matrices
-(column 0 is coordinate 1), for the (m, ceil(k/64)) uint64 row words
-that example sources hold (pack_words; coordinate 1 in bit 0 of word
-0, so their little-endian bytes are the file's bytes) and for int64
-row words (pack_rows; the bkw merge and the online decoder keep the
-label in bit 63 and so take up to 62 coordinates), so values move
-between representations without any reindexing.
+(column 0 is coordinate 1) and for the (m, ceil(k/64)) uint64 row
+words that hold every example in memory (pack_words; coordinate 1 in
+bit 0 of word 0, so their little-endian bytes are the file's bytes).
+The bkw merge and the online decoder view a row's single word as int64
+with its label in bit 63, so they take up to 62 coordinates.  Values
+move between representations without any reindexing.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "dot_mod2",
     "xor",
     "block",
-    "pack_rows",
     "pack_words",
     "unpack_words",
     "eliminate",
@@ -218,16 +217,6 @@ def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
     """(m, ceil(n/64)) uint64 row words back to (m, n) 0/1 uint8 rows."""
     raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
     return np.unpackbits(raw, axis=1, count=n, bitorder="little")
-
-
-def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """(m, n) 0/1 rows to int64 values, coordinate 1 least significant."""
-    m, n = bits.shape
-    if n > 62:
-        raise ValueError("rows too wide to pack into int64")
-    if n == 0:
-        return np.zeros(m, dtype=np.int64)
-    return pack_words(bits)[:, 0].view(np.int64)
 
 
 def eliminate(

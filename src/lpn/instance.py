@@ -16,7 +16,7 @@ plain draw_batch(m) unpacks them into a (m, k) 0/1 uint8 matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,12 +69,6 @@ class ParityTarget:
     def predict(self, x: BitVec) -> int:
         return self.c.dot(x)
 
-    def predict_rows(self, bits: np.ndarray) -> np.ndarray:
-        """Clean labels for a (m, k) 0/1 matrix of examples."""
-        cols = np.flatnonzero(self.c.to_bits_row())
-        # a uint8 sum wraps at 256, which keeps its parity
-        return bits[:, cols].sum(axis=1, dtype=np.uint8) & 1
-
     def predict_words(self, words: np.ndarray) -> np.ndarray:
         """Clean labels for (m, ceil(k/64)) uint64 row words."""
         c = _vector_words((self.c,), self.k)
@@ -86,6 +80,20 @@ def _vector_words(vectors: Sequence[BitVec], k: int) -> np.ndarray:
     nw = -(-k // 64)
     raw = bytearray().join(v.bits.to_bytes(8 * nw, "little") for v in vectors)
     return np.frombuffer(raw, dtype="<u8").reshape(len(vectors), nw)
+
+
+def _check_words(words: np.ndarray, labels: np.ndarray, k: int) -> None:
+    """Raise ValueError unless words are (m, ceil(k/64)) uint64 row words
+    with no bit set beyond coordinate k and labels are m values 0 or 1."""
+    nw = -(-k // 64)
+    if words.dtype != np.uint64 or words.shape != (len(words), nw):
+        raise ValueError(f"words must be (count, {nw}) uint64 row words")
+    if labels.shape != (len(words),):
+        raise ValueError("need one label per row")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    if k % 64 and (words[:, -1] >> np.uint64(k % 64)).any():
+        raise ValueError(f"row words have bits set beyond coordinate {k}")
 
 
 class Uniform:
@@ -181,6 +189,10 @@ class _BufferedDraws:
         """
         if m < 0:
             raise ValueError("batch size must be nonnegative")
+        # refused before anything is consumed, so _refill never runs dry
+        left = self.remaining()
+        if left is not None and m > left:
+            raise StreamExhausted(f"the source has {left} examples left, {m} requested")
         start = self._drawn
         if packed:
             out = np.empty((m, -(-self.k // 64)), dtype="<u8")
@@ -266,10 +278,7 @@ class ExampleSource(_BufferedDraws):
             idx = self._rng.choice(len(self._support_words), size=_CHUNK, p=self._probs)
             words = self._support_words[idx]
         else:
-            remaining = len(self._stream_words) - self._stream_pos
-            if remaining <= 0:
-                raise StreamExhausted("the example stream is exhausted")
-            take = min(_CHUNK, remaining)
+            take = min(_CHUNK, len(self._stream_words) - self._stream_pos)
             words = self._stream_words[self._stream_pos : self._stream_pos + take]
             self._stream_pos += take
         clean = self.target.predict_words(words)
@@ -282,76 +291,39 @@ class ExampleSource(_BufferedDraws):
 
 
 class ReplaySource(_BufferedDraws):
-    """Replays a fixed table of examples, e.g. one read from a file."""
+    """Replays a fixed table of examples, e.g. one read from a file.
+
+    words are (m, ceil(k/64)) uint64 row words, the draw_batch(m,
+    packed=True) form, and labels their m 0/1 labels.
+    """
 
     def __init__(
         self,
-        bits: np.ndarray,
-        labels: np.ndarray,
-        eta: Union[float, NoiseRate, None] = None,
-        seed: int = 0,
-        target: Optional[ParityTarget] = None,
-    ):
-        bits, labels = np.asarray(bits), np.asarray(labels)
-        if bits.ndim != 2 or len(labels) != len(bits):
-            raise ValueError("need a (m, k) bit matrix and m labels")
-        if not ((bits == 0) | (bits == 1)).all():
-            raise ValueError("bits and labels must be 0 or 1")
-        self._load(pack_words(bits), labels, bits.shape[1], eta, seed, target)
-
-    @classmethod
-    def from_words(
-        cls,
         words: np.ndarray,
         labels: np.ndarray,
         k: int,
         eta: Union[float, NoiseRate, None] = None,
         seed: int = 0,
         target: Optional[ParityTarget] = None,
-    ) -> "ReplaySource":
-        """Replay (m, ceil(k/64)) uint64 row words, the draw_batch(packed=True) form."""
-        src = cls.__new__(cls)
-        src._load(np.asarray(words), labels, k, eta, seed, target)
-        return src
-
-    def _load(self, words, labels, k, eta, seed, target) -> None:
+    ):
         super().__init__()
-        labels = np.asarray(labels)
-        if words.dtype != np.uint64 or words.shape != (len(words), -(-k // 64)):
-            raise ValueError("need (m, ceil(k/64)) uint64 row words")
-        if labels.shape != (len(words),):
-            raise ValueError("need one label per row")
-        if not ((labels == 0) | (labels == 1)).all():
-            raise ValueError("bits and labels must be 0 or 1")
-        if k % 64 and (words[:, -1] >> np.uint64(k % 64)).any():
-            raise ValueError(f"row words have bits set beyond coordinate {k}")
+        words, labels = np.asarray(words), np.asarray(labels)
+        _check_words(words, labels, k)
         self.k = k
         self.eta = (
             eta if isinstance(eta, NoiseRate) or eta is None else NoiseRate(float(eta))
         )
         self.rng_seed = seed
         self.target = target
-        self._words = words
-        self._labels = labels.astype(np.uint8, copy=False)
-        self._replay_pos = 0
+        # the whole table is one buffer, which draw_batch never overruns
+        self._buf_words = words
+        self._buf_labels = labels.astype(np.uint8, copy=False)
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._buf_words)
 
     def remaining(self) -> int:
-        return len(self._words) - self.draw_count
-
-    def _refill(self) -> None:
-        if self._replay_pos >= len(self._words):
-            raise StreamExhausted(
-                f"replay holds {len(self._words)} examples, all consumed"
-            )
-        take = min(_CHUNK, len(self._words) - self._replay_pos)
-        sl = slice(self._replay_pos, self._replay_pos + take)
-        self._buf_words = self._words[sl]
-        self._buf_labels = self._labels[sl]
-        self._replay_pos += take
-        self._buf_pos = 0
+        return len(self._buf_words) - self.draw_count
 
 
 def new_source(
@@ -364,9 +336,10 @@ def new_source(
     return ExampleSource(k, eta, distribution, seed, target)
 
 
-def empirical_error(h: ParityTarget, samples: Sequence[LabeledExample]) -> float:
-    """Fraction of samples whose label disagrees with h's prediction."""
-    if not samples:
+def empirical_error(h: ParityTarget, words: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of the examples, (m, ceil(k/64)) uint64 row words and
+    their m labels, whose label disagrees with h's prediction."""
+    if not len(labels):
         raise ValueError("cannot estimate error from zero samples")
-    wrong = sum(1 for s in samples if h.predict(s.x) != s.label)
-    return wrong / len(samples)
+    _check_words(words, labels, h.k)
+    return float(np.count_nonzero(h.predict_words(words) != labels)) / len(labels)

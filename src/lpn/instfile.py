@@ -28,7 +28,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .gf2 import BitVec, unpack_words
-from .instance import NoiseRate, ParityTarget, ReplaySource, _vector_words, new_source
+from .instance import (
+    NoiseRate, ParityTarget, ReplaySource, _check_words, _vector_words, new_source,
+)
 
 __all__ = [
     "InstanceData",
@@ -90,17 +92,12 @@ def format_instance(data: InstanceData) -> str:
     if data.seed < 0:
         raise ValueError("seed must be nonnegative")
     words, labels = np.asarray(data.words), np.asarray(data.labels)
-    nb, nw = -(-k // 8), -(-k // 64)
-    if words.dtype != np.uint64 or words.shape != (len(words), nw):
-        raise ValueError(f"words must be (count, {nw}) uint64 row words")
-    if labels.shape != (len(words),) or not ((labels == 0) | (labels == 1)).all():
-        raise ValueError("need one label per row, each 0 or 1")
-    if k % 64 and (words[:, -1] >> np.uint64(k % 64)).any():
-        raise ValueError(f"row words have bits set beyond coordinate {k}")
+    _check_words(words, labels, k)
     if data.target is not None and data.target.n != k:
         raise ValueError(f"target must have {k} coordinates")
     header = f"LPN v1 k={k} eta={float(data.eta)!r} seed={data.seed} count={len(words)}"
     # row i is its ceil(k/8) little-endian bytes as digit pairs, ' ', label, '\n'
+    nb = -(-k // 8)
     cells = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)[:, :nb]
     body = np.empty((len(words), 2 * nb + 3), dtype=np.uint8)
     body[:, 0 : 2 * nb : 2] = _HEX_DIGITS[cells >> 4]
@@ -283,6 +280,6 @@ def generate_instance(
 
 def replay_source(data: InstanceData) -> ReplaySource:
     target = ParityTarget(data.target) if data.target is not None else None
-    return ReplaySource.from_words(
+    return ReplaySource(
         data.words, data.labels, data.k, eta=data.eta, seed=data.seed, target=target
     )

@@ -6,12 +6,18 @@ Three routes with very different example budgets:
   bits, repeatedly collapse one block by XORing within collision
   classes, and vote on the first coordinate with many short XOR chains.
   Needs 2^Theta(b) examples but tolerates noise rates up to 1/2.
-* ``mle``: exhaustive maximum-likelihood scan over all 2^k candidates.
+* ``mle``: maximum likelihood over all 2^k candidates, scored at once
+  by one Walsh-Hadamard transform of the label-signed row histogram.
 * ``gauss``: plain linear algebra, only sound on noiseless data.
 
 The merge keeps XOR chains short (2^(a-1) terms), which is the whole
 point: a chain of s noisy labels is still correct with probability
 1/2 + (1-2*eta)^s / 2, so fewer terms means a usable vote bias.
+
+Every route reads examples as row words.  The baselines take the
+(m, ceil(k/64)) uint64 words and 0/1 labels that
+draw_batch(m, packed=True) returns; the merge works on one int64 word
+per example, coordinate 1 in bit 0 and the label in bit 63.
 """
 
 from __future__ import annotations
@@ -24,10 +30,8 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .gf2 import (
-    BitVec, BlockLayout, GaussResult, gaussian_solve, pack_rows, unpack_words,
-)
-from .instance import NoiseRate, ParityTarget
+from .gf2 import BitVec, BlockLayout, GaussResult, gaussian_solve
+from .instance import NoiseRate, ParityTarget, _check_words
 from .seeding import derive_seed
 
 __all__ = [
@@ -215,42 +219,42 @@ class ISample:
     """A batch of vectors uniform over V_i, with aggregated labels.
 
     V_i is the subspace where the last i blocks of the layout are zero.
-    vectors is a (s, a*b) 0/1 matrix.  provenance, when tracked, is an
-    (s, w) int array with w <= 2^i: row r is the XOR of the original
-    draws indexed by provenance[r], where repeated draws cancel.
+    words is an (s,) int64 array of row words: coordinate 1 in bit 0
+    and the label in bit 63.  provenance, when tracked, is an (s, w)
+    int array with w <= 2^i: row r is the XOR of the original draws
+    indexed by provenance[r], where repeated draws cancel.
     """
 
     i: int
     layout: BlockLayout
-    vectors: np.ndarray
-    labels: np.ndarray
+    words: np.ndarray
     provenance: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.uint8)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
+        self.words = np.asarray(self.words)
         if not 0 <= self.i <= self.layout.a - 1:
             raise ValueError("level must lie in 0..a-1")
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.layout.total:
-            raise ValueError("vectors must be a (s, a*b) matrix")
-        if len(self.labels) != len(self.vectors):
-            raise ValueError("labels must match vectors one to one")
+        _check_layout(self.layout.total, self.layout)
+        if self.words.dtype != np.int64 or self.words.ndim != 1:
+            raise ValueError("words must be an (s,) int64 array")
         if self.provenance is not None:
             self.provenance = np.asarray(self.provenance, dtype=np.int64)
             if (self.provenance.ndim != 2
-                    or len(self.provenance) != len(self.vectors)):
+                    or len(self.provenance) != len(self.words)):
                 raise ValueError("provenance must be a (s, w) index array")
 
-    def __len__(self) -> int:
-        return len(self.vectors)
+    @property
+    def labels(self) -> np.ndarray:
+        return (self.words < 0).astype(np.uint8)
 
-    def validate(
-        self, originals: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    ) -> None:
-        """Check structural invariants; with the original draws also
-        check that the provenance reproduces each vector and label."""
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def validate(self, originals: Optional[np.ndarray] = None) -> None:
+        """Check structural invariants; with the original draws' row
+        words also check that the provenance reproduces each row word."""
         zero_from = (self.layout.a - self.i) * self.layout.b
-        if self.vectors[:, zero_from:].any():
+        if ((self.words & _VEC) >> zero_from).any():
             raise AssertionError(f"rows stray outside V_{self.i}")
         if self.provenance is None:
             return
@@ -258,16 +262,7 @@ class ISample:
         if not 1 <= w <= 2**self.i:
             raise AssertionError(f"provenance width {w} outside 1..2^{self.i}")
         if originals is not None:
-            _check_layout(self.layout.total, self.layout)
-            _check_provenance(
-                _to_words(self.vectors, self.labels), self.provenance,
-                _to_words(*originals),
-            )
-
-
-def _to_words(bits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(m, n) 0/1 rows and their labels to int64 row words."""
-    return pack_rows(bits) | labels.astype(np.int64) << 63
+            _check_provenance(self.words, self.provenance, originals)
 
 
 def _merge_segmented(
@@ -333,16 +328,13 @@ def merge_step(
     """
     if sample.i > sample.layout.a - 2:
         raise ValueError("sample is already fully reduced")
-    _check_layout(sample.layout.total, sample.layout)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     seg = np.zeros(len(sample), dtype=np.int64)
     x, _, prov = _merge_segmented(
-        _to_words(sample.vectors, sample.labels), seg, sample.layout, sample.i,
-        rng, sample.provenance,
+        sample.words, seg, sample.layout, sample.i, rng, sample.provenance
     )
-    bits = (x[:, None] >> np.arange(sample.layout.total) & 1).astype(np.uint8)
-    return ISample(sample.i + 1, sample.layout, bits, x < 0, prov)
+    return ISample(sample.i + 1, sample.layout, x, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -617,50 +609,34 @@ def recover_target(
 # baselines
 
 
-def _check_words(words: np.ndarray, labels: np.ndarray, k: int) -> None:
-    if words.ndim != 2 or words.shape[1] != -(-k // 64):
-        raise ValueError(f"rows must be (m, {-(-k // 64)}) words for k={k}")
-    if len(labels) != len(words):
-        raise ValueError("labels must match rows one to one")
-
-
 def mle_bruteforce(
     words: np.ndarray, labels: np.ndarray, k: int
 ) -> ParityTarget:
     """Candidate parity with the fewest disagreements on the examples.
 
     words are (m, ceil(k/64)) uint64 row words (gf2.pack_words) and
-    labels their m 0/1 labels.  Scans all 2^k candidates in Gray-code
-    order, maintaining the prediction vector as one big integer and
-    flipping a single column per step.  Ties go to the numerically
-    smallest candidate (coordinate 1 least significant).  Refuses k
-    above MLE_MAX_K.
+    labels their m 0/1 labels.  Candidate c agrees with m - err(c) rows,
+    so the Walsh-Hadamard transform of f[v] = (label-0 rows of value v)
+    - (label-1 rows of value v) is m - 2*err(c) at every c at once.
+    Ties go to the numerically smallest candidate (coordinate 1 least
+    significant), np.argmax's first maximum.  The table holds 2^k
+    int32 entries; k above MLE_MAX_K is refused.
     """
     if not len(labels):
         raise ValueError("cannot fit a target to zero samples")
     if k > MLE_MAX_K:
         raise ValueError(f"mle_bruteforce is capped at k={MLE_MAX_K}")
     _check_words(words, labels, k)
-    # column j as an m-bit int, example i in bit i
-    col_bytes = np.packbits(unpack_words(words, k), axis=0, bitorder="little")
-    cols = [int.from_bytes(c.tobytes(), "little") for c in col_bytes.T]
-    labels_int = int.from_bytes(
-        np.packbits(labels, bitorder="little").tobytes(), "little"
-    )
-    best_c = 0
-    best_err = labels_int.bit_count()
-    preds = 0
-    prev = 0
-    for idx in range(1, 1 << k):
-        g = idx ^ (idx >> 1)
-        flip = g ^ prev
-        prev = g
-        preds ^= cols[flip.bit_length() - 1]
-        err = (preds ^ labels_int).bit_count()
-        if err < best_err or (err == best_err and g < best_c):
-            best_err = err
-            best_c = g
-    return ParityTarget(BitVec(k, best_c))
+    f = np.zeros(1 << k, dtype=np.int32)
+    np.add.at(f, words[:, 0].view(np.int64), 1 - 2 * labels.astype(np.int32))
+    for j in range(k):
+        # butterflies (lo, hi) -> (lo + hi, lo - hi) across bit j, in place
+        pairs = f.reshape(-1, 2, 1 << j)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi
+        hi *= -2
+        hi += lo
+    return ParityTarget(BitVec(k, int(np.argmax(f))))
 
 
 def gaussian_baseline(

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from lpn.gf2 import BlockLayout, pack_rows
+from lpn.gf2 import BlockLayout, pack_words
 
 
 class ShiftedView:
@@ -45,7 +45,7 @@ def merge_segmented(bits, labels, seg, layout: BlockLayout, level: int,
     if s == 0:
         return bits, labels, seg, None if prov is None else np.hstack([prov, prov])
     key = seg.astype(np.int64) << b
-    key |= pack_rows(bits[:, lo:hi])
+    key |= pack_words(bits[:, lo:hi])[:, 0].view(np.int64)
     order = np.argsort(key, kind="stable")
     ks = key[order]
     starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])

@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from lpn.gf2 import BitVec, pack_rows
+import numpy as np
+
+from lpn.gf2 import BitVec, pack_words
 from lpn.online import OnlineReport
 
 
@@ -234,8 +236,10 @@ def run_reference(
     while done < count:
         take = min(4096, count - done)
         bits, labels, start = source.draw_batch(take)
-        xs = pack_rows(bits)
-        clean = target.predict_rows(bits) if target is not None else None
+        xs = pack_words(bits)[:, 0].view(np.int64)
+        clean = None
+        if target is not None:
+            clean = [(int(x) & target.c.bits).bit_count() & 1 for x in xs]
         for i in range(take):
             lab_i = int(labels[i])
             pred = process_example(

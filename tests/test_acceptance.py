@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lpn.gf2 import BitVec, BlockLayout, express_in_span
+from lpn.gf2 import BitVec, BlockLayout, express_in_span, pack_words
 from lpn.instance import new_source
 from lpn.online import run_online
 from lpn.solvers import (
@@ -124,6 +124,11 @@ def test_ac03_chain_bias_grid():
 # AC-4: merge-step structure on five hundred random inputs
 
 
+def _row_words(bits, labels):
+    """(s, a*b) 0/1 rows and their labels as int64 row words."""
+    return pack_words(bits)[:, 0].view(np.int64) | labels.astype(np.int64) << 63
+
+
 def test_ac04_merge_invariants_random():
     rng = np.random.default_rng(400)
     bad = 0
@@ -136,8 +141,9 @@ def test_ac04_merge_invariants_random():
         bits = rng.integers(0, 2, size=(s, layout.total), dtype=np.uint8)
         bits[:, (a - i) * b:] = 0  # an i-sample: last i blocks zero
         labels = rng.integers(0, 2, size=s, dtype=np.uint8)
+        words = _row_words(bits, labels)
         prov = np.arange(s)[:, None]
-        sample = ISample(i, layout, bits.copy(), labels.copy(), prov)
+        sample = ISample(i, layout, words.copy(), prov)
         out = merge_step(sample, rng)
         try:
             if len(out) < s - 2 ** b:
@@ -147,7 +153,7 @@ def test_ac04_merge_invariants_random():
             pairs = out.provenance
             if pairs.shape[1] != 2 or (pairs[:, 0] == pairs[:, 1]).any():
                 raise AssertionError("output is not a pair of inputs")
-            out.validate(originals=(bits, labels))
+            out.validate(originals=words)
         except AssertionError:
             bad += 1
     _verdict("AC-4", bad == 0, f"{500 - bad}/500 merges structurally exact")
@@ -165,10 +171,8 @@ def test_ac05_merge_output_uniformity():
         rng = np.random.default_rng(500 + r)
         bits = rng.integers(0, 2, size=(s, 8), dtype=np.uint8)
         labels = rng.integers(0, 2, size=s, dtype=np.uint8)
-        out = merge_step(ISample(0, layout, bits, labels), rng)
-        vals = np.packbits(out.vectors[:, :4], axis=1,
-                           bitorder="little")[:, 0]
-        counts = np.bincount(vals, minlength=16)
+        out = merge_step(ISample(0, layout, _row_words(bits, labels)), rng)
+        counts = np.bincount(out.words & 15, minlength=16)
         if stats.chisquare(counts).pvalue >= 0.001:
             passes += 1
     _verdict("AC-5", passes >= 18,

@@ -157,12 +157,19 @@ def test_solve_seed_list(capsys):
     assert [r["seed"] for r in rows_from_csv(out)] == ["3", "9"]
 
 
+def rows_without_time(text):
+    rows = rows_from_csv(text)
+    for row in rows:
+        row.pop("wall_time_ms")
+    return rows
+
+
 def test_solve_rows_are_deterministic(capsys):
     argv = ["solve", "--algo", "mle", "--k", "8", "--eta", "0.125",
             "--seeds", "2", "--max-examples", "200"]
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
-    assert first == second
+    assert rows_without_time(first) == rows_without_time(second)
 
 
 def test_solve_worker_pool_matches_serial(capsys, monkeypatch):
@@ -172,7 +179,24 @@ def test_solve_worker_pool_matches_serial(capsys, monkeypatch):
     _, serial, _ = run(capsys, *argv)
     monkeypatch.setenv("LPN_THREADS", "2")
     _, pooled, _ = run(capsys, *argv)
-    assert pooled == serial
+    assert rows_without_time(pooled) == rows_without_time(serial)
+
+
+@pytest.mark.parametrize("algo,extra", [
+    ("bkw", ["--k", "8", "--eta", "0.125"]),
+    ("mle", ["--k", "8", "--eta", "0.125", "--max-examples", "200"]),
+    ("gauss", ["--k", "8", "--eta", "0.0"]),
+    ("online", ["--eta", "0.125", "--blocks", "2", "--width", "4",
+                "--matrices", "2", "--max-examples", "500"]),
+])
+def test_every_algo_reports_its_wall_time(capsys, algo, extra):
+    for fmt, parse in (("csv", rows_from_csv), ("json", json.loads)):
+        code, out, _ = run(capsys, "solve", "--algo", algo, *extra,
+                           "--seeds", "2", "--format", fmt)
+        assert code == 0
+        rows = parse(out)
+        assert len(rows) == 2
+        assert all(float(row["wall_time_ms"]) > 0 for row in rows)
 
 
 def test_in_file_is_decoded_once_per_command(tmp_path, capsys, monkeypatch):

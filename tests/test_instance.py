@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lpn.gf2 import BitVec
+from lpn.gf2 import BitVec, pack_words
 from lpn.instance import (
     ExampleSource,
     Explicit,
@@ -39,11 +39,12 @@ def test_parity_target_predicts():
     assert t.predict(V("0110")) == 1
     assert t.predict(V("0100")) == 0
     rows = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0]], dtype=np.uint8)
-    assert list(t.predict_rows(rows)) == [1, 1, 0]
+    assert list(t.predict_words(pack_words(rows))) == [1, 1, 0]
 
 
 @pytest.mark.parametrize("k", [1, 24, 62, 300])
 def test_predict_rows_matches_matmul(k):
+    # predict_words on the rows' words against an integer matmul
     rng = np.random.default_rng(k)
     bits = rng.integers(0, 2, size=(400, k), dtype=np.uint8)
     bits[0] = 1  # at k=300 an all-ones target sums 300 ones here
@@ -51,7 +52,7 @@ def test_predict_rows_matches_matmul(k):
     for c in targets:
         t = ParityTarget(c)
         want = (bits.astype(np.int64) @ c.to_bits_row().astype(np.int64) & 1)
-        got = t.predict_rows(bits)
+        got = t.predict_words(pack_words(bits))
         assert got.dtype == np.uint8
         assert np.array_equal(got, want.astype(np.uint8))
 
@@ -106,8 +107,8 @@ def test_zero_noise_labels_are_clean():
 def test_flip_rate_matches_eta(eta):
     m = 20000
     src = new_source(12, eta, seed=41)
-    bits, labels, _ = src.draw_batch(m)
-    clean = src.target.predict_rows(bits)
+    words, labels, _ = src.draw_batch(m, packed=True)
+    clean = src.target.predict_words(words)
     flips = int((labels ^ clean).sum())
     sigma = math.sqrt(eta * (1 - eta) * m)
     assert abs(flips - eta * m) <= 3 * sigma + 1e-9
@@ -163,10 +164,38 @@ def test_remaining_counts_the_rows_of_finite_sources():
     assert new_source(4, 0.1, seed=0).remaining() is None
     point = Explicit((V("1111"),), (1.0,))
     assert new_source(4, 0.1, distribution=point, seed=0).remaining() is None
-    bits, labels, _ = new_source(4, 0.1, seed=0).draw_batch(10)
-    replay = ReplaySource(bits, labels)
+    words, labels, _ = new_source(4, 0.1, seed=0).draw_batch(10, packed=True)
+    replay = ReplaySource(words, labels, 4)
     replay.draw_batch(4)
     assert replay.remaining() == 6
+
+
+def _ten_row_source(kind):
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2, size=(10, 5), dtype=np.uint8)
+    if kind == "replay":
+        labels = rng.integers(0, 2, size=10, dtype=np.uint8)
+        return ReplaySource(pack_words(bits), labels, 5)
+    xs = tuple(BitVec.from_bits_row(r) for r in bits)
+    return new_source(5, 0.25, distribution=Stream(xs), seed=3)
+
+
+@pytest.mark.parametrize("kind", ["replay", "stream"])
+def test_failed_over_draw_leaves_a_finite_source_unchanged(kind):
+    src, twin = _ten_row_source(kind), _ten_row_source(kind)
+    with pytest.raises(StreamExhausted, match="10 examples left, 15 requested"):
+        src.draw_batch(15)
+    assert (src.remaining(), src.draw_count) == (10, 0)
+    src.draw_batch(3)
+    with pytest.raises(StreamExhausted):
+        src.draw_batch(8, packed=True)
+    assert (src.remaining(), src.draw_count) == (7, 3)
+    twin.draw_batch(3)
+    got, want = src.draw_batch(7, packed=True), twin.draw_batch(7, packed=True)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(StreamExhausted):
+        src.draw()
+    assert (src.remaining(), src.draw_count) == (0, 10)
 
 
 def test_stream_vector_length_checked():
@@ -192,7 +221,7 @@ def test_random_target_consumes_rng_before_examples():
 def test_replay_source_batches_and_exhaustion():
     base = new_source(6, 0.125, seed=8)
     bits, labels, _ = base.draw_batch(9000)
-    rep = ReplaySource(bits, labels, eta=0.125, target=base.target)
+    rep = ReplaySource(pack_words(bits), labels, 6, eta=0.125, target=base.target)
     assert len(rep) == 9000
     got_bits, got_labels, start = rep.draw_batch(9000)
     assert start == 0
@@ -202,21 +231,22 @@ def test_replay_source_batches_and_exhaustion():
 
 
 def test_replay_source_rejects_values_other_than_0_and_1():
-    for bits, labels in [([[2, 0, 1]], [1]), ([[1, 0, 1]], [3]),
-                         ([[1, -1, 0]], [0]), ([[0.5, 0, 1]], [0])]:
+    words = pack_words(np.array([[1, 0, 1]], dtype=np.uint8))
+    for labels in ([3], [2], [-1], [0.5]):
         with pytest.raises(ValueError, match="0 or 1"):
-            ReplaySource(np.array(bits), np.array(labels))
-    rep = ReplaySource(np.array([[True, False, True]]), np.array([1]))
+            ReplaySource(words, np.array(labels), 3)
+    rep = ReplaySource(words, np.array([True]), 3)
     assert rep.draw() == LabeledExample(V("101"), 1, 0)
 
 
 def test_replay_source_from_words_matches_bits_and_checks_them():
     bits, labels, _ = new_source(70, 0.125, seed=8).draw_batch(300)
     words, _, _ = new_source(70, 0.125, seed=8).draw_batch(300, packed=True)
-    a, b = ReplaySource(bits, labels), ReplaySource.from_words(words, labels, 70)
-    assert b.k == 70 and len(b) == 300
-    got, want = a.draw_batch(300, packed=True), b.draw_batch(300, packed=True)
-    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    rep = ReplaySource(words, labels, 70)
+    assert rep.k == 70 and len(rep) == 300
+    got_bits, got_labels, start = rep.draw_batch(300)
+    assert start == 0
+    assert np.array_equal(got_bits, bits) and np.array_equal(got_labels, labels)
     for w, lab, fragment in [
         (words | np.uint64(1 << 6), labels, "beyond coordinate 70"),
         (words, labels + 1, "0 or 1"),
@@ -225,21 +255,23 @@ def test_replay_source_from_words_matches_bits_and_checks_them():
         (words, labels[:-1], "one label per row"),
     ]:
         with pytest.raises(ValueError, match=fragment):
-            ReplaySource.from_words(w, lab, 70)
+            ReplaySource(w, lab, 70)
 
 
 def test_empirical_error_basics():
     src = new_source(8, 0.0, seed=31)
-    sample = [src.draw() for _ in range(500)]
-    assert empirical_error(src.target, sample) == 0.0
+    words, labels, _ = src.draw_batch(500, packed=True)
+    assert empirical_error(src.target, words, labels) == 0.0
     with pytest.raises(ValueError):
-        empirical_error(src.target, [])
+        empirical_error(src.target, words[:0], labels[:0])
+    with pytest.raises(ValueError, match="one label per row"):
+        empirical_error(src.target, words, labels[:1])
 
 
 def test_empirical_error_sees_the_noise_rate():
     src = new_source(8, 0.25, seed=32)
-    sample = [src.draw() for _ in range(20000)]
-    err = empirical_error(src.target, sample)
+    words, labels, _ = src.draw_batch(20000, packed=True)
+    err = empirical_error(src.target, words, labels)
     assert abs(err - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 20000)
 
 
@@ -250,17 +282,18 @@ def test_distinct_parities_agree_half_the_time():
     bits = rng.integers(0, 2, size=(100000, 10), dtype=np.uint8)
     h1 = ParityTarget(BitVec(10, 0b1011001))
     h2 = ParityTarget(BitVec(10, 0b0010110))
-    agree = (h1.predict_rows(bits) == h2.predict_rows(bits)).mean()
+    words = pack_words(bits)
+    agree = (h1.predict_words(words) == h2.predict_words(words)).mean()
     assert abs(agree - 0.5) <= 3 * math.sqrt(0.25 / 100000)
 
 
 def test_uncorrelated_hypothesis_has_half_error():
     src = new_source(10, 0.0, seed=33)
-    sample = [src.draw() for _ in range(20000)]
+    words, labels, _ = src.draw_batch(20000, packed=True)
     other = ParityTarget(V("1000000000"))
     if other.c == src.target.c:
         other = ParityTarget(V("0100000000"))
-    err = empirical_error(other, sample)
+    err = empirical_error(other, words, labels)
     assert abs(err - 0.5) <= 3 * math.sqrt(0.25 / 20000)
 
 
@@ -305,7 +338,7 @@ def _make_source(name, k, seed):
     if name == "replay":
         bits = rng.integers(0, 2, size=(STREAM_LEN, k), dtype=np.uint8)
         labels = rng.integers(0, 2, size=STREAM_LEN, dtype=np.uint8)
-        return ReplaySource(bits, labels)
+        return ReplaySource(pack_words(bits), labels, k)
     if name == "uniform":
         dist = Uniform()
     elif name == "explicit":
@@ -320,8 +353,10 @@ def _reference_stream(src, chunks):
     """src's stream drawn as instance.py defines it, the way it was drawn
     before sources held row words: (4096, k) chunks from
     integers(0, 2, uint8), a support or the stream's rows, clean labels
-    from predict_rows, then one random() per row for the noise."""
+    from an integer matmul with the target, then one random() per row
+    for the noise."""
     dist, k, eta = src.distribution, src.k, float(src.eta)
+    c = src.target.c.to_bits_row().astype(np.int64)
     rng = np.random.default_rng(src.rng_seed)
     if isinstance(dist, Explicit):
         support = np.stack([v.to_bits_row() for v in dist.support])
@@ -338,7 +373,7 @@ def _reference_stream(src, chunks):
         else:
             x = rows[4096 * i : 4096 * (i + 1)]
         bits.append(x)
-        labels.append(src.target.predict_rows(x) ^ (rng.random(len(x)) < eta))
+        labels.append((x.astype(np.int64) @ c & 1) ^ (rng.random(len(x)) < eta))
     return np.concatenate(bits), np.concatenate(labels).astype(np.uint8), rng
 
 
@@ -366,7 +401,7 @@ def test_replay_words_match_its_rows(k):
     rng = np.random.default_rng(k)
     bits = rng.integers(0, 2, size=(STREAM_LEN, k), dtype=np.uint8)
     labels = rng.integers(0, 2, size=STREAM_LEN, dtype=np.uint8)
-    rep = ReplaySource(bits, labels)
+    rep = ReplaySource(pack_words(bits), labels, k)
     words, got_labels, _ = rep.draw_batch(STREAM_LEN, packed=True)
     assert np.array_equal(words.view(np.uint8), _file_bytes(bits))
     assert np.array_equal(got_labels, labels)

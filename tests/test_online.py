@@ -167,8 +167,8 @@ def test_zeroed_provenance_reconstructs_example_and_label():
 
 def replay_of(k, eta, seed, count):
     src = new_source(k, eta, seed=seed)
-    bits, labels, _ = src.draw_batch(count)
-    return ReplaySource(bits, labels, eta=eta, target=src.target)
+    words, labels, _ = src.draw_batch(count, packed=True)
+    return ReplaySource(words, labels, k, eta=eta, target=src.target)
 
 
 def test_noiseless_run_has_zero_errors():
@@ -200,12 +200,12 @@ def test_matches_reference(gw, t, eta):
 
 
 def test_max_vote_depth_is_over_cast_votes():
-    x = np.array([[1, 0, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)
+    x = np.array([[1]], dtype=np.uint64)  # coordinate 1 of 8
     label = np.zeros(1, dtype=np.uint8)
-    assert run_online(ReplaySource(x, label), 2, 4, 3).max_vote_depth == 0
+    assert run_online(ReplaySource(x, label, 8), 2, 4, 3).max_vote_depth == 0
     assert run_online(replay_of(8, 0.1, 21, 0), 2, 4, 3).max_vote_depth == 0
     # the repeat folds into matrix 1 at depth 2, then matrix 2 captures it
-    rep = run_online(ReplaySource(np.repeat(x, 2, 0), np.repeat(label, 2)),
+    rep = run_online(ReplaySource(np.repeat(x, 2, 0), np.repeat(label, 2), 8),
                      2, 4, 2, collect_vote_stats=True)
     assert (rep.predicted, rep.unknown, rep.max_vote_depth) == (0, 2, 2)
     assert rep.votes_by_depth == {}  # no target, so nothing to score

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import merge_oracle
-from lpn.gf2 import BitVec, BlockLayout, GaussStatus, back_substitute, eliminate
+import mle_oracle
+from lpn.gf2 import (
+    BitVec, BlockLayout, GaussStatus, back_substitute, eliminate, pack_words,
+)
 from lpn import solvers
 from lpn.instance import Explicit, ParityTarget, ReplaySource, Stream, new_source
 from lpn.solvers import (
@@ -31,6 +34,12 @@ from lpn.solvers import (
 )
 
 V = BitVec.from_string
+VEC = solvers._VEC
+
+
+def row_words(bits, labels):
+    """(m, n) 0/1 rows, n <= 62, and their labels as int64 row words."""
+    return pack_words(bits)[:, 0].view(np.int64) | labels.astype(np.int64) << 63
 
 
 # -- bias formula -----------------------------------------------------
@@ -112,7 +121,12 @@ def zero_sample(layout, bits, labels=None, prov=True):
     if labels is None:
         labels = np.zeros(len(bits), dtype=np.uint8)
     provenance = np.arange(len(bits))[:, None] if prov else None
-    return ISample(0, layout, bits, labels, provenance)
+    return ISample(0, layout, row_words(bits, labels), provenance)
+
+
+def vectors(sample):
+    """The rows of a sample as BitVecs of the layout's width."""
+    return [BitVec(sample.layout.total, int(w) & VEC) for w in sample.words]
 
 
 def test_merge_worked_example():
@@ -120,14 +134,13 @@ def test_merge_worked_example():
     rows = [V(s).to_bits_row() for s in ("0110", "1110", "1001", "0101")]
     sample = zero_sample(layout, rows, labels=np.array([1, 0, 1, 1], dtype=np.uint8))
     out = merge_step(sample, rng=0)
-    got = {BitVec.from_bits_row(r) for r in out.vectors}
-    assert got == {V("1000"), V("1100")}
+    assert set(vectors(out)) == {V("1000"), V("1100")}
     assert out.i == 1
     # the two classes are {0110, 1110} and {1001, 0101}; each output is
     # the XOR of one class, so labels and provenance follow suit
     by_vec = {
-        BitVec.from_bits_row(r): (int(l), sorted(p.tolist()))
-        for r, l, p in zip(out.vectors, out.labels, out.provenance)
+        v: (int(l), sorted(p.tolist()))
+        for v, l, p in zip(vectors(out), out.labels, out.provenance)
     }
     assert by_vec[V("1000")] == (1, [0, 1])
     assert by_vec[V("1100")] == (0, [2, 3])
@@ -142,7 +155,7 @@ def test_merge_single_class_loses_one():
     sample = zero_sample(layout, rows)
     out = merge_step(sample, rng=1)
     assert len(out) == 9
-    assert not out.vectors[:, 3:].any()
+    assert not ((out.words & VEC) >> 3).any()
 
 
 def test_merge_all_singletons_empties():
@@ -150,21 +163,19 @@ def test_merge_all_singletons_empties():
     rows = [V(s).to_bits_row() for s in ("0001", "0010", "0011")]
     out = merge_step(zero_sample(layout, rows), rng=2)
     assert len(out) == 0
-    assert out.vectors.shape == (0, 4)
+    assert out.words.shape == (0,)
 
 
 def test_merge_empty_input():
     layout = BlockLayout(3, 2)
-    sample = ISample(0, layout, np.zeros((0, 6), dtype=np.uint8),
-                     np.zeros(0, dtype=np.uint8))
+    sample = ISample(0, layout, np.zeros(0, dtype=np.int64))
     out = merge_step(sample, rng=3)
     assert len(out) == 0 and out.i == 1
 
 
 def test_merge_rejects_fully_reduced_input():
     layout = BlockLayout(2, 2)
-    sample = ISample(1, layout, np.zeros((2, 4), dtype=np.uint8),
-                     np.zeros(2, dtype=np.uint8))
+    sample = ISample(1, layout, np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError):
         merge_step(sample, rng=0)
 
@@ -172,20 +183,19 @@ def test_merge_rejects_fully_reduced_input():
 def test_isample_level_and_shape_validation():
     layout = BlockLayout(2, 2)
     with pytest.raises(ValueError):
-        ISample(2, layout, np.zeros((1, 4), dtype=np.uint8),
-                np.zeros(1, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        ISample(0, layout, np.zeros((1, 5), dtype=np.uint8),
-                np.zeros(1, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        ISample(0, layout, np.zeros((2, 4), dtype=np.uint8),
-                np.zeros(1, dtype=np.uint8))
+        ISample(2, layout, np.zeros(1, dtype=np.int64))
+    for words in (np.zeros((1, 4), dtype=np.uint8), np.zeros((1, 1), np.int64),
+                  np.zeros(1, dtype=np.uint64)):
+        with pytest.raises(ValueError, match="int64"):
+            ISample(0, layout, words)
+    with pytest.raises(ValueError):  # one provenance row short
+        ISample(0, layout, np.zeros(2, dtype=np.int64), np.zeros((1, 1)))
 
 
 def test_isample_validate_catches_stray_rows():
     layout = BlockLayout(2, 2)
-    bad = ISample(1, layout, np.array([[0, 0, 1, 0]], dtype=np.uint8),
-                  np.zeros(1, dtype=np.uint8))
+    bad = ISample(1, layout, row_words(np.array([[0, 0, 1, 0]], dtype=np.uint8),
+                                       np.ones(1, dtype=np.uint8)))
     with pytest.raises(AssertionError):
         bad.validate()
 
@@ -197,16 +207,17 @@ def test_isample_validate_rejects_bad_provenance():
     labels = rng.integers(0, 2, size=300, dtype=np.uint8)
     out = merge_step(merge_step(zero_sample(layout, bits, labels), rng=rng),
                      rng=rng)
-    out.validate(originals=(bits, labels))
-    flipped = out.labels.copy()
-    flipped[0] ^= 1
-    wrong = bits.copy()
+    words = row_words(bits, labels)
+    out.validate(originals=words)
+    flipped = out.words.copy()
+    flipped[0] ^= np.int64(-(1 << 63))  # row 0's label
+    wrong = words.copy()
     # a draw that row 0 XORs an odd number of times
     drawn, times = np.unique(out.provenance[0], return_counts=True)
-    wrong[drawn[times % 2 == 1][0], 0] ^= 1
+    wrong[drawn[times % 2 == 1][0]] ^= 1
     for sample, originals in [
-        (replace(out, labels=flipped), (bits, labels)),
-        (out, (wrong, labels)),
+        (replace(out, words=flipped), words),
+        (out, wrong),
         # widths 0 and 5 lie outside 1..2^2
         (replace(out, provenance=out.provenance[:, :0]), None),
         (replace(out, provenance=out.provenance[:, [0, 0, 1, 2, 3]]), None),
@@ -231,8 +242,8 @@ def test_merge_structure_random(a, b, s, seed):
     out = merge_step(sample, rng=rng)
     assert len(out) >= s - 2**b
     zero_from = (a - 1) * b
-    assert not out.vectors[:, zero_from:].any()
-    out.validate(originals=(bits, labels))
+    assert not ((out.words & VEC) >> zero_from).any()
+    out.validate(originals=row_words(bits, labels))
     # each merged row combines exactly two distinct inputs
     assert out.provenance.shape == (len(out), 2)
     assert (out.provenance[:, 0] != out.provenance[:, 1]).all()
@@ -247,7 +258,7 @@ def test_two_merges_track_provenance_to_depth_four():
     out = merge_step(merge_step(sample, rng=rng), rng=rng)
     assert out.i == 2
     assert len(out) >= 600 - 2 * 2**3
-    out.validate(originals=(bits, labels))
+    out.validate(originals=row_words(bits, labels))
     assert out.provenance.shape == (len(out), 4)
     sizes = {solvers._chain_size(p) for p in out.provenance}
     assert sizes <= {2, 4} and 4 in sizes
@@ -264,8 +275,8 @@ def test_aggregated_labels_match_bias_formula():
     sample = zero_sample(layout, bits, labels)
     out = merge_step(merge_step(sample, rng=np.random.default_rng(78)),
                      rng=np.random.default_rng(79))
-    out.validate(originals=(bits, labels))
-    clean = src.target.predict_rows(out.vectors)
+    out.validate(originals=row_words(bits, labels))
+    clean = src.target.predict_words((out.words & VEC).view(np.uint64)[:, None])
     by_size = {}
     for ok, p in zip(clean == out.labels, out.provenance):
         by_size.setdefault(solvers._chain_size(p), []).append(bool(ok))
@@ -353,8 +364,8 @@ def test_tracking_provenance_changes_no_vote(a, b):
 
 def test_provenance_check_rejects_a_wrong_draw():
     rng = np.random.default_rng(3)
-    draws = solvers._to_words(rng.integers(0, 2, size=(8, 4), dtype=np.uint8),
-                              rng.integers(0, 2, size=8, dtype=np.uint8))
+    draws = row_words(rng.integers(0, 2, size=(8, 4), dtype=np.uint8),
+                      rng.integers(0, 2, size=8, dtype=np.uint8))
     prov = np.array([[0, 1], [2, 3]])
     x = draws[[0, 2]] ^ draws[[1, 3]]
     solvers._check_provenance(x, prov, draws)
@@ -395,10 +406,10 @@ def test_packed_round_matches_reference(a, b, where, track):
     rows = np.roll(colliding_rows(w, b, n_seg * per, rng), shift, axis=1)
     labels = rng.integers(0, 2, size=len(rows), dtype=np.uint8)
     bits, ref_labels, _ = merge_oracle.ShiftedView(
-        ReplaySource(rows, labels), w, shift).draw_batch(len(rows))
+        ReplaySource(pack_words(rows), labels, w), w, shift).draw_batch(len(rows))
     words, _ = solvers._ShiftedView(
-        ReplaySource(rows, labels), w, shift).draw_batch(len(rows))
-    assert np.array_equal(words, solvers._to_words(bits, ref_labels))
+        ReplaySource(pack_words(rows), labels, w), w, shift).draw_batch(len(rows))
+    assert np.array_equal(words, row_words(bits, ref_labels))
 
     seg = np.repeat(np.arange(n_seg, dtype=np.int64), per)
     ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
@@ -445,14 +456,10 @@ def test_packed_votes_match_reference(monkeypatch, a, b, where, track):
 def test_layouts_wider_than_62_bits_are_refused():
     src = new_source(8, 0.0, seed=1)
     cfg = SolverConfig(BlockLayout(2, 32), repetitions=3)
-    wide = ISample(0, BlockLayout(2, 32), np.zeros((4, 64), dtype=np.uint8),
-                   np.zeros(4, dtype=np.uint8), np.arange(4)[:, None])
-    wide.validate()  # the structural checks need no packing
     for call in (lambda: recover_target(src, cfg),
                  lambda: recover_first_bit(src, cfg),
                  lambda: collect_votes(src, cfg, 3),
-                 lambda: merge_step(wide, 0),
-                 lambda: wide.validate((wide.vectors, wide.labels))):
+                 lambda: ISample(0, BlockLayout(2, 32), np.zeros(4, np.int64))):
         with pytest.raises(ValueError, match="62-bit"):
             call()
     assert src.draw_count == 0
@@ -517,8 +524,8 @@ def test_recover_target_budget_status():
 
 def short_replay(count, seed):
     src = new_source(8, 0.1, seed=seed)
-    bits, labels, _ = src.draw_batch(count)
-    return ReplaySource(bits, labels, eta=0.1, seed=seed)
+    words, labels, _ = src.draw_batch(count, packed=True)
+    return ReplaySource(words, labels, 8, eta=0.1, seed=seed)
 
 
 def test_finite_source_is_a_budget():
@@ -574,10 +581,8 @@ def test_config_validation():
 
 
 def test_auto_repetitions_need_a_noise_rate():
-    data_bits = np.zeros((10, 8), dtype=np.uint8)
-    from lpn.instance import ReplaySource
-
-    src = ReplaySource(data_bits, np.zeros(10, dtype=np.uint8))
+    src = ReplaySource(np.zeros((10, 1), dtype=np.uint64),
+                       np.zeros(10, dtype=np.uint8), 8)
     cfg = SolverConfig(layout=BlockLayout(2, 4))
     with pytest.raises(ValueError):
         recover_first_bit(src, cfg)
@@ -634,6 +639,27 @@ def test_mle_rejects_bad_inputs():
         mle_bruteforce(np.zeros((3, 2), np.uint64), labels, 4)
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.2, 0.45])
+@pytest.mark.parametrize("m", [1, 5, 61, 2000])
+@pytest.mark.parametrize("k", [1, 2, 7, 13, 16, 20])
+def test_mle_transform_matches_gray_code_walk(k, m, eta):
+    # one and five rows leave most candidates tied at the fewest errors
+    words, labels = draw_words(new_source(k, eta, seed=k * m), m)
+    assert mle_bruteforce(words, labels, k).c.bits == mle_oracle.mle_gray(
+        words, labels, k)
+
+
+@pytest.mark.parametrize("k,m", [(7, 61), (13, 5), (16, 2000)])
+def test_mle_transform_matches_gray_code_walk_on_ties(k, m):
+    # rows from three vectors: a candidate's errors depend only on its
+    # three parities, so each error count is shared by 2^(k-3) candidates
+    rng = np.random.default_rng(k)
+    dist = Explicit(tuple(BitVec.random(k, rng) for _ in range(3)), (0.5, 0.3, 0.2))
+    words, labels = draw_words(new_source(k, 0.3, distribution=dist, seed=m), m)
+    assert mle_bruteforce(words, labels, k).c.bits == mle_oracle.mle_gray(
+        words, labels, k)
+
+
 def test_mle_moderate_noise_k16():
     hits = 0
     for seed in range(5):
@@ -643,6 +669,20 @@ def test_mle_moderate_noise_k16():
 
 
 # -- Gaussian baseline ------------------------------------------------
+
+
+@pytest.mark.parametrize("solve", [mle_bruteforce, gaussian_baseline])
+def test_baselines_refuse_pad_bits_and_labels_other_than_0_and_1(solve):
+    # a pad bit once rode on gauss's label in bit k, and a label of 2
+    # solved to 00000 under gauss and read as 1 under mle
+    words, labels = draw_words(new_source(5, 0.0, seed=1), 30)
+    assert solve(words, labels, 5) is not None
+    padded = words.copy()
+    padded[3] |= np.uint64(1 << 5)
+    with pytest.raises(ValueError, match="beyond coordinate 5"):
+        solve(padded, labels, 5)
+    with pytest.raises(ValueError, match="0 or 1"):
+        solve(words, labels | 2, 5)
 
 
 def test_gaussian_baseline_noiseless():
