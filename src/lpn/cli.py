@@ -373,6 +373,10 @@ def cmd_solve(ns) -> int:
 
 
 def cmd_sq(ns) -> int:
+    if ns.tuples is not None and ns.tuples < 1:
+        raise _UsageError("--tuples must be at least 1")
+    if ns.mode == "basis-learn" and not ns.cls.startswith("parity:"):
+        raise _UsageError(f"basis-learn needs a parity --class, not {ns.cls!r}")
     concepts, dist = sqmod.concept_class(ns.cls)
     row: Dict = {
         "schema": "lpn-sq/1",
@@ -417,14 +421,13 @@ def cmd_sq(ns) -> int:
             )
     else:  # basis-learn
         k = dist.n
-        mask = int(rng.integers(0, 1 << k))
-        target = sqmod.parity_concept(mask, k)
-        learned = sqmod.basis_query_learner(k, target)
+        target = concepts[int(rng.integers(0, len(concepts)))]
+        learned = "parity:" + sqmod.basis_query_learner(k, target).c.to01()
         row.update(
             k=k,
             target=target.name,
-            learned="parity:" + learned.c.to01(),
-            match=_fmt(learned.c.bits == mask),
+            learned=learned,
+            match=_fmt(learned == target.name),
             queries=k + 1,
         )
     _emit([row], SQ_COLUMNS, ns.out, ns.format)

@@ -10,6 +10,15 @@ bit 0 of word 0, so their little-endian bytes are the file's bytes).
 The bkw merge and the online decoder view a row's single word as int64
 with its label in bit 63, so they take up to 62 coordinates.  Values
 move between representations without any reindexing.
+
+There are two eliminators, one per kind of traffic.  `eliminate` runs
+one system at a time over Python ints of any width: `gaussian_solve`,
+`rank_ints` and `express_in_span` hand it a single system whose rows
+may be thousands of bits wide.  `solve_batch` runs many small square
+systems at once over int64 arrays, vectorised along the batch: the SQ
+basis learner solves one k x k system per k-tuple of draws, tens of
+thousands of them per query pass, where a Python loop per system would
+cost more than the rest of the pass.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ __all__ = [
     "unpack_words",
     "eliminate",
     "back_substitute",
+    "solve_batch",
     "rank_ints",
     "is_basis",
     "express_in_span",
@@ -258,6 +268,40 @@ def back_substitute(pivots: Sequence[Tuple[int, int]], n: int) -> int:
         if ((prow & c).bit_count() ^ (prow >> n)) & 1:
             c |= key
     return c
+
+
+def solve_batch(rows: np.ndarray, k: int) -> np.ndarray:
+    """Solve T square GF(2) systems at once; -1 where one is singular.
+
+    rows is a (T, k) int64 array: system t is the k rows rows[t], each
+    with its coordinates in bits 0..k-1 and its label in bit k, so k is
+    at most 62.  Returns the (T,) int64 array of the unique c with
+    <c, row> equal to every row's label, or -1 for a system whose rows
+    do not span all k coordinates.  This is what eliminate with colmask
+    (1 << k) - 1 followed by back_substitute gives for one system, with
+    -1 where it finds fewer than k pivots.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != k or not 1 <= k <= 62:
+        raise ValueError("need a (T, k) array of rows with 1 <= k <= 62")
+    a = rows.astype(np.int64, copy=True)
+    t = np.arange(len(a))
+    ok = np.ones(len(a), dtype=bool)
+    # Gauss-Jordan, column j at step j: rows 0..j-1 hold the pivots so
+    # far, and the first later row with bit j set is swapped into row j
+    for j in range(k):
+        has = (a[:, j:] >> j) & 1
+        ok &= has.any(axis=1)
+        p = j + has.argmax(axis=1)
+        prow = a[t, p]
+        a[t, p] = a[:, j]
+        a[:, j] = prow
+        hit = ((a >> j) & 1).astype(bool)
+        hit[:, j] = False
+        a ^= np.where(hit, prow[:, None], 0)
+    # row j is now coordinate j alone, with its value in the label bit
+    c = (((a >> k) & 1) << np.arange(k, dtype=np.int64)).sum(axis=1)
+    return np.where(ok, c, -1)
 
 
 def rank_ints(rows: Iterable[int]) -> int:

@@ -7,6 +7,13 @@ adversarial, and sampling oracle modes, the pairwise-correlation
 dimension of a concept class, a reduction that answers k-wise queries
 using unary ones (plus unlabeled data), and a parity learner that asks
 one k-wise query per coordinate.
+
+Concepts and queries act on arrays: points are int64 packed n-bit
+inputs, a concept maps an (m,) array of points to its (m,) 0/1 labels,
+a unary predicate maps the point and label columns to (m,) bools, and a
+k-wise predicate maps (T, k) point and label arrays, one row per tuple
+of draws, to (T,) bools.  Exact k-wise answers enumerate the tuples in
+chunks, so every query costs a few numpy calls per chunk.
 """
 
 from __future__ import annotations
@@ -14,12 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gf2 import BitVec, back_substitute, eliminate
+from .gf2 import BitVec, solve_batch
 from .instance import ParityTarget
 from .seeding import derive_seed
 
@@ -49,25 +56,21 @@ __all__ = [
 ]
 
 KWISE_ENUM_CAP = 1 << 20
+# tuples per chunk of an exact enumeration
+ENUM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class Concept:
-    """A boolean function on n-bit inputs, input packed into an int."""
+    """A boolean function on n-bit inputs.
+
+    labels maps an (m,) int64 array of packed inputs to their (m,) 0/1
+    labels.
+    """
 
     name: str
     n: int
-    fn: Callable[[int], int]
-    bulk: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, x: int) -> int:
-        return int(self.fn(x))
-
-    def labels(self, points: np.ndarray) -> np.ndarray:
-        if self.bulk is not None:
-            return np.asarray(self.bulk(points), dtype=np.uint8)
-        return np.fromiter((self.fn(int(x)) for x in points), dtype=np.uint8,
-                           count=len(points))
+    labels: Callable[[np.ndarray], np.ndarray]
 
 
 def parity_concept(mask: int, n: int) -> Concept:
@@ -76,9 +79,7 @@ def parity_concept(mask: int, n: int) -> Concept:
         raise ValueError("mask does not fit in n bits")
     name = "parity:" + BitVec(n, mask).to01()
     return Concept(
-        name, n,
-        fn=lambda x: (x & mask).bit_count() & 1,
-        bulk=lambda pts: (np.bitwise_count(pts & mask) & 1).astype(np.uint8),
+        name, n, lambda pts: np.bitwise_count(pts & mask) & 1
     )
 
 
@@ -87,11 +88,7 @@ def conjunction_concept(mask: int, n: int) -> Concept:
     if mask >> n:
         raise ValueError("mask does not fit in n bits")
     name = "conj:" + BitVec(n, mask).to01()
-    return Concept(
-        name, n,
-        fn=lambda x: int(x & mask == mask),
-        bulk=lambda pts: ((pts & mask) == mask).astype(np.uint8),
-    )
+    return Concept(name, n, lambda pts: ((pts & mask) == mask).astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -110,9 +107,9 @@ class FiniteDistribution:
             raise ValueError("points must be distinct")
         if any(p >> self.n or p < 0 for p in self.points):
             raise ValueError("points must fit in n bits")
-        if any(w < 0 for w in self.weights):
+        if not all(w >= 0.0 for w in self.weights):  # NaN fails too
             raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if not abs(sum(self.weights) - 1.0) <= 1e-9:
             raise ValueError("weights must sum to 1")
 
     @classmethod
@@ -125,13 +122,19 @@ class FiniteDistribution:
                    ) -> "FiniteDistribution":
         return cls(n, tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
 
-    @property
+    # built once per distribution and read-only, like the tuples
+    @cached_property
     def points_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=np.int64)
+        return _frozen(np.asarray(self.points, dtype=np.int64))
 
-    @property
+    @cached_property
     def weights_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
+        return _frozen(np.asarray(self.weights, dtype=np.float64))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _check_tau(tau: float) -> None:
@@ -141,9 +144,12 @@ def _check_tau(tau: float) -> None:
 
 @dataclass(frozen=True)
 class SqQuery:
-    """Unary query: asks Pr[predicate(x, c(x))] within tolerance tau."""
+    """Unary query: asks Pr[predicate(x, c(x))] within tolerance tau.
 
-    predicate: Callable[[int, int], int]
+    predicate maps the (m,) point and label columns to (m,) bools.
+    """
+
+    predicate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     tau: float
     name: str = ""
 
@@ -153,10 +159,14 @@ class SqQuery:
 
 @dataclass(frozen=True)
 class KWiseQuery:
-    """k-wise query over k independent draws and their labels."""
+    """k-wise query over k independent draws and their labels.
+
+    predicate maps (T, k) point and label arrays, row t holding the
+    draws of tuple t in order, to (T,) bools.
+    """
 
     k: int
-    predicate: Callable[[Tuple[int, ...], Tuple[int, ...]], int]
+    predicate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     tau: float
     name: str = ""
 
@@ -204,11 +214,8 @@ def sq_answer(
 ) -> float:
     """Answer a unary query under the given oracle mode."""
     pts = dist.points_array
-    labels = concept.labels(pts)
-    vals = np.fromiter(
-        (bool(query.predicate(int(x), int(l))) for x, l in zip(pts, labels)),
-        dtype=np.float64, count=len(pts),
-    )
+    vals = np.asarray(query.predicate(pts, concept.labels(pts)), dtype=bool)
+    vals = vals.astype(np.float64)
     if isinstance(mode, SampledNoisy):
         if mode.samples < 1:
             raise ValueError("need at least one sample")
@@ -219,29 +226,48 @@ def sq_answer(
     return _distort(p, query.tau, mode)
 
 
-def _exact_prob(dist: FiniteDistribution, k: int, pred: Callable,
-                *columns: Sequence) -> float:
-    """Pr[pred] over k independent draws from dist, by enumeration.
+def _exact_probs(dist: FiniteDistribution, k: int, pred: Callable,
+                 *columns: np.ndarray) -> List[float]:
+    """Pr[event] over k independent draws from dist, by enumeration.
 
-    Each column is indexed like dist.points; pred gets, for each tuple
-    of draws, one k-tuple of entries per column.  Tuples are visited in
-    lexicographic order of their point indices, and a non-uniform
-    probability is summed in that order.
+    Each column is an array indexed like dist.points.  pred gets, for a
+    chunk of T tuples of draws, one (T, k) array per column, and returns
+    (T,) bools for one event or (T, q) bools for q events at once; the
+    result has one probability per event.  Tuples are visited in
+    lexicographic order of their point indices, ENUM_CHUNK at a time.
+    A uniform probability is a count over n^k.  A non-uniform one sums
+    each tuple's weight, the product of its draws' weights taken left to
+    right, in tuple order, so chunking does not change a single bit.
     """
     n = len(dist.points)
-    if n**k > KWISE_ENUM_CAP:
+    total = n**k
+    if total > KWISE_ENUM_CAP:
         raise ValueError(
             f"{n}^{k} tuples exceed the enumeration cap of {KWISE_ENUM_CAP}"
         )
-    # product() over each column in lockstep yields the same index tuples
-    args = zip(*(itertools.product(col, repeat=k) for col in columns))
+    weights = dist.weights_array
+    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    sums = None
+    for start in range(0, total, ENUM_CHUNK):
+        t = np.arange(start, min(start + ENUM_CHUNK, total), dtype=np.int64)
+        idx = t[:, None] // place % n
+        hits = np.asarray(pred(*(col[idx] for col in columns)), dtype=bool)
+        hits = hits.reshape(len(t), -1)
+        if dist.is_uniform:
+            counts = hits.sum(axis=0)
+            sums = counts if sums is None else sums + counts
+            continue
+        w = weights[idx[:, 0]]
+        for j in range(1, k):
+            w = w * weights[idx[:, j]]
+        if sums is None:
+            sums = [0.0] * hits.shape[1]
+        # cumsum adds in order, carrying the sum so far into each chunk
+        for e in range(hits.shape[1]):
+            sums[e] = np.cumsum(np.append(sums[e], w[hits[:, e]]))[-1]
     if dist.is_uniform:
-        return sum(1 for a in args if pred(*a)) / n**k
-    p = 0.0
-    for a, ws in zip(args, itertools.product(dist.weights, repeat=k)):
-        if pred(*a):
-            p += math.prod(ws)
-    return p
+        return [int(c) / total for c in sums]
+    return [float(p) for p in sums]
 
 
 def kwise_answer(
@@ -251,22 +277,17 @@ def kwise_answer(
     mode: OracleMode = Exact(),
 ) -> float:
     """Answer a k-wise query; exact answers enumerate all |D|^k tuples."""
-    pts = dist.points
-    labels = concept.labels(dist.points_array)
+    pts = dist.points_array
+    labels = concept.labels(pts)
     k = query.k
     if isinstance(mode, SampledNoisy):
         if mode.samples < 1:
             raise ValueError("need at least one sample")
         rng = np.random.default_rng(derive_seed(mode.seed, "sq-sample-k"))
         idx = rng.choice(len(pts), size=(mode.samples, k), p=dist.weights_array)
-        hits = sum(
-            bool(query.predicate(
-                tuple(pts[j] for j in row), tuple(int(labels[j]) for j in row)
-            ))
-            for row in idx
-        )
-        return hits / mode.samples
-    p = _exact_prob(dist, k, query.predicate, pts, labels.tolist())
+        hits = np.asarray(query.predicate(pts[idx], labels[idx]), dtype=bool)
+        return int(hits.sum()) / mode.samples
+    (p,) = _exact_probs(dist, k, query.predicate, pts, labels)
     return _distort(p, query.tau, mode)
 
 
@@ -368,7 +389,8 @@ class UnlabeledDraws:
     """Label-free access to the example distribution.
 
     kwise_prob answers Pr[pred(x_1..x_k)] for independent draws exactly,
-    by enumerating every k-tuple.
+    by enumerating every k-tuple; pred maps a (T, k) array of points to
+    (T,) bools.
     """
 
     def __init__(self, dist: FiniteDistribution):
@@ -381,9 +403,10 @@ class UnlabeledDraws:
         return tuple(self.dist.points[i] for i in idx)
 
     def kwise_prob(
-        self, pred: Callable[[Tuple[int, ...]], int], k: int
+        self, pred: Callable[[np.ndarray], np.ndarray], k: int
     ) -> float:
-        return _exact_prob(self.dist, k, pred, self.dist.points)
+        (p,) = _exact_probs(self.dist, k, pred, self.dist.points_array)
+        return p
 
 
 @dataclass
@@ -408,17 +431,21 @@ class ReductionOutcome:
 def _substituted(query: KWiseQuery, z: Tuple[int, ...], i: int,
                  lvec: Tuple[int, ...], n: int) -> Concept:
     """The candidate hypothesis h(x) = Q(z with x at position i, lvec)."""
-    pred = query.predicate
+    z_row = np.array(z, dtype=np.int64)
+    free = np.arange(len(z)) == i - 1
+    l_row = np.array(lvec, dtype=np.uint8)
 
-    def fn(x: int, z=z, i=i, lvec=lvec) -> int:
-        xs = z[: i - 1] + (x,) + z[i:]
-        return int(bool(pred(xs, lvec)))
+    def labels(pts: np.ndarray) -> np.ndarray:
+        xs = np.where(free, pts[:, None], z_row)
+        ls = np.empty(xs.shape, dtype=np.uint8)
+        ls[:] = l_row
+        return np.asarray(query.predicate(xs, ls), dtype=np.uint8)
 
-    return Concept(f"h[pos={i},labels={''.join(map(str, lvec))}]", n, fn)
+    return Concept(f"h[pos={i},labels={''.join(map(str, lvec))}]", n, labels)
 
 
 def _complement(h: Concept) -> Concept:
-    return Concept(f"not({h.name})", h.n, lambda x: 1 - h.fn(x))
+    return Concept(f"not({h.name})", h.n, lambda pts: 1 - h.labels(pts))
 
 
 def kwise_to_unary_reduce(
@@ -445,6 +472,8 @@ def kwise_to_unary_reduce(
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
+    if tuples_to_try is not None and tuples_to_try < 1:
+        raise ValueError("tuples_to_try must be at least 1")
     k = query.k
     n = unlabeled.dist.n
     tau = eps / 2
@@ -452,9 +481,10 @@ def kwise_to_unary_reduce(
     p_one = unary_oracle(SqQuery(lambda x, l: l == 1, tau, "label-marginal"))
     if abs(p_one - 0.5) >= eps:
         bit = 1 if p_one > 0.5 else 0
-        h = Concept(f"const:{bit}", n, lambda x, bit=bit: bit)
+        h = Concept(f"const:{bit}", n,
+                    lambda pts: np.full(len(pts), bit, dtype=np.uint8))
         adv = unary_oracle(
-            SqQuery(lambda x, l, h=h: h.fn(x) == l, tau, "const-agreement")
+            SqQuery(lambda x, l: h.labels(x) == l, tau, "const-agreement")
         ) - 0.5
         return ReductionOutcome(
             "weak_hypothesis", 0, hypothesis=h, advantage=adv
@@ -470,18 +500,17 @@ def kwise_to_unary_reduce(
             for lvec in patterns:
                 h = _substituted(query, z, i, lvec, n)
                 a = unary_oracle(
-                    SqQuery(lambda x, l, h=h: h.fn(x) and l == 1, tau, "h-and-1")
+                    SqQuery(lambda x, l, h=h: (h.labels(x) == 1) & (l == 1),
+                            tau, "h-and-1")
                 )
                 b = unary_oracle(
-                    SqQuery(lambda x, l, h=h: h.fn(x), tau, "h-mass")
+                    SqQuery(lambda x, l, h=h: h.labels(x) == 1, tau, "h-mass")
                 )
                 if abs(a - b / 2) >= eps:
                     hyp = h if a - b / 2 > 0 else _complement(h)
                     adv = unary_oracle(
-                        SqQuery(
-                            lambda x, l, hyp=hyp: hyp.fn(x) == l, tau,
-                            "h-agreement",
-                        )
+                        SqQuery(lambda x, l: hyp.labels(x) == l, tau,
+                                "h-agreement")
                     ) - 0.5
                     return ReductionOutcome(
                         "weak_hypothesis", t + 1, hypothesis=hyp,
@@ -489,8 +518,9 @@ def kwise_to_unary_reduce(
                     )
     estimate = 0.0
     for lvec in patterns:
+        l_row = np.array(lvec, dtype=np.uint8)
         estimate += unlabeled.kwise_prob(
-            lambda xs, lvec=lvec: query.predicate(xs, lvec), k
+            lambda xs: query.predicate(xs, np.broadcast_to(l_row, xs.shape)), k
         )
     estimate /= 2**k
     bound = 4.0 * eps * (2**k - 1) / 2**k
@@ -501,6 +531,28 @@ def kwise_to_unary_reduce(
 
 # ---------------------------------------------------------------------------
 # parity learning from basis queries
+
+
+def _basis_answers(
+    k: int, concept: Concept, dist: FiniteDistribution
+) -> List[float]:
+    """The learner's k+1 exact k-wise answers, from one enumeration.
+
+    Answer 0 is Pr[the k draws form a basis]; answer i is Pr[they form
+    a basis and the parity they pin down has bit i set].
+    """
+    pts = dist.points_array
+    labels = concept.labels(pts).astype(np.int64)
+    shifts = np.arange(k, dtype=np.int64)
+
+    def events(xs: np.ndarray, ls: np.ndarray) -> np.ndarray:
+        # one elimination per tuple serves all k+1 queries
+        pinned = solve_batch(xs | ls << k, k)
+        basis = pinned >= 0
+        bits = ((pinned[:, None] >> shifts) & 1).astype(bool)
+        return np.column_stack([basis, bits & basis[:, None]])
+
+    return _exact_probs(dist, k, events, pts, labels)
 
 
 def basis_query_learner(
@@ -515,43 +567,20 @@ def basis_query_learner(
     the parity they pin down has bit i set].  Under any distribution
     with a positive basis probability the per-coordinate answers are
     either 0 or the full basis mass, so each bit is read off by
-    comparing against half the basis probability.
+    comparing against half the basis probability.  All k+1 answers
+    come from one pass over the tuples; k is at most 62.
     """
+    if not 1 <= k <= 62:
+        raise ValueError("the basis learner takes 1 <= k <= 62")
     if dist is None:
         dist = FiniteDistribution.uniform_over(k)
     if dist.n != k:
         raise ValueError("distribution width must equal k")
-
-    colmask = (1 << k) - 1
-
-    # one elimination per tuple serves all k+1 queries
-    @lru_cache(maxsize=None)
-    def pinned(xs: Tuple[int, ...], ls: Tuple[int, ...]) -> Optional[int]:
-        """The parity the draws pin down, or None if they are no basis."""
-        pivots, _ = eliminate([x | l << k for x, l in zip(xs, ls)], colmask)
-        return back_substitute(pivots, k) if len(pivots) == k else None
-
-    tau = 0.01
-    p_basis = kwise_answer(
-        KWiseQuery(k, lambda xs, ls: pinned(xs, ls) is not None, tau,
-                   "basis-mass"),
-        concept, dist, Exact(),
-    )
+    p_basis, *answers = _basis_answers(k, concept, dist)
     if p_basis <= 0.0:
         raise ValueError("distribution never yields a basis")
     bits = 0
-    for i in range(k):
-        ans = kwise_answer(
-            KWiseQuery(
-                k,
-                lambda xs, ls, i=i: (
-                    (c := pinned(xs, ls)) is not None and (c >> i) & 1
-                ),
-                tau,
-                f"basis-bit-{i + 1}",
-            ),
-            concept, dist, Exact(),
-        )
+    for i, ans in enumerate(answers):
         if ans > p_basis / 2:
             bits |= 1 << i
     return ParityTarget(BitVec(k, bits))
@@ -587,16 +616,18 @@ def concept_class(name: str) -> Tuple[List[Concept], FiniteDistribution]:
 
 
 def _q_labels_agree() -> KWiseQuery:
-    return KWiseQuery(2, lambda xs, ls: ls[0] == ls[1], 0.01, "labels-agree")
+    return KWiseQuery(2, lambda xs, ls: ls[:, 0] == ls[:, 1], 0.01,
+                      "labels-agree")
 
 
 def _q_label_is_first_coord() -> KWiseQuery:
-    return KWiseQuery(1, lambda xs, ls: ls[0] == xs[0] & 1, 0.01,
+    return KWiseQuery(1, lambda xs, ls: ls[:, 0] == xs[:, 0] & 1, 0.01,
                       "label-is-first-coord")
 
 
 def _q_labels_differ() -> KWiseQuery:
-    return KWiseQuery(2, lambda xs, ls: ls[0] != ls[1], 0.01, "labels-differ")
+    return KWiseQuery(2, lambda xs, ls: ls[:, 0] != ls[:, 1], 0.01,
+                      "labels-differ")
 
 
 QUERY_REGISTRY: Dict[str, Callable[[], KWiseQuery]] = {

@@ -448,6 +448,45 @@ def test_sq_deterministic(capsys):
     assert first == second
 
 
+def test_sq_basis_learn_draws_its_target_from_the_class(capsys):
+    # parity:2-of-4 holds the four parities on coordinates 1 and 2
+    seen = set()
+    for seed in range(8):
+        code, out, _ = run(capsys, "sq", "basis-learn", "--class",
+                           "parity:2-of-4", "--seed", str(seed))
+        assert code == 0
+        row = rows_from_csv(out)[0]
+        assert row["target"][len("parity:"):][2:] == "00"
+        assert row["learned"] == row["target"] and row["match"] == "true"
+        seen.add(row["target"])
+    assert len(seen) > 1
+
+
+def test_sq_basis_learn_full_class_keeps_its_rows(capsys):
+    # on parity:n-of-n the class draw is the old mask draw
+    expected = {0: "parity:0111", 1: "parity:1101", 2: "parity:0111"}
+    for seed, target in expected.items():
+        _, out, _ = run(capsys, "sq", "basis-learn", "--class",
+                        "parity:4-of-4", "--seed", str(seed))
+        row = rows_from_csv(out)[0]
+        assert (row["target"], row["learned"]) == (target, target)
+
+
+def test_sq_basis_learn_refuses_a_non_parity_class(capsys):
+    code, out, err = run(capsys, "sq", "basis-learn", "--class",
+                         "conjunction:3-of-3")
+    assert code == 1 and out == ""
+    assert "--class" in err
+
+
+@pytest.mark.parametrize("tuples", ["0", "-3"])
+def test_sq_tuples_below_one_is_a_usage_error(capsys, tuples):
+    code, out, err = run(capsys, "sq", "reduce", "--class", "parity:2-of-4",
+                         "--tuples", tuples)
+    assert code == 1 and out == ""
+    assert "--tuples" in err
+
+
 def test_sq_unknown_class_exits_one(capsys):
     code, _, err = run(capsys, "sq", "dim", "--class", "mystery:3-of-3")
     assert code == 1

@@ -1,5 +1,6 @@
 """Bit vector, block, and GF(2) elimination tests."""
 
+import itertools
 import pickle
 
 import numpy as np
@@ -11,14 +12,17 @@ from lpn.gf2 import (
     BitVec,
     BlockLayout,
     GaussStatus,
+    back_substitute,
     block,
     dot_mod2,
+    eliminate,
     express_in_span,
     gaussian_solve,
     is_basis,
     pack_words,
     unpack_words,
     rank_ints,
+    solve_batch,
     xor,
 )
 
@@ -242,6 +246,63 @@ def test_elimination_matches_brute_force():
         else:
             assert res.status is GaussStatus.SOLVED
             assert res.solution == BitVec(k, fits[0])
+
+
+def _square_systems(k, count, rng):
+    """count k x k systems, label in bit k, a third of them made singular
+    by a zero row, a duplicate row or a row that is the XOR of others."""
+    raw = rng.integers(0, 1 << 63, size=(count, k), dtype=np.uint64)
+    rows = (raw >> np.uint64(62 - k)).astype(np.int64)  # bits 0..k
+    label = np.int64(1) << k
+    for t in range(count):
+        kind = t % 6
+        j = int(rng.integers(0, k))
+        if kind == 1:  # only the label can survive
+            rows[t, j] &= label
+        elif kind == 2 and k > 1:
+            i = (j + 1 + int(rng.integers(0, k - 1))) % k
+            rows[t, j] = rows[t, i]
+        elif kind == 3 and k > 2:
+            others = [i for i in range(k) if i != j]
+            a, b = rng.choice(others, size=2, replace=False)
+            rows[t, j] = rows[t, a] ^ rows[t, b] ^ (rows[t, j] & label)
+    return rows
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 31, 62])
+def test_solve_batch_matches_eliminate_and_back_substitute(k):
+    rng = np.random.default_rng(k)
+    rows = _square_systems(k, 600, rng)
+    # every k x k system of 1-bit and 2-bit rows, labels included
+    if k <= 2:
+        rows = np.vstack([
+            rows,
+            np.array(list(itertools.product(range(1 << (k + 1)), repeat=k)),
+                     dtype=np.int64),
+        ])
+    before = rows.copy()
+    got = solve_batch(rows, k)
+    assert np.array_equal(rows, before)  # the rows are left alone
+    assert got.dtype == np.int64 and got.shape == (len(rows),)
+    singular = 0
+    for t, system in enumerate(rows.tolist()):
+        pivots, _ = eliminate(system, (1 << k) - 1)
+        if len(pivots) < k:
+            singular += 1
+            assert got[t] == -1, system
+        else:
+            assert got[t] == back_substitute(pivots, k), system
+    assert 0 < singular < len(rows)
+
+
+def test_solve_batch_checks_its_shape():
+    assert solve_batch(np.zeros((0, 3), dtype=np.int64), 3).shape == (0,)
+    for rows, k in ((np.zeros((4, 3), dtype=np.int64), 2),
+                    (np.zeros(3, dtype=np.int64), 3),
+                    (np.zeros((2, 63), dtype=np.int64), 63),
+                    (np.zeros((2, 0), dtype=np.int64), 0)):
+        with pytest.raises(ValueError):
+            solve_batch(rows, k)
 
 
 def test_pack_rows_bit_order():

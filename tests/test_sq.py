@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import sq_oracle
+from lpn import sq as sqmod
 from lpn.gf2 import BitVec
 from lpn.sq import (
     AdversarialWorst,
@@ -37,18 +39,14 @@ UNIFORM4 = FiniteDistribution.uniform_over(4)
 
 def test_parity_concept_labels():
     c = parity_concept(0b011, 3)  # parity of coordinates 1 and 2
-    assert c.fn(0b000) == 0
-    assert c.fn(0b001) == 1
-    assert c.fn(0b011) == 0
-    assert c.fn(0b111) == 0
+    pts = np.array([0b000, 0b001, 0b011, 0b111])
+    assert list(c.labels(pts)) == [0, 1, 0, 0]
     assert list(c.labels(np.array([0, 1, 2, 3]))) == [0, 1, 1, 0]
 
 
 def test_conjunction_concept_labels():
     c = conjunction_concept(0b101, 3)
-    assert c.fn(0b101) == 1
-    assert c.fn(0b111) == 1
-    assert c.fn(0b100) == 0
+    assert list(c.labels(np.array([0b101, 0b111, 0b100]))) == [1, 1, 0]
 
 
 def test_uniform_distribution_weights():
@@ -64,50 +62,53 @@ def test_from_pairs_validation():
         FiniteDistribution.from_pairs(2, [(0, 0.6), (3, 0.6)])
     with pytest.raises(ValueError):
         FiniteDistribution.from_pairs(2, [(0, 1.5), (3, -0.5)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FiniteDistribution.from_pairs(2, [(0, bad), (3, 0.5)])
 
 
 # -- unary oracle -----------------------------------------------------
 
 
 def test_sq_answer_constant_cases():
-    c0 = Concept("zero", 3, lambda x: 0)
+    c0 = Concept("zero", 3, lambda x: np.zeros(len(x), dtype=np.uint8))
     assert sq_answer(SqQuery(lambda x, l: l == 1, 0.1), c0, UNIFORM3) == 0.0
-    assert sq_answer(SqQuery(lambda x, l: True, 0.1), c0, UNIFORM3) == 1.0
+    assert sq_answer(SqQuery(lambda x, l: x >= 0, 0.1), c0, UNIFORM3) == 1.0
 
 
 def test_sq_answer_hand_example():
     c = parity_concept(0b011, 3)
-    q = SqQuery(lambda x, l: (x & 1) == 1 and l == 1, 0.1)
+    q = SqQuery(lambda x, l: ((x & 1) == 1) & (l == 1), 0.1)
     assert sq_answer(q, c, UNIFORM3) == 0.25
 
 
 def test_adversarial_mode_pushes_away_from_half():
     c = parity_concept(0b001, 3)
     # truth exactly 1/2: ties break upward
-    q_half = SqQuery(lambda x, l: (x & 1) == 1 and l == 1, 0.05)
+    q_half = SqQuery(lambda x, l: ((x & 1) == 1) & (l == 1), 0.05)
     assert sq_answer(q_half, c, UNIFORM3) == 0.5
     assert sq_answer(q_half, c, UNIFORM3, AdversarialWorst()) == pytest.approx(0.55)
     # truth below 1/2: pushed further down
-    q_low = SqQuery(lambda x, l: (x & 3) == 3 and l == 1, 0.05)
+    q_low = SqQuery(lambda x, l: ((x & 3) == 3) & (l == 1), 0.05)
     assert sq_answer(q_low, c, UNIFORM3) == 0.25
     assert sq_answer(q_low, c, UNIFORM3, AdversarialWorst()) == pytest.approx(0.20)
     # answers stay inside [0, 1]
-    q_all = SqQuery(lambda x, l: True, 0.2)
+    q_all = SqQuery(lambda x, l: x >= 0, 0.2)
     assert sq_answer(q_all, c, UNIFORM3, AdversarialWorst()) == 1.0
 
 
 def test_sampled_mode_converges():
     c = parity_concept(0b011, 3)
-    q = SqQuery(lambda x, l: (x & 1) == 1 and l == 1, 0.1)
+    q = SqQuery(lambda x, l: ((x & 1) == 1) & (l == 1), 0.1)
     got = sq_answer(q, c, UNIFORM3, SampledNoisy(samples=40000, seed=3))
     assert abs(got - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 40000)
 
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
-        SqQuery(lambda x, l: True, 0.0)
+        SqQuery(lambda x, l: x >= 0, 0.0)
     with pytest.raises(ValueError):
-        KWiseQuery(0, lambda xs, ls: True, 0.1)
+        KWiseQuery(0, lambda xs, ls: xs[:, 0] >= 0, 0.1)
 
 
 # -- k-wise oracle ----------------------------------------------------
@@ -118,7 +119,7 @@ def test_kwise_arity_one_matches_unary():
     for pred in (lambda x, l: l == 1, lambda x, l: (x >> 1) & 1 == l):
         unary = sq_answer(SqQuery(pred, 0.1), c, UNIFORM3)
         kwise = kwise_answer(
-            KWiseQuery(1, lambda xs, ls, p=pred: p(xs[0], ls[0]), 0.1),
+            KWiseQuery(1, lambda xs, ls, p=pred: p(xs[:, 0], ls[:, 0]), 0.1),
             c, UNIFORM3,
         )
         assert unary == kwise
@@ -137,17 +138,24 @@ def test_labels_agree_is_one_for_zero_parity():
 
 
 def test_basis_probability_k2():
-    from lpn.gf2 import GaussStatus, gaussian_solve, rank_ints
-
     c = parity_concept(0b01, 2)  # target (1, 0)
     dist = FiniteDistribution.uniform_over(2)
-    q_basis = KWiseQuery(2, lambda xs, ls: rank_ints(xs) == 2, 0.01)
+    # two 2-bit rows span iff both are nonzero and they differ
+    q_basis = KWiseQuery(
+        2,
+        lambda xs, ls: (xs[:, 0] != 0) & (xs[:, 1] != 0) & (xs[:, 0] != xs[:, 1]),
+        0.01,
+    )
     assert kwise_answer(q_basis, c, dist) == 0.375
 
     # the bit-1 refinement keeps the full basis mass, bit 2 none of it
     def solved_bit(xs, ls, i):
-        res = gaussian_solve(xs, ls, 2)
-        return res.status is GaussStatus.SOLVED and res.solution.bit(i)
+        # which of the four candidates agree with both labelled rows
+        cands = np.arange(4)
+        fits = (np.bitwise_count(xs[:, :, None] & cands) & 1
+                == ls[:, :, None]).all(axis=1)
+        unique = fits.sum(axis=1) == 1
+        return unique & fits[:, (cands >> i) & 1 == 1].any(axis=1)
 
     q1 = KWiseQuery(2, lambda xs, ls: solved_bit(xs, ls, 0), 0.01)
     q2 = KWiseQuery(2, lambda xs, ls: solved_bit(xs, ls, 1), 0.01)
@@ -159,7 +167,7 @@ def test_kwise_enumeration_cap():
     c = parity_concept(1, 12)
     dist = FiniteDistribution.uniform_over(12)
     with pytest.raises(ValueError):
-        kwise_answer(KWiseQuery(2, lambda xs, ls: True, 0.1), c, dist)
+        kwise_answer(KWiseQuery(2, lambda xs, ls: xs[:, 0] >= 0, 0.1), c, dist)
 
 
 def test_kwise_sampled_mode():
@@ -170,12 +178,117 @@ def test_kwise_sampled_mode():
     assert abs(got - 0.5) <= 3 * math.sqrt(0.25 / 20000)
 
 
+# -- chunked enumeration against the tuple-by-tuple oracle -----------
+
+
+def _weighted(n, points, zeros, seed):
+    """Random weights on the given points, up to `zeros` of them 0."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(len(points))
+    zeros = min(zeros, len(points) - 1)
+    w[rng.choice(len(points), size=zeros, replace=False)] = 0.0
+    w /= w.sum()
+    return FiniteDistribution.from_pairs(
+        n, [(int(p), float(x)) for p, x in zip(points, w)]
+    )
+
+
+def _dists(n, seed):
+    """Uniform, non-uniform with zero weights (points out of order), and
+    a point mass, all over n-bit points."""
+    pts = np.random.default_rng(seed).permutation(1 << n)
+    return [
+        FiniteDistribution.uniform_over(n),
+        _weighted(n, pts, 2, seed),
+        _weighted(n, pts[: min(len(pts), 5)], 1, seed + 1),
+        FiniteDistribution.from_pairs(n, [(int(pts[0]), 1.0)]),
+    ]
+
+
+def _queries(k):
+    def mixed(xs, ls):
+        return (xs.sum(axis=1) + 2 * ls.astype(np.int64).sum(axis=1)) % 3 == 0
+
+    qs = [
+        KWiseQuery(k, lambda xs, ls: (np.bitwise_xor.reduce(xs, axis=1) & 1)
+                   == ls[:, -1], 0.1, "xor-first-bit-is-last-label"),
+        KWiseQuery(k, mixed, 0.1, "mixed"),
+    ]
+    return qs + [named_query(q) for q in sorted(sqmod.QUERY_REGISTRY)
+                 if named_query(q).k == k]
+
+
+# bit widths small enough for the oracle: at most 8^4 tuples
+WIDTH_FOR_K = {1: 4, 2: 3, 3: 3, 4: 3}
+
+
+def _set_chunk(monkeypatch, chunk, k):
+    """A "small" chunk divides none of the spaces' tuple counts."""
+    if chunk == "small":
+        monkeypatch.setattr(sqmod, "ENUM_CHUNK", 7 if k < 4 else 1001)
+
+
+@pytest.mark.parametrize("chunk", ["small", "default"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kwise_answer_matches_tuple_oracle(monkeypatch, k, chunk):
+    _set_chunk(monkeypatch, chunk, k)
+    n = WIDTH_FOR_K[k]
+    concepts = [parity_concept(0b101 & ((1 << n) - 1), n),
+                conjunction_concept(0b011, n), parity_concept(0, n)]
+    for dist in _dists(n, seed=10 * k):
+        if chunk == "small" and len(dist.points) > 1:
+            assert len(dist.points) ** k % sqmod.ENUM_CHUNK
+        for c in concepts:
+            for q in _queries(k):
+                got = kwise_answer(q, c, dist)
+                assert got == sq_oracle.kwise_answer(q, c, dist), (q.name, c.name)
+
+
+@pytest.mark.parametrize("chunk", ["small", "default"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kwise_prob_matches_tuple_oracle(monkeypatch, k, chunk):
+    _set_chunk(monkeypatch, chunk, k)
+    n = WIDTH_FOR_K[k]
+    preds = [
+        lambda xs: (np.bitwise_xor.reduce(xs, axis=1) & 3) == 1,
+        lambda xs: xs[:, 0] <= xs[:, -1],
+    ]
+    for dist in _dists(n, seed=10 * k + 1):
+        for pred in preds:
+            got = UnlabeledDraws(dist).kwise_prob(pred, k)
+            assert got == sq_oracle.kwise_prob(dist, pred, k)
+
+
+@pytest.mark.parametrize("chunk", ["small", "default"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_basis_answers_match_scalar_eliminate_learner(monkeypatch, k, chunk):
+    _set_chunk(monkeypatch, chunk, k)
+    rng = np.random.default_rng(k)
+    pts = rng.permutation(1 << k)
+    # the full uniform space is 16^4 tuples at k = 4; the oracle is slow
+    dists = _dists(k, seed=k)[1:] if k == 4 else _dists(k, seed=k)
+    dists.append(_weighted(k, pts[: min(len(pts), 9)], 2, seed=k))
+    masks = {0, (1 << k) - 1, int(rng.integers(0, 1 << k))}
+    for dist in dists:
+        for mask in sorted(masks):
+            c = parity_concept(mask, k)
+            got = sqmod._basis_answers(k, c, dist)
+            assert got == sq_oracle.basis_answers(k, c, dist), (mask, dist)
+
+
+def test_basis_answers_match_oracle_on_the_uniform_k4_space():
+    c = parity_concept(0b1011, 4)
+    got = sqmod._basis_answers(4, c, UNIFORM4)
+    assert got == sq_oracle.basis_answers(4, c, UNIFORM4)
+    assert got[0] > 0 and [a > got[0] / 2 for a in got[1:]] == [1, 1, 0, 1]
+
+
 # -- advantage and dimension ------------------------------------------
 
 
 def test_weak_advantage_extremes():
     c = parity_concept(0b010, 3)
-    comp = Concept("not-c", 3, lambda x: 1 - c.fn(x))
+    comp = Concept("not-c", 3, lambda x: 1 - c.labels(x))
     other = parity_concept(0b100, 3)
     assert weak_advantage(c, c, UNIFORM3) == 0.5
     assert weak_advantage(comp, c, UNIFORM3) == -0.5
@@ -193,7 +306,7 @@ def test_sq_dimension_all_parities():
 
 def test_sq_dimension_complement_pair():
     c = parity_concept(0b01, 2)
-    comp = Concept("not-c", 2, lambda x: 1 - c.fn(x))
+    comp = Concept("not-c", 2, lambda x: 1 - c.labels(x))
     rep = sq_dimension([c, comp], FiniteDistribution.uniform_over(2))
     assert rep.d == 1
 
@@ -234,7 +347,7 @@ def test_named_query_registry():
 def test_reduction_label_independent_query_estimates_exactly():
     # the query never looks at labels, so no candidate can fire and the
     # estimate equals the true probability
-    q = KWiseQuery(2, lambda xs, ls: xs[0] == xs[1], 0.05)
+    q = KWiseQuery(2, lambda xs, ls: xs[:, 0] == xs[:, 1], 0.05)
     c = parity_concept(0b0011, 4)
     oracle = make_unary_oracle(c, UNIFORM4)
     out = kwise_to_unary_reduce(q, 0.05, oracle, UnlabeledDraws(UNIFORM4),
@@ -274,7 +387,8 @@ def test_reduction_unbalanced_concept_short_circuits():
                                 UnlabeledDraws(UNIFORM4), seed=4)
     assert out.kind == "weak_hypothesis"
     assert out.tuples_tried == 0
-    assert out.hypothesis.fn(0) == 0  # constant prediction of the majority
+    # constant prediction of the majority
+    assert not out.hypothesis.labels(np.arange(16)).any()
     assert out.advantage >= 0.4
 
 
@@ -285,6 +399,15 @@ def test_reduction_rejects_bad_eps():
     for eps in (0.0, 0.5, -0.1):
         with pytest.raises(ValueError):
             kwise_to_unary_reduce(q, eps, oracle, UnlabeledDraws(UNIFORM4))
+
+
+def test_reduction_rejects_fewer_than_one_tuple():
+    q = named_query("labels-agree")
+    oracle = make_unary_oracle(parity_concept(1, 4), UNIFORM4)
+    for tuples in (0, -3):
+        with pytest.raises(ValueError, match="tuples_to_try"):
+            kwise_to_unary_reduce(q, 0.05, oracle, UnlabeledDraws(UNIFORM4),
+                                  tuples_to_try=tuples)
 
 
 # -- basis-query learner ----------------------------------------------
