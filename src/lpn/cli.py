@@ -377,7 +377,10 @@ def cmd_sq(ns) -> int:
         raise _UsageError("--tuples must be at least 1")
     if ns.mode == "basis-learn" and not ns.cls.startswith("parity:"):
         raise _UsageError(f"basis-learn needs a parity --class, not {ns.cls!r}")
-    concepts, dist = sqmod.concept_class(ns.cls)
+    try:
+        concepts, dist = sqmod.concept_class(ns.cls)
+    except ValueError as exc:
+        raise _UsageError(f"--class {ns.cls!r}: {exc}") from None
     row: Dict = {
         "schema": "lpn-sq/1",
         "mode": ns.mode,

@@ -25,6 +25,13 @@ the matrices that hold rows; the examples before the first capture are
 final, the capture inserts one row, and only the examples that the same
 matrix captured are folded again: every example it zeroed missed the
 new slot, which was empty.
+
+Votes are a running total per batch: the examples still being folded
+keep their label-1 vote counts in an array aligned with them, and each
+matrix adds its zeroed labels with one array add.  A captured example
+keeps the votes of the matrices below its capturing matrix, so folding
+it again from that matrix casts each vote once.  A full matrix zeroes
+every example, so no capture is looked for there.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ __all__ = ["OnlineReport", "run_online"]
 
 _BATCH = 4096
 # bit 63 of a row word carries its label; the low 63 bits its residual
-_VEC = (1 << 63) - 1
 _LABEL = -(1 << 63)
 # the bank's two int64 tables hold t * g * 2^w slots each; at this cap
 # they take 64 MB
@@ -85,6 +91,7 @@ class _Decoder:
         # per row, a mask of the slots whose examples it XORs
         self.prov = np.zeros(shape, dtype=object) if stats else None
         self.fill = [0] * t
+        self.full = g * ((1 << w) - 1)  # the fill of a full matrix
         self.used = 0  # matrices [0, used) hold rows, the rest are empty
         self.predicted = self.unknown = self.ties = self.errors = 0
         self.max_depth = 0
@@ -121,21 +128,33 @@ class _Decoder:
 
     def _advance(self, xs, clean, idx, m, cap, res, ones) -> None:
         """Fold examples idx through matrices m, m+1, ... while they are
-        zeroed, casting their votes; cap[idx] becomes the first matrix
-        that captures each one, or t, and res[idx] the residual there."""
+        zeroed, adding their votes to ones; cap[idx] becomes the first
+        matrix that captures each one, or t, and res[idx] the residual
+        there."""
         x = xs[idx]
+        acc = ones[idx]  # the running vote total, aligned with idx
+        stats = self.votes_by_depth is not None and clean is not None
         while len(idx) and m < self.used:
             r, dep, slots = self._fold(m, x)
-            lost = (r & _VEC) != 0
-            if lost.any():
+            # a full matrix zeroes every example; below bit 63 is the residual
+            if self.fill[m] < self.full and (r << 1).any():
+                lost = (r << 1) != 0
                 cap[idx[lost]] = m
                 res[idx[lost]] = r[lost]
+                # a capture keeps the votes of matrices below m
+                ones[idx[lost]] = acc[lost]
                 keep = ~lost
-                idx, x, r = idx[keep], x[keep], r[keep]
+                idx, x, r, acc = idx[keep], x[keep], r[keep], acc[keep]
                 dep = None if dep is None else dep[keep]
                 slots = [v[keep] for v in slots]
-            self._cast(idx, r < 0, dep, m, slots, clean, ones)
+            r >>= 63  # a zeroed row word is 0 or the label bit: 0 or -1
+            acc -= r
+            if len(idx) and dep is not None:
+                self.max_depth = max(self.max_depth, int(dep.max()))
+            if len(idx) and stats:
+                self._score(idx, r < 0, m, slots, clean)
             m += 1
+        ones[idx] = acc
         cap[idx] = self.t
         if not len(idx) or m == self.t:
             return
@@ -147,7 +166,7 @@ class _Decoder:
         zeros = (self.t - m) * (len(idx) - int(np.count_nonzero(nonzero)))
         if zeros:
             self.max_depth = max(self.max_depth, 1)
-            if self.votes_by_depth is not None and clean is not None:
+            if stats:
                 row = self.votes_by_depth.setdefault(0, [0, 0])
                 row[0] += zeros
                 row[1] += zeros
@@ -157,9 +176,10 @@ class _Decoder:
         depths (None once a vote has reached the bound 2^g) and, when
         vote stats are kept, the slot each block used."""
         depths = self.max_depth < 1 << self.g
+        mask = (1 << self.w) - 1
         r, dep, slots = x, 1, []
         for j in range(self.g):
-            v = (r >> (j * self.w)) & ((1 << self.w) - 1)
+            v = (r >> (j * self.w)) & mask if j else r & mask
             r = r ^ self.words[m, j][v]
             if depths:
                 dep = dep + self.depths[m, j][v]
@@ -167,15 +187,9 @@ class _Decoder:
                 slots.append(v)
         return r, dep if depths else None, slots
 
-    def _cast(self, idx, lab, dep, m, slots, clean, ones) -> None:
-        """Votes of matrix m for examples idx, which it zeroes."""
-        if not len(idx):
-            return
-        ones[idx] += lab
-        if dep is not None:
-            self.max_depth = max(self.max_depth, int(dep.max()))
-        if self.votes_by_depth is None or clean is None:
-            return
+    def _score(self, idx, lab, m, slots, clean) -> None:
+        """Score the votes lab of matrix m for examples idx, which it
+        zeroes, by the provenance size of each."""
         prov = 0
         for j, v in enumerate(slots):
             prov = prov ^ self.prov[m, j][v]

@@ -22,7 +22,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -58,6 +59,12 @@ __all__ = [
 KWISE_ENUM_CAP = 1 << 20
 # tuples per chunk of an exact enumeration
 ENUM_CHUNK = 1 << 16
+# tuples drawn per rng.choice call by UnlabeledDraws.sample_tuples
+_DRAW_CHUNK = 1 << 10
+# The widest input a uniform distribution may span.  It lists all 2^n
+# points as Python ints with their weights, a peak near 150 MB at
+# n = 20, so wider classes are refused before anything is allocated.
+MAX_CLASS_WIDTH = 20
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,11 @@ class FiniteDistribution:
 
     @classmethod
     def uniform_over(cls, n: int) -> "FiniteDistribution":
+        if n > MAX_CLASS_WIDTH:
+            raise ValueError(
+                f"width n={n} exceeds MAX_CLASS_WIDTH={MAX_CLASS_WIDTH}: the "
+                "uniform distribution lists all 2^n points"
+            )
         size = 1 << n
         return cls(n, tuple(range(size)), tuple([1.0 / size] * size), True)
 
@@ -294,7 +306,13 @@ def kwise_answer(
 def make_unary_oracle(
     concept: Concept, dist: FiniteDistribution, mode: OracleMode = Exact()
 ) -> Callable[[SqQuery], float]:
-    return lambda query: sq_answer(query, concept, dist, mode)
+    """sq_answer about concept under dist; the concept's labels on the
+    distribution's points are computed once, not once per query."""
+    pts = dist.points_array
+    known = _frozen(np.array(concept.labels(pts)))
+    cached = Concept(concept.name, concept.n,
+                     lambda x: known if x is pts else concept.labels(x))
+    return lambda query: sq_answer(query, cached, dist, mode)
 
 
 def weak_advantage(h: Concept, c: Concept, dist: FiniteDistribution) -> float:
@@ -396,11 +414,17 @@ class UnlabeledDraws:
     def __init__(self, dist: FiniteDistribution):
         self.dist = dist
 
-    def sample_tuple(self, k: int, rng: np.random.Generator) -> Tuple[int, ...]:
-        idx = rng.choice(
-            len(self.dist.points), size=k, p=self.dist.weights_array
-        )
-        return tuple(self.dist.points[i] for i in idx)
+    def sample_tuples(self, count: int, k: int, rng: np.random.Generator
+                      ) -> Iterator[np.ndarray]:
+        """count tuples of k independent draws, each a (k,) int64 array
+        of points.  They are drawn _DRAW_CHUNK tuples per rng.choice
+        call; a call for (T, k) indices takes the same doubles as T calls
+        for k, so chunking does not change a draw."""
+        for start in range(0, count, _DRAW_CHUNK):
+            idx = rng.choice(len(self.dist.points),
+                             size=(min(_DRAW_CHUNK, count - start), k),
+                             p=self.dist.weights_array)
+            yield from self.dist.points_array[idx]
 
     def kwise_prob(
         self, pred: Callable[[np.ndarray], np.ndarray], k: int
@@ -428,24 +452,47 @@ class ReductionOutcome:
     fired: Optional[Tuple[int, int, Tuple[int, ...]]] = None
 
 
-def _substituted(query: KWiseQuery, z: Tuple[int, ...], i: int,
+def _substitute(query: KWiseQuery, z: np.ndarray, free: np.ndarray,
+                lvecs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Labels of candidates h(x) = Q(z with x at its free position, lvec)
+    on the points pts, one row per candidate, from one predicate call.
+
+    free is a (C, k) bool array with one True per row, lvecs the (C, k)
+    uint8 label patterns; the result is (C, len(pts)) uint8.
+    """
+    c, k, m = len(free), len(z), len(pts)
+    xs = np.where(free[:, None, :], pts[None, :, None], z)
+    ls = np.repeat(lvecs, m, axis=0)
+    out = query.predicate(xs.reshape(c * m, k), ls)
+    return np.asarray(out, dtype=np.uint8).reshape(c, m)
+
+
+def _substituted(query: KWiseQuery, z: Sequence[int], i: int,
                  lvec: Tuple[int, ...], n: int) -> Concept:
     """The candidate hypothesis h(x) = Q(z with x at position i, lvec)."""
     z_row = np.array(z, dtype=np.int64)
-    free = np.arange(len(z)) == i - 1
-    l_row = np.array(lvec, dtype=np.uint8)
-
-    def labels(pts: np.ndarray) -> np.ndarray:
-        xs = np.where(free, pts[:, None], z_row)
-        ls = np.empty(xs.shape, dtype=np.uint8)
-        ls[:] = l_row
-        return np.asarray(query.predicate(xs, ls), dtype=np.uint8)
-
-    return Concept(f"h[pos={i},labels={''.join(map(str, lvec))}]", n, labels)
+    free = (np.arange(len(z)) == i - 1)[None, :]
+    l_row = np.array([lvec], dtype=np.uint8)
+    return Concept(
+        f"h[pos={i},labels={''.join(map(str, lvec))}]", n,
+        lambda pts: _substitute(query, z_row, free, l_row, pts)[0],
+    )
 
 
 def _complement(h: Concept) -> Concept:
     return Concept(f"not({h.name})", h.n, lambda pts: 1 - h.labels(pts))
+
+
+def _candidate_hits(query: KWiseQuery, z: np.ndarray, free: np.ndarray,
+                    lvec: np.ndarray, pts: np.ndarray, row: np.ndarray
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """h(x) == 1 for the candidate of the (1, k) free and lvec rows.
+
+    row holds the answer on pts; pts is read-only and cached, so an
+    array that is pts has the same points.  Other arrays are labelled.
+    """
+    return lambda x: (row if x is pts
+                      else _substitute(query, z, free, lvec, x)[0] == 1)
 
 
 def kwise_to_unary_reduce(
@@ -469,6 +516,13 @@ def kwise_to_unary_reduce(
     label patterns; the estimate is then good to 4*eps*(2^k - 1)/2^k.
 
     A biased label marginal short-circuits to a constant hypothesis.
+
+    The tuples come from one rng.choice draw (per 1024 tuples), which
+    takes the same doubles as one draw per tuple.  For each tuple, one
+    predicate call labels the points under all k*2^k candidates (a few
+    calls once that matrix would pass ENUM_CHUNK entries), and both
+    unary queries of a candidate read its row; only the candidate that
+    fires is built as a Concept.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
@@ -494,19 +548,29 @@ def kwise_to_unary_reduce(
         tuples_to_try = math.ceil(4.0 / eps * math.log(1.0 / delta))
     rng = np.random.default_rng(derive_seed(seed, "kwise-reduce"))
     patterns = list(itertools.product((0, 1), repeat=k))
-    for t in range(tuples_to_try):
-        z = unlabeled.sample_tuple(k, rng)
-        for i in range(1, k + 1):
-            for lvec in patterns:
-                h = _substituted(query, z, i, lvec, n)
-                a = unary_oracle(
-                    SqQuery(lambda x, l, h=h: (h.labels(x) == 1) & (l == 1),
-                            tau, "h-and-1")
-                )
-                b = unary_oracle(
-                    SqQuery(lambda x, l, h=h: h.labels(x) == 1, tau, "h-mass")
-                )
+    # candidate c is (position i, pattern lvec), in the order they are tried
+    cands = [(i, lvec) for i in range(1, k + 1) for lvec in patterns]
+    free = np.repeat(np.eye(k, dtype=bool), len(patterns), axis=0)
+    lvecs = np.array(patterns * k, dtype=np.uint8).reshape(len(cands), k)
+    pts = unlabeled.dist.points_array
+    per_call = max(1, ENUM_CHUNK // len(pts))
+    for t, z in enumerate(unlabeled.sample_tuples(tuples_to_try, k, rng)):
+        for c0 in range(0, len(cands), per_call):
+            hits = _substitute(query, z, free[c0:c0 + per_call],
+                               lvecs[c0:c0 + per_call], pts) == 1
+            hits.flags.writeable = False
+            for c, row in enumerate(hits, c0):
+                one = _candidate_hits(query, z, free[c:c + 1],
+                                      lvecs[c:c + 1], pts, row)
+                a = unary_oracle(SqQuery(
+                    lambda x, l, one=one: one(x) & (l == 1), tau, "h-and-1"
+                ))
+                b = unary_oracle(SqQuery(
+                    lambda x, l, one=one: one(x), tau, "h-mass"
+                ))
                 if abs(a - b / 2) >= eps:
+                    i, lvec = cands[c]
+                    h = _substituted(query, z, i, lvec, n)
                     hyp = h if a - b / 2 > 0 else _complement(h)
                     adv = unary_oracle(
                         SqQuery(lambda x, l: hyp.labels(x) == l, tau,
@@ -594,7 +658,8 @@ def concept_class(name: str) -> Tuple[List[Concept], FiniteDistribution]:
     """Parse "parity:j-of-n" or "conjunction:j-of-n" into (class, dist).
 
     The class contains all 2^j masks over the first j of n coordinates;
-    the distribution is uniform over {0,1}^n.
+    the distribution is uniform over {0,1}^n, so n is at most
+    MAX_CLASS_WIDTH.
     """
     m = name.split(":")
     if len(m) == 2 and "-of-" in m[1]:
@@ -605,13 +670,12 @@ def concept_class(name: str) -> Tuple[List[Concept], FiniteDistribution]:
             raise ValueError(f"cannot parse class {name!r}") from None
         if not 0 < j <= n:
             raise ValueError("need 0 < j <= n")
-        if m[0] == "parity":
-            cls = [parity_concept(mask, n) for mask in range(1 << j)]
-        elif m[0] == "conjunction":
-            cls = [conjunction_concept(mask, n) for mask in range(1 << j)]
-        else:
+        make = {"parity": parity_concept,
+                "conjunction": conjunction_concept}.get(m[0])
+        if make is None:
             raise ValueError(f"unknown class family {m[0]!r}")
-        return cls, FiniteDistribution.uniform_over(n)
+        dist = FiniteDistribution.uniform_over(n)
+        return [make(mask, n) for mask in range(1 << j)], dist
     raise ValueError(f"cannot parse class {name!r}")
 
 

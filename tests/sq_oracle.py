@@ -7,6 +7,12 @@ time (as a batch of one), and sums a non-uniform probability in that
 order as the left-to-right product of the draws' weights.  The basis
 learner's k+1 answers are recomputed with one scalar `eliminate` per
 tuple.
+
+`kwise_to_unary_reduce` is the reduction one candidate at a time: one
+`rng.choice` per tuple (`sample_tuple`), and a `Concept` built and
+labelled for each of a candidate's two unary queries.  The oracle it is
+given should answer each query afresh (`sq_answer` with the concept
+itself).
 """
 
 from __future__ import annotations
@@ -19,7 +25,15 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from lpn.gf2 import back_substitute, eliminate
-from lpn.sq import Concept, FiniteDistribution, KWiseQuery
+from lpn.seeding import derive_seed
+from lpn.sq import (
+    Concept,
+    FiniteDistribution,
+    KWiseQuery,
+    ReductionOutcome,
+    SqQuery,
+    UnlabeledDraws,
+)
 
 
 def _enumerate(dist: FiniteDistribution, k: int, hit: Callable,
@@ -75,3 +89,112 @@ def basis_answers(k: int, concept: Concept,
             dist.points, labels,
         ))
     return answers
+
+
+def sample_tuple(unlabeled: UnlabeledDraws, k: int,
+                 rng: np.random.Generator) -> Tuple[int, ...]:
+    """One tuple of k independent draws, from one rng.choice call."""
+    dist = unlabeled.dist
+    idx = rng.choice(len(dist.points), size=k, p=dist.weights_array)
+    return tuple(dist.points[i] for i in idx)
+
+
+def _substituted(query: KWiseQuery, z: Tuple[int, ...], i: int,
+                 lvec: Tuple[int, ...], n: int) -> Concept:
+    """The candidate hypothesis h(x) = Q(z with x at position i, lvec)."""
+    z_row = np.array(z, dtype=np.int64)
+    free = np.arange(len(z)) == i - 1
+    l_row = np.array(lvec, dtype=np.uint8)
+
+    def labels(pts: np.ndarray) -> np.ndarray:
+        xs = np.where(free, pts[:, None], z_row)
+        ls = np.empty(xs.shape, dtype=np.uint8)
+        ls[:] = l_row
+        return np.asarray(query.predicate(xs, ls), dtype=np.uint8)
+
+    return Concept(f"h[pos={i},labels={''.join(map(str, lvec))}]", n, labels)
+
+
+def _complement(h: Concept) -> Concept:
+    return Concept(f"not({h.name})", h.n, lambda pts: 1 - h.labels(pts))
+
+
+def kwise_to_unary_reduce(
+    query: KWiseQuery,
+    eps: float,
+    unary_oracle: Callable[[SqQuery], float],
+    unlabeled: UnlabeledDraws,
+    tuples_to_try: Optional[int] = None,
+    delta: float = 0.05,
+    seed: int = 0,
+) -> ReductionOutcome:
+    """Answer a k-wise query with unary queries plus unlabeled draws.
+
+    Tries random tuples z, substituting a free variable at each
+    position under each label pattern; whenever the unary oracle shows
+    Pr[h and c=1] deviating from Pr[h]/2 by eps, that h (or its
+    complement) correlates with the concept and is returned as a weak
+    hypothesis.  If no candidate ever fires, the labels looked
+    independent of the examples everywhere it matters, and the k-wise
+    answer is estimated from unlabeled data alone by averaging over
+    label patterns; the estimate is then good to 4*eps*(2^k - 1)/2^k.
+
+    A biased label marginal short-circuits to a constant hypothesis.
+    """
+    if not 0.0 < eps < 0.5:
+        raise ValueError("eps must lie in (0, 1/2)")
+    if tuples_to_try is not None and tuples_to_try < 1:
+        raise ValueError("tuples_to_try must be at least 1")
+    k = query.k
+    n = unlabeled.dist.n
+    tau = eps / 2
+
+    p_one = unary_oracle(SqQuery(lambda x, l: l == 1, tau, "label-marginal"))
+    if abs(p_one - 0.5) >= eps:
+        bit = 1 if p_one > 0.5 else 0
+        h = Concept(f"const:{bit}", n,
+                    lambda pts: np.full(len(pts), bit, dtype=np.uint8))
+        adv = unary_oracle(
+            SqQuery(lambda x, l: h.labels(x) == l, tau, "const-agreement")
+        ) - 0.5
+        return ReductionOutcome(
+            "weak_hypothesis", 0, hypothesis=h, advantage=adv
+        )
+
+    if tuples_to_try is None:
+        tuples_to_try = math.ceil(4.0 / eps * math.log(1.0 / delta))
+    rng = np.random.default_rng(derive_seed(seed, "kwise-reduce"))
+    patterns = list(itertools.product((0, 1), repeat=k))
+    for t in range(tuples_to_try):
+        z = sample_tuple(unlabeled, k, rng)
+        for i in range(1, k + 1):
+            for lvec in patterns:
+                h = _substituted(query, z, i, lvec, n)
+                a = unary_oracle(
+                    SqQuery(lambda x, l, h=h: (h.labels(x) == 1) & (l == 1),
+                            tau, "h-and-1")
+                )
+                b = unary_oracle(
+                    SqQuery(lambda x, l, h=h: h.labels(x) == 1, tau, "h-mass")
+                )
+                if abs(a - b / 2) >= eps:
+                    hyp = h if a - b / 2 > 0 else _complement(h)
+                    adv = unary_oracle(
+                        SqQuery(lambda x, l: hyp.labels(x) == l, tau,
+                                "h-agreement")
+                    ) - 0.5
+                    return ReductionOutcome(
+                        "weak_hypothesis", t + 1, hypothesis=hyp,
+                        advantage=adv, fired=(t, i, lvec),
+                    )
+    estimate = 0.0
+    for lvec in patterns:
+        l_row = np.array(lvec, dtype=np.uint8)
+        estimate += unlabeled.kwise_prob(
+            lambda xs: query.predicate(xs, np.broadcast_to(l_row, xs.shape)), k
+        )
+    estimate /= 2**k
+    bound = 4.0 * eps * (2**k - 1) / 2**k
+    return ReductionOutcome(
+        "estimate", tuples_to_try, estimate=estimate, error_bound=bound
+    )

@@ -493,6 +493,13 @@ def test_sq_unknown_class_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("mode", ["dim", "reduce", "basis-learn"])
+def test_sq_too_wide_class_is_a_usage_error(capsys, mode):
+    code, out, err = run(capsys, "sq", mode, "--class", "parity:1-of-40")
+    assert code == 1 and out == ""
+    assert "--class" in err and "MAX_CLASS_WIDTH=20" in err
+
+
 def test_sq_json_format(capsys):
     code, out, _ = run(capsys, "sq", "dim", "--class", "parity:2-of-2",
                        "--format", "json")

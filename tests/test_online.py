@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lpn import online
 from lpn.gf2 import BitVec
 from lpn.instance import ReplaySource, new_source
 from lpn.online import run_online
@@ -197,6 +198,33 @@ def test_matches_reference(gw, t, eta):
                          collect_vote_stats=True, record_predictions=True)
     assert got == want
     assert got.unknown == sum(got.per_matrix_fill)
+
+
+@pytest.mark.parametrize("stats", [False, True])
+@pytest.mark.parametrize("g, w, t", [(2, 3, 5), (3, 2, 7)])
+def test_refolded_captures_keep_their_earlier_votes(monkeypatch, g, w, t,
+                                                    stats):
+    # small banks fill while the first batch is folded, so captures land
+    # mid-batch with the bank partly full, and the examples a new row may
+    # zero are folded again from the matrix that captured them
+    refolds = []
+    advance = online._Decoder._advance
+
+    def spy(self, xs, clean, idx, m, cap, res, ones):
+        if m > 0:
+            refolds.append(int(np.count_nonzero(ones[idx])))
+        advance(self, xs, clean, idx, m, cap, res, ones)
+
+    monkeypatch.setattr(online._Decoder, "_advance", spy)
+    seed = 40 + g + t
+    got = run_online(replay_of(g * w, 0.25, seed, 3000), g, w, t,
+                     collect_vote_stats=stats, record_predictions=True)
+    want = run_reference(replay_of(g * w, 0.25, seed, 3000), g, w, t, 3000,
+                         collect_vote_stats=stats, record_predictions=True)
+    # predictions, ties, max_vote_depth and (with stats) votes_by_depth
+    assert got == want
+    # some refolded examples carried label-1 votes from lower matrices
+    assert sum(refolds) > 0
 
 
 def test_max_vote_depth_is_over_cast_votes():

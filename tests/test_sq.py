@@ -1,6 +1,8 @@
 """Statistical query oracles, dimension, reduction, and basis learner."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from lpn.sq import (
     Exact,
     FiniteDistribution,
     KWiseQuery,
+    QUERY_REGISTRY,
     SampledNoisy,
     SqQuery,
     UnlabeledDraws,
@@ -334,6 +337,17 @@ def test_concept_class_parsing():
             concept_class(bad)
 
 
+def test_class_width_is_capped_before_allocating():
+    start = time.perf_counter()
+    for name in ("parity:1-of-40", "conjunction:3-of-21"):
+        with pytest.raises(ValueError, match="MAX_CLASS_WIDTH"):
+            concept_class(name)
+    with pytest.raises(ValueError, match="MAX_CLASS_WIDTH"):
+        FiniteDistribution.uniform_over(sqmod.MAX_CLASS_WIDTH + 1)
+    # 2^40 points would never finish, let alone in a second
+    assert time.perf_counter() - start < 1.0
+
+
 def test_named_query_registry():
     assert named_query("labels-agree").k == 2
     assert named_query("label-is-first-coord").k == 1
@@ -390,6 +404,102 @@ def test_reduction_unbalanced_concept_short_circuits():
     # constant prediction of the majority
     assert not out.hypothesis.labels(np.arange(16)).any()
     assert out.advantage >= 0.4
+
+
+def _comparable(out, dist):
+    """A ReductionOutcome with its hypothesis replaced by the
+    hypothesis's name and labels on every point, so == compares it."""
+    h = out.hypothesis
+    seen = None if h is None else (h.name, h.n,
+                                   h.labels(dist.points_array).tolist())
+    return dataclasses.replace(out, hypothesis=seen)
+
+
+def _both_reductions(q, c, dist, mode, **kw):
+    got = kwise_to_unary_reduce(q, 0.05, make_unary_oracle(c, dist, mode),
+                                UnlabeledDraws(dist), **kw)
+    want = sq_oracle.kwise_to_unary_reduce(
+        q, 0.05, lambda query: sq_answer(query, c, dist, mode),
+        UnlabeledDraws(dist), **kw)
+    return _comparable(got, dist), _comparable(want, dist)
+
+
+@pytest.mark.parametrize("mode", [Exact(), AdversarialWorst()],
+                         ids=["exact", "adversarial"])
+def test_reduction_matches_reference(mode):
+    outcomes = set()
+    for cls in ("parity:2-of-4", "parity:3-of-3", "conjunction:2-of-3"):
+        concepts, dist = concept_class(cls)
+        for name in sorted(QUERY_REGISTRY):
+            for c in concepts:
+                for seed, tuples in ((0, None), (1, 40), (2, 40)):
+                    got, want = _both_reductions(named_query(name), c, dist,
+                                                 mode, tuples_to_try=tuples,
+                                                 seed=seed)
+                    assert got == want, (cls, name, c.name, seed)
+                    outcomes.add("estimate" if got.kind == "estimate"
+                                 else "fired" if got.fired
+                                 else "marginal")
+    assert outcomes == {"estimate", "fired", "marginal"}
+
+
+def test_reduction_matches_reference_over_many_draws():
+    # more tuples than one draw of the reduction takes; the query's
+    # candidates never fire on this target, so every tuple is tried
+    q = named_query("label-is-first-coord")
+    c = parity_concept(0b110, 3)
+    got, want = _both_reductions(q, c, UNIFORM3, Exact(),
+                                 tuples_to_try=1100, seed=3)
+    assert got == want
+    assert got.kind == "estimate" and got.tuples_tried == 1100
+
+
+def test_reduction_labels_points_it_has_not_seen():
+    # the oracle's distribution lists the points in another order, so
+    # each candidate's labels must be computed for its points, not read
+    # back from the reduction's own
+    reversed4 = FiniteDistribution.from_pairs(
+        4, [(p, 1 / 16) for p in reversed(range(16))])
+    q = named_query("label-is-first-coord")
+    for mask in (0b0001, 0b0110):
+        c = parity_concept(mask, 4)
+        got = kwise_to_unary_reduce(
+            q, 0.05, make_unary_oracle(c, reversed4),
+            UnlabeledDraws(UNIFORM4), seed=3)
+        want = sq_oracle.kwise_to_unary_reduce(
+            q, 0.05, lambda query: sq_answer(query, c, reversed4),
+            UnlabeledDraws(UNIFORM4), seed=3)
+        assert _comparable(got, UNIFORM4) == _comparable(want, UNIFORM4)
+
+
+def test_batched_tuple_draw_equals_single_draws():
+    skewed = FiniteDistribution.from_pairs(
+        3, [(1, 0.5), (2, 0.125), (5, 0.25), (7, 0.125)])
+    # one draw, and more tuples than one draw takes
+    for dist, count in ((UNIFORM4, 300), (skewed, 300),
+                        (skewed, sqmod._DRAW_CHUNK + 76)):
+        draws = UnlabeledDraws(dist)
+        batch_rng, single_rng = (np.random.default_rng(8) for _ in range(2))
+        batch = list(draws.sample_tuples(count, 3, batch_rng))
+        singles = [sq_oracle.sample_tuple(draws, 3, single_rng)
+                   for _ in range(count)]
+        assert all(z.dtype == np.int64 for z in batch)
+        assert [z.tolist() for z in batch] == [list(z) for z in singles]
+        assert batch_rng.random() == single_rng.random()
+
+
+def test_unary_oracle_labels_the_concept_once():
+    calls = []
+    c = parity_concept(0b0101, 4)
+
+    def labels(pts):
+        calls.append(len(pts))
+        return c.labels(pts)
+
+    oracle = make_unary_oracle(Concept(c.name, 4, labels), UNIFORM4)
+    for _ in range(5):
+        assert oracle(SqQuery(lambda x, l: l == 1, 0.1)) == 0.5
+    assert calls == [16]
 
 
 def test_reduction_rejects_bad_eps():
