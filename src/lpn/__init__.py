@@ -5,16 +5,11 @@ from .gf2 import (
     BlockLayout,
     GaussResult,
     GaussStatus,
-    block,
-    dot_mod2,
     gaussian_solve,
-    is_basis,
-    xor,
 )
 from .instance import (
     ExampleSource,
     Explicit,
-    LabeledExample,
     NoiseRate,
     ParityTarget,
     ReplaySource,
@@ -45,7 +40,6 @@ from .solvers import (
     merge_step,
     mle_bruteforce,
     predicted_bias,
-    recover_first_bit,
     recover_target,
     repetitions_for,
     xor_chain_oracle,

@@ -130,10 +130,16 @@ def build_parser() -> _Parser:
 
 
 def _parse_seeds(spec: str) -> List[int]:
-    if "," in spec:
-        seeds = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
-    else:
-        seeds = list(range(int(spec)))
+    try:
+        if "," in spec:
+            seeds = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
+        else:
+            seeds = list(range(int(spec)))
+    except ValueError:
+        raise _UsageError(
+            f"--seeds takes a count or a comma-separated list of integers, "
+            f"not {spec!r}"
+        ) from None
     if not seeds:
         raise _UsageError("--seeds must name at least one seed")
     return seeds

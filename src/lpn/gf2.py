@@ -12,9 +12,9 @@ with its label in bit 63, so they take up to 62 coordinates.  Values
 move between representations without any reindexing.
 
 There are two eliminators, one per kind of traffic.  `eliminate` runs
-one system at a time over Python ints of any width: `gaussian_solve`,
-`rank_ints` and `express_in_span` hand it a single system whose rows
-may be thousands of bits wide.  `solve_batch` runs many small square
+one system at a time over Python ints of any width: `gaussian_solve`
+and `express_in_span` hand it a single system whose rows may be
+thousands of bits wide.  `solve_batch` runs many small square
 systems at once over int64 arrays, vectorised along the batch: the SQ
 basis learner solves one k x k system per k-tuple of draws, tens of
 thousands of them per query pass, where a Python loop per system would
@@ -34,16 +34,11 @@ __all__ = [
     "BlockLayout",
     "GaussStatus",
     "GaussResult",
-    "dot_mod2",
-    "xor",
-    "block",
     "pack_words",
     "unpack_words",
     "eliminate",
     "back_substitute",
     "solve_batch",
-    "rank_ints",
-    "is_basis",
     "express_in_span",
     "gaussian_solve",
 ]
@@ -71,25 +66,11 @@ class BitVec:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, n: int) -> "BitVec":
-        return cls(n, 0)
-
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> "BitVec":
-        """Build from coordinate values, coordinate 1 first."""
-        bits = 0
-        n = 0
-        for c in coords:
-            if c not in (0, 1):
-                raise ValueError("coordinates must be 0 or 1")
-            bits |= c << n
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
     def from_string(cls, s: str) -> "BitVec":
         """Parse a string like "0110", coordinate 1 first."""
-        return cls.from_coords(int(ch) for ch in s)
+        if s.strip("01"):
+            raise ValueError("coordinates must be 0 or 1")
+        return cls(len(s), int(s[::-1] or "0", 2))
 
     @classmethod
     def from_bytes_le(cls, n: int, raw: bytes) -> "BitVec":
@@ -107,12 +88,6 @@ class BitVec:
         packed = np.packbits(row, bitorder="little").tobytes()
         return cls(len(row), int.from_bytes(packed, "little"))
 
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "BitVec":
-        raw = rng.integers(0, 256, size=(n + 7) // 8, dtype=np.uint8).tobytes()
-        mask = (1 << n) - 1
-        return cls(n, int.from_bytes(raw, "little") & mask)
-
     # -- accessors ----------------------------------------------------
 
     def bit(self, i: int) -> int:
@@ -121,30 +96,11 @@ class BitVec:
             raise IndexError(f"bit index {i} out of range for length {self.n}")
         return (self.bits >> i) & 1
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def to_bytes_le(self) -> bytes:
         return self.bits.to_bytes((self.n + 7) // 8, "little")
 
-    def to_bits_row(self) -> np.ndarray:
-        raw = np.frombuffer(self.to_bytes_le(), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.n].copy()
-
     def to01(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
-
-    # -- operators ----------------------------------------------------
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits ^ other.bits)
-
-    def dot(self, other: "BitVec") -> int:
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return (self.bits & other.bits).bit_count() & 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -159,15 +115,6 @@ class BitVec:
 
     def __repr__(self) -> str:
         return f"BitVec('{self.to01()}')"
-
-
-def dot_mod2(u: BitVec, v: BitVec) -> int:
-    """Inner product of u and v mod 2."""
-    return u.dot(v)
-
-
-def xor(u: BitVec, v: BitVec) -> BitVec:
-    return u ^ v
 
 
 @dataclass(frozen=True)
@@ -194,14 +141,6 @@ class BlockLayout:
         if not 1 <= j <= self.a:
             raise ValueError(f"block index {j} out of range 1..{self.a}")
         return (j - 1) * self.b, j * self.b
-
-
-def block(v: BitVec, layout: BlockLayout, j: int) -> BitVec:
-    """Extract block j of v as a b-bit vector."""
-    if v.n != layout.total:
-        raise ValueError("vector length does not match layout")
-    lo, hi = layout.bounds(j)
-    return BitVec(layout.b, (v.bits >> lo) & ((1 << layout.b) - 1))
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
@@ -302,21 +241,6 @@ def solve_batch(rows: np.ndarray, k: int) -> np.ndarray:
     # row j is now coordinate j alone, with its value in the label bit
     c = (((a >> k) & 1) << np.arange(k, dtype=np.int64)).sum(axis=1)
     return np.where(ok, c, -1)
-
-
-def rank_ints(rows: Iterable[int]) -> int:
-    """Rank of integer-packed GF(2) rows."""
-    return len(eliminate(rows, -1)[0])
-
-
-def is_basis(vectors: Sequence[BitVec]) -> bool:
-    """True iff the k given vectors of length k have full rank."""
-    if not vectors:
-        return False
-    k = len(vectors)
-    if any(v.n != k for v in vectors):
-        raise ValueError(f"need exactly {k} vectors of length {k}")
-    return rank_ints(v.bits for v in vectors) == k
 
 
 def express_in_span(rows: Sequence[BitVec], target: BitVec) -> Optional[List[int]]:

@@ -4,8 +4,8 @@ An example source fixes a secret parity target c over k bits and hands
 out labeled examples (x, <c,x> + noise) where the noise flips each label
 independently with probability eta.  Sources are fully reproducible:
 the stream is generated in fixed-size chunks from a PCG64 generator, so
-the sequence of examples depends only on the seed, never on whether the
-caller used draw() or draw_batch() or how it sliced its requests.
+the sequence of examples depends only on the seed, never on how the
+caller sliced its draw_batch() requests or which form it asked for.
 
 A source holds each chunk in one form: (m, ceil(k/64)) uint64 row
 words, coordinate 1 in bit 0 of word 0 (gf2.pack_words), beside one
@@ -16,7 +16,7 @@ plain draw_batch(m) unpacks them into a (m, k) 0/1 uint8 matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "Uniform",
     "Explicit",
     "Stream",
-    "LabeledExample",
     "StreamExhausted",
     "ExampleSource",
     "ReplaySource",
@@ -66,9 +65,6 @@ class ParityTarget:
     def k(self) -> int:
         return self.c.n
 
-    def predict(self, x: BitVec) -> int:
-        return self.c.dot(x)
-
     def predict_words(self, words: np.ndarray) -> np.ndarray:
         """Clean labels for (m, ceil(k/64)) uint64 row words."""
         c = _vector_words((self.c,), self.k)
@@ -94,6 +90,11 @@ def _check_words(words: np.ndarray, labels: np.ndarray, k: int) -> None:
         raise ValueError("labels must be 0 or 1")
     if k % 64 and (words[:, -1] >> np.uint64(k % 64)).any():
         raise ValueError(f"row words have bits set beyond coordinate {k}")
+
+
+def _check_target(target, k: int) -> None:
+    if not isinstance(target, ParityTarget) or target.k != k:
+        raise ValueError("target must be a ParityTarget of length k")
 
 
 class Uniform:
@@ -141,18 +142,12 @@ class Stream:
                 raise ValueError("stream vectors must share one length")
 
 
-class LabeledExample(NamedTuple):
-    x: BitVec
-    label: int
-    index: int
-
-
 class StreamExhausted(RuntimeError):
     """Raised when a finite source cannot supply the requested examples."""
 
 
 class _BufferedDraws:
-    """Shared draw()/draw_batch() plumbing over a chunked buffer."""
+    """draw_batch() over a chunked buffer of row words and labels."""
 
     k: int
 
@@ -173,11 +168,6 @@ class _BufferedDraws:
 
     def _refill(self) -> None:
         raise NotImplementedError
-
-    def draw(self) -> LabeledExample:
-        words, labels, start = self.draw_batch(1, packed=True)
-        x = BitVec(self.k, int.from_bytes(words.tobytes(), "little"))
-        return LabeledExample(x, int(labels[0]), start)
 
     def draw_batch(
         self, m: int, packed: bool = False
@@ -244,8 +234,7 @@ class ExampleSource(_BufferedDraws):
             lane = np.random.default_rng(derive_seed(seed, "target"))
             raw = lane.integers(0, 2, size=k, dtype=np.uint8)
             target = ParityTarget(BitVec.from_bits_row(raw))
-        if not isinstance(target, ParityTarget) or target.k != k:
-            raise ValueError("target must be a ParityTarget of length k")
+        _check_target(target, k)
         self.target = target
         self._stream_pos = 0
         if isinstance(self.distribution, Explicit):
@@ -309,6 +298,8 @@ class ReplaySource(_BufferedDraws):
         super().__init__()
         words, labels = np.asarray(words), np.asarray(labels)
         _check_words(words, labels, k)
+        if target is not None:
+            _check_target(target, k)
         self.k = k
         self.eta = (
             eta if isinstance(eta, NoiseRate) or eta is None else NoiseRate(float(eta))

@@ -47,7 +47,6 @@ __all__ = [
     "choose_parameters",
     "merge_step",
     "collect_votes",
-    "recover_first_bit",
     "recover_target",
     "mle_bruteforce",
     "gaussian_baseline",
@@ -492,8 +491,10 @@ def collect_votes(
     Provenance sizes are None unless config.track_provenance is set; a
     size counts the draws a vote XORs once repeated draws cancel.
     Tracking records provenance without changing any vote.  A finite
-    source's remaining rows count as a budget next to max_examples.
-    Meant for calibration studies; recovery goes through recover_target.
+    source's remaining rows count as a budget next to max_examples;
+    running out, or a vote past the redraw cap, raises
+    BudgetExceededError.  Meant for calibration studies; recovery goes
+    through recover_target.
     """
     layout = config.layout
     _check_layout(source.k, layout)
@@ -510,64 +511,23 @@ def collect_votes(
     return [(int(l), s) for l, s in zip(labels, sizes)]
 
 
-def _majority(ones: int, zeros: int) -> int:
-    # ties resolve to 0; callers wanting to avoid them use odd counts
-    return 1 if ones > zeros else 0
-
-
-def _recover_bit(
-    view,
-    layout: BlockLayout,
-    reps: int,
-    rng: np.random.Generator,
-    budget: _BudgetTracker,
-    track: bool,
-) -> Tuple[int, Tuple[int, int]]:
-    labels, _ = _collect_votes_batched(view, layout, reps, rng, budget, track)
-    ones = int(labels.sum())
-    zeros = reps - ones
-    return _majority(ones, zeros), (ones, zeros)
-
-
-def recover_first_bit(
-    source,
-    config: SolverConfig,
-    rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
-) -> Tuple[int, Tuple[int, int]]:
-    """Majority-vote estimate of target coordinate 1.
-
-    Each vote reduces a fresh batch of a*2^b examples through a-1 merge
-    steps and reads off the aggregated label of (1,0,...,0) if present,
-    redrawing otherwise (the probe vector is missed with probability
-    about 1/e per attempt).  Returns the bit and the (ones, zeros)
-    tally.  Raises BudgetExceededError when max_examples or a finite
-    source's remaining rows run out, or a vote exceeds the redraw cap.
-    """
-    layout = config.layout
-    _check_layout(source.k, layout)
-    reps = _resolve_repetitions(source, config)
-    if rng is None:
-        if seed is None:
-            seed = source.rng_seed
-        rng = np.random.default_rng(derive_seed(seed, "merge-bit-1"))
-    view = _ShiftedView(source, layout.total, 0)
-    budget = _BudgetTracker(source, config.max_examples)
-    return _recover_bit(view, layout, reps, rng, budget, config.track_provenance)
-
-
 def recover_target(
     source, config: SolverConfig, seed: Optional[int] = None
 ) -> SolverResult:
     """Recover all k target coordinates by rotating each into position 1.
 
-    Coordinate r is recovered exactly like coordinate 1, but on a view
-    of the stream whose examples are cyclically rotated by r-1 (labels
-    are untouched; the rotated target has the wanted bit first).  All
-    bits share one example stream and one budget: max_examples and, for
-    a finite source, the rows it has left.  Running out ends the solve
-    with BUDGET_EXCEEDED and the examples drawn so far.  The merge RNG
-    lanes derive from `seed`, defaulting to the source's own seed.
+    Coordinate 1 is the majority of its votes: each vote reduces a
+    fresh batch of a*2^b examples through a-1 merge steps and reads off
+    the aggregated label of (1,0,...,0) if present, redrawing otherwise
+    (the probe vector is missed with probability about 1/e per
+    attempt); ties go to 0.  Coordinate r is recovered the same way on
+    a view of the stream whose examples are cyclically rotated by r-1
+    (labels are untouched; the rotated target has the wanted bit
+    first).  All bits share one example stream and one budget:
+    max_examples and, for a finite source, the rows it has left.
+    Running out, or a vote past the redraw cap, ends the solve with
+    BUDGET_EXCEEDED and the examples drawn so far.  The merge RNG lanes
+    derive from `seed`, defaulting to the source's own seed.
     """
     layout = config.layout
     k = source.k
@@ -584,14 +544,15 @@ def recover_target(
         view = _ShiftedView(source, layout.total, p)
         rng = np.random.default_rng(derive_seed(seed, f"merge-bit-{p + 1}"))
         try:
-            bit, tally = _recover_bit(
+            labels, _ = _collect_votes_batched(
                 view, layout, reps, rng, budget, config.track_provenance
             )
         except BudgetExceededError:
             status = SolverStatus.BUDGET_EXCEEDED
             break
-        tallies.append(tally)
-        bits_acc |= bit << p
+        ones = int(labels.sum())
+        tallies.append((ones, reps - ones))
+        bits_acc |= (ones > reps - ones) << p
     wall = time.perf_counter() - t0
     c_hat = (
         ParityTarget(BitVec(k, bits_acc)) if status is SolverStatus.RECOVERED else None

@@ -42,7 +42,6 @@ __all__ = [
     "sq_answer",
     "kwise_answer",
     "make_unary_oracle",
-    "weak_advantage",
     "SqDimReport",
     "sq_dimension",
     "UnlabeledDraws",
@@ -313,13 +312,6 @@ def make_unary_oracle(
     cached = Concept(concept.name, concept.n,
                      lambda x: known if x is pts else concept.labels(x))
     return lambda query: sq_answer(query, cached, dist, mode)
-
-
-def weak_advantage(h: Concept, c: Concept, dist: FiniteDistribution) -> float:
-    """Pr[h(x) = c(x)] - 1/2 under the distribution."""
-    pts = dist.points_array
-    agree = (h.labels(pts) == c.labels(pts)).astype(np.float64)
-    return float(agree @ dist.weights_array) - 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +624,8 @@ def basis_query_learner(
     with a positive basis probability the per-coordinate answers are
     either 0 or the full basis mass, so each bit is read off by
     comparing against half the basis probability.  All k+1 answers
-    come from one pass over the tuples; k is at most 62.
+    come from one pass over the tuples; k is at most 62, and the concept
+    and the distribution are both k bits wide.
     """
     if not 1 <= k <= 62:
         raise ValueError("the basis learner takes 1 <= k <= 62")
@@ -640,6 +633,8 @@ def basis_query_learner(
         dist = FiniteDistribution.uniform_over(k)
     if dist.n != k:
         raise ValueError("distribution width must equal k")
+    if concept.n != k:
+        raise ValueError("concept width must equal k")
     p_basis, *answers = _basis_answers(k, concept, dist)
     if p_basis <= 0.0:
         raise ValueError("distribution never yields a basis")

@@ -12,7 +12,8 @@ tuple.
 `rng.choice` per tuple (`sample_tuple`), and a `Concept` built and
 labelled for each of a candidate's two unary queries.  The oracle it is
 given should answer each query afresh (`sq_answer` with the concept
-itself).
+itself).  `weak_advantage` scores a hypothesis against the concept
+directly, without a query.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ from lpn.sq import (
     SqQuery,
     UnlabeledDraws,
 )
+
+
+def weak_advantage(h: Concept, c: Concept, dist: FiniteDistribution) -> float:
+    """Pr[h(x) = c(x)] - 1/2 under the distribution."""
+    pts = dist.points_array
+    agree = (h.labels(pts) == c.labels(pts)).astype(np.float64)
+    return float(agree @ dist.weights_array) - 0.5
 
 
 def _enumerate(dist: FiniteDistribution, k: int, hit: Callable,

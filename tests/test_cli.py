@@ -49,10 +49,8 @@ def test_gen_with_target_embeds_target(tmp_path, capsys):
     data = read_instance(str(p))
     assert data.target is not None
     # noiseless labels match the recorded target
-    from lpn.gf2 import BitVec
-
-    for bits_row, label in zip(data.bits, data.labels):
-        assert BitVec.from_bits_row(bits_row).dot(data.target) == label
+    for word, label in zip(data.words[:, 0].tolist(), data.labels):
+        assert (word & data.target.bits).bit_count() & 1 == label
 
 
 # -- solve ------------------------------------------------------------
@@ -299,6 +297,10 @@ def test_solve_short_file_draws_nothing(tmp_path, capsys, algo, extra):
       "--max-examples", "0"], "--max-examples must be positive for mle"),
     (["solve", "--algo", "gauss", "--k", "8", "--eta", "0.1",
       "--max-examples", "0"], "--max-examples must be positive for gauss"),
+    (["solve", "--algo", "mle", "--k", "8", "--eta", "0.1",
+      "--seeds", "1,a"], "--seeds takes a count or a comma-separated list"),
+    (["solve", "--algo", "mle", "--k", "8", "--eta", "0.1",
+      "--seeds", "two"], "--seeds takes a count or a comma-separated list"),
 ])
 def test_usage_errors_exit_one(tmp_path, capsys, argv, fragment):
     code, _, err = run(capsys, *argv)

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from bitvec_helpers import bits_row, random_bitvec
 from lpn.gf2 import BitVec, pack_words
 from lpn.instance import (
     ExampleSource,
     Explicit,
-    LabeledExample,
     NoiseRate,
     ParityTarget,
     ReplaySource,
@@ -21,6 +21,13 @@ from lpn.instance import (
 )
 
 V = BitVec.from_string
+
+
+def draw_one(src):
+    """The next example of src as (vector, label, index)."""
+    words, labels, start = src.draw_batch(1, packed=True)
+    x = BitVec(src.k, int.from_bytes(words.tobytes(), "little"))
+    return x, int(labels[0]), start
 
 
 def test_noise_rate_bounds():
@@ -35,9 +42,6 @@ def test_noise_rate_bounds():
 def test_parity_target_predicts():
     t = ParityTarget(V("1010"))
     assert t.k == 4
-    assert t.predict(V("1000")) == 1
-    assert t.predict(V("0110")) == 1
-    assert t.predict(V("0100")) == 0
     rows = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0]], dtype=np.uint8)
     assert list(t.predict_words(pack_words(rows))) == [1, 1, 0]
 
@@ -48,10 +52,10 @@ def test_predict_rows_matches_matmul(k):
     rng = np.random.default_rng(k)
     bits = rng.integers(0, 2, size=(400, k), dtype=np.uint8)
     bits[0] = 1  # at k=300 an all-ones target sums 300 ones here
-    targets = [BitVec.random(k, rng) for _ in range(4)] + [BitVec(k, (1 << k) - 1)]
+    targets = [random_bitvec(k, rng) for _ in range(4)] + [BitVec(k, (1 << k) - 1)]
     for c in targets:
         t = ParityTarget(c)
-        want = (bits.astype(np.int64) @ c.to_bits_row().astype(np.int64) & 1)
+        want = (bits.astype(np.int64) @ bits_row(c).astype(np.int64) & 1)
         got = t.predict_words(pack_words(bits))
         assert got.dtype == np.uint8
         assert np.array_equal(got, want.astype(np.uint8))
@@ -62,21 +66,21 @@ def test_same_seed_same_stream():
     b = new_source(8, 0.25, seed=11)
     assert a.target == b.target
     for _ in range(1000):
-        assert a.draw() == b.draw()
+        assert draw_one(a) == draw_one(b)
 
 
 def test_draw_batch_matches_single_draws():
     # consumption pattern must not change the stream
     a = new_source(8, 0.25, seed=3)
     b = new_source(8, 0.25, seed=3)
-    singles = [a.draw() for _ in range(5000)]
+    singles = [draw_one(a) for _ in range(5000)]
     bits, labels, start = b.draw_batch(5000)
     assert start == 0
-    for i, ex in enumerate(singles):
-        assert BitVec.from_bits_row(bits[i]) == ex.x
-        assert int(labels[i]) == ex.label
-        assert ex.index == i
-    assert a.draw().index == b.draw().index == 5000
+    for i, (x, label, index) in enumerate(singles):
+        assert BitVec.from_bits_row(bits[i]) == x
+        assert int(labels[i]) == label
+        assert index == i
+    assert draw_one(a)[2] == draw_one(b)[2] == 5000
 
 
 def test_batches_can_span_refills():
@@ -91,16 +95,16 @@ def test_batches_can_span_refills():
 def test_different_seeds_differ():
     a = new_source(16, 0.0, seed=1)
     b = new_source(16, 0.0, seed=2)
-    xs_a = [a.draw().x for _ in range(64)]
-    xs_b = [b.draw().x for _ in range(64)]
+    xs_a = [draw_one(a)[0] for _ in range(64)]
+    xs_b = [draw_one(b)[0] for _ in range(64)]
     assert xs_a != xs_b
 
 
 def test_zero_noise_labels_are_clean():
     src = new_source(10, 0.0, seed=7)
     for _ in range(1000):
-        ex = src.draw()
-        assert ex.label == src.target.predict(ex.x)
+        x, label, _ = draw_one(src)
+        assert label == (x.bits & src.target.c.bits).bit_count() & 1
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.05, 0.125, 0.25, 0.4])
@@ -118,8 +122,8 @@ def test_explicit_point_mass():
     dist = Explicit((V("0000"),), (1.0,))
     src = new_source(4, 0.0, distribution=dist, seed=5)
     for _ in range(50):
-        ex = src.draw()
-        assert ex.x == V("0000") and ex.label == 0
+        x, label, _ = draw_one(src)
+        assert x == V("0000") and label == 0
 
 
 def test_explicit_point_mass_noisy_labels_are_bernoulli():
@@ -150,16 +154,16 @@ def test_explicit_validation():
 def test_stream_serves_in_order_then_exhausts():
     xs = tuple(V(s) for s in ("1000", "0100", "0010"))
     src = new_source(4, 0.0, distribution=Stream(xs), seed=0)
-    got = [src.draw().x for _ in range(3)]
+    got = [draw_one(src)[0] for _ in range(3)]
     assert got == list(xs)
     with pytest.raises(StreamExhausted):
-        src.draw()
+        draw_one(src)
 
 
 def test_remaining_counts_the_rows_of_finite_sources():
     xs = tuple(V(s) for s in ("1000", "0100", "0010"))
     stream = new_source(4, 0.0, distribution=Stream(xs), seed=0)
-    stream.draw()
+    draw_one(stream)
     assert stream.remaining() == 2
     assert new_source(4, 0.1, seed=0).remaining() is None
     point = Explicit((V("1111"),), (1.0,))
@@ -194,7 +198,7 @@ def test_failed_over_draw_leaves_a_finite_source_unchanged(kind):
     got, want = src.draw_batch(7, packed=True), twin.draw_batch(7, packed=True)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     with pytest.raises(StreamExhausted):
-        src.draw()
+        draw_one(src)
     assert (src.remaining(), src.draw_count) == (0, 10)
 
 
@@ -215,7 +219,7 @@ def test_random_target_consumes_rng_before_examples():
     a = new_source(8, 0.0, seed=21)
     b = new_source(8, 0.0, seed=21, target=a.target)
     for _ in range(100):
-        assert a.draw() == b.draw()
+        assert draw_one(a) == draw_one(b)
 
 
 def test_replay_source_batches_and_exhaustion():
@@ -227,7 +231,19 @@ def test_replay_source_batches_and_exhaustion():
     assert start == 0
     assert np.array_equal(got_bits, bits) and np.array_equal(got_labels, labels)
     with pytest.raises(StreamExhausted):
-        rep.draw()
+        draw_one(rep)
+
+
+def test_replay_source_checks_the_target_length():
+    # a 70-bit target over 8-bit rows was accepted, and its clean labels
+    # broadcast across the two widths
+    words, labels, _ = new_source(8, 0.1, seed=0).draw_batch(10, packed=True)
+    for target in (ParityTarget(BitVec(70, 5)), ParityTarget(BitVec(4, 5)),
+                   BitVec(8, 5)):
+        with pytest.raises(ValueError, match="ParityTarget of length k"):
+            ReplaySource(words, labels, 8, target=target)
+    good = ParityTarget(BitVec(8, 5))
+    assert ReplaySource(words, labels, 8, target=good).target is good
 
 
 def test_replay_source_rejects_values_other_than_0_and_1():
@@ -236,7 +252,7 @@ def test_replay_source_rejects_values_other_than_0_and_1():
         with pytest.raises(ValueError, match="0 or 1"):
             ReplaySource(words, np.array(labels), 3)
     rep = ReplaySource(words, np.array([True]), 3)
-    assert rep.draw() == LabeledExample(V("101"), 1, 0)
+    assert draw_one(rep) == (V("101"), 1, 0)
 
 
 def test_replay_source_from_words_matches_bits_and_checks_them():
@@ -297,11 +313,6 @@ def test_uncorrelated_hypothesis_has_half_error():
     assert abs(err - 0.5) <= 3 * math.sqrt(0.25 / 20000)
 
 
-def test_labeled_example_is_a_named_tuple():
-    ex = LabeledExample(V("10"), 1, 0)
-    assert ex.x == V("10") and ex.label == 1 and ex.index == 0
-
-
 def test_uniform_equality():
     assert Uniform() == Uniform()
     assert new_source(4, 0.0, seed=1).distribution == Uniform()
@@ -342,10 +353,10 @@ def _make_source(name, k, seed):
     if name == "uniform":
         dist = Uniform()
     elif name == "explicit":
-        vecs = tuple(BitVec.random(k, rng) for _ in range(5))
+        vecs = tuple(random_bitvec(k, rng) for _ in range(5))
         dist = Explicit(vecs, (0.4, 0.3, 0.15, 0.1, 0.05))
     else:
-        dist = Stream(tuple(BitVec.random(k, rng) for _ in range(STREAM_LEN)))
+        dist = Stream(tuple(random_bitvec(k, rng) for _ in range(STREAM_LEN)))
     return ExampleSource(k, 0.125, dist, seed=seed)
 
 
@@ -356,14 +367,14 @@ def _reference_stream(src, chunks):
     from an integer matmul with the target, then one random() per row
     for the noise."""
     dist, k, eta = src.distribution, src.k, float(src.eta)
-    c = src.target.c.to_bits_row().astype(np.int64)
+    c = bits_row(src.target.c).astype(np.int64)
     rng = np.random.default_rng(src.rng_seed)
     if isinstance(dist, Explicit):
-        support = np.stack([v.to_bits_row() for v in dist.support])
+        support = np.stack([bits_row(v) for v in dist.support])
         probs = np.asarray(dist.probs, dtype=np.float64)
         probs = probs / probs.sum()
     elif isinstance(dist, Stream):
-        rows = np.stack([v.to_bits_row() for v in dist.xs])
+        rows = np.stack([bits_row(v) for v in dist.xs])
     bits, labels = [], []
     for i in range(chunks):
         if isinstance(dist, Uniform):
@@ -421,8 +432,9 @@ def test_draw_forms_give_one_stream(k, dist):
         assert np.array_equal(wl, labels[pos : pos + m])
         if m <= 4:
             for i in range(pos, pos + m):
-                ex = unpacked.draw()
-                assert ex == (BitVec.from_bits_row(bits[i]), labels[i], i)
+                b, bl, start = unpacked.draw_batch(1)
+                assert start == i
+                assert np.array_equal(b[0], bits[i]) and bl[0] == labels[i]
         else:
             b, bl, start = unpacked.draw_batch(m)
             assert start == pos

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bitvec_helpers import bits_row
 from instfile_oracle import format_rows
 from lpn import instfile
 from lpn.cli import main
@@ -26,7 +27,7 @@ V = BitVec.from_string
 
 def tiny_instance():
     bits = np.array(
-        [V("10000000").to_bits_row(), V("01100000").to_bits_row()], dtype=np.uint8
+        [bits_row(V("10000000")), bits_row(V("01100000"))], dtype=np.uint8
     )
     return InstanceData(
         k=8, eta=0.125, seed=7, words=pack_words(bits),
@@ -46,7 +47,7 @@ def test_exact_bytes():
 
 
 def test_coordinate_one_is_low_bit_of_byte_zero():
-    bits = V("100000001").to_bits_row()[None, :]
+    bits = bits_row(V("100000001"))[None, :]
     data = InstanceData(k=9, eta=0.0, seed=0, words=pack_words(bits),
                         labels=np.array([0], dtype=np.uint8))
     assert "0101 0" in format_instance(data)
@@ -93,9 +94,10 @@ def test_replay_source_matches_file():
     src = replay_source(data)
     assert src.k == 9 and len(src) == 40
     for i in range(40):
-        ex = src.draw()
-        assert ex.x == BitVec.from_bits_row(data.bits[i])
-        assert ex.label == int(data.labels[i])
+        bits, labels, start = src.draw_batch(1)
+        assert start == i
+        assert np.array_equal(bits[0], data.bits[i])
+        assert labels[0] == data.labels[i]
 
 
 def write_text(tmp_path, text):

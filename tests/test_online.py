@@ -50,7 +50,7 @@ def test_two_block_reduction_accumulates_depth():
     out = reduce_through(m, x2, l2)
     assert out == Captured(block=2, value=1)
     row = m.rows[(2, 1)]
-    assert row.vec == (x1 ^ x2).bits and row.label == l1 ^ l2 and row.depth == 2
+    assert row.vec == x1.bits ^ x2.bits and row.label == l1 ^ l2 and row.depth == 2
     # a repeat of x2 now folds all the way down
     out = reduce_through(m, x2, 1)
     assert isinstance(out, Zeroed)
@@ -116,13 +116,13 @@ def test_captured_row_label_matches_supplied_label():
 def test_prediction_is_exact_when_labels_are_clean():
     src = new_source(6, 0.0, seed=6)
     bank = MatrixBank(3, 2, t=1)
+    words, labels, _ = src.draw_batch(4000, packed=True)
     seen = 0
-    for _ in range(4000):
-        ex = src.draw()
-        pred = process_example(bank, ex.x, lambda ex=ex: ex.label)
+    for x, label in zip(words[:, 0].tolist(), labels.tolist()):
+        pred = process_example(bank, x, lambda label=label: label)
         if pred.kind == "predicted":
             seen += 1
-            assert pred.bit == src.target.predict(ex.x)
+            assert pred.bit == (x & src.target.c.bits).bit_count() & 1
             assert not pred.tie
     assert seen > 3000
 
@@ -142,23 +142,21 @@ def test_majority_tie_resolves_to_zero():
 def test_zeroed_provenance_reconstructs_example_and_label():
     src = new_source(8, 0.25, seed=7)
     bank = MatrixBank(2, 4, t=2, track_provenance=True)
-    drawn = {}
+    words, labels, _ = src.draw_batch(3000, packed=True)
+    xs, ls = words[:, 0].tolist(), labels.tolist()
     checked = 0
-    for _ in range(3000):
-        ex = src.draw()
-        drawn[ex.index] = ex
+    for i, (x, label) in enumerate(zip(xs, ls)):
         pred = process_example(
-            bank, ex.x, lambda ex=ex: ex.label, index=ex.index, collect=True
+            bank, x, lambda label=label: label, index=i, collect=True
         )
         if pred.kind != "predicted":
             continue
         for z in pred.votes:
-            acc = BitVec.zeros(8)
-            lab = 0
+            acc = lab = 0
             for idx in provenance_indices(z.provenance):
-                acc ^= drawn[idx].x
-                lab ^= drawn[idx].label
-            assert acc == ex.x and lab == z.label
+                acc ^= xs[idx]
+                lab ^= ls[idx]
+            assert acc == x and lab == z.label
             checked += 1
     assert checked > 1000
 

@@ -1,5 +1,7 @@
-"""Package-level checks: every public name a module declares exists."""
+"""Package-level checks: every public name a module declares exists, and
+every name the package re-exports is one its module declares."""
 
+import ast
 import importlib
 import pkgutil
 
@@ -22,3 +24,25 @@ def test_all_names_resolve(name):
     assert missing == []
     namespace = {}
     exec(f"from {name} import *", namespace)
+
+
+def test_package_exports_are_in_their_modules_all():
+    # a name retired from a module's __all__ must not live on as a
+    # package export
+    with open(lpn.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported, stale = 0, []
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            name = f"lpn.{node.module}"
+        elif node.level == 0 and node.module.startswith("lpn."):
+            name = node.module
+        else:
+            continue
+        listed = importlib.import_module(name).__all__
+        imported += len(node.names)
+        stale += [f"{name}.{a.name}" for a in node.names if a.name not in listed]
+    assert imported > 0
+    assert stale == []

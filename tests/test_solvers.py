@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import merge_oracle
 import mle_oracle
+from bitvec_helpers import bits_row, random_bitvec
 from lpn.gf2 import (
     BitVec, BlockLayout, GaussStatus, back_substitute, eliminate, pack_words,
 )
 from lpn import solvers
-from lpn.instance import Explicit, ParityTarget, ReplaySource, Stream, new_source
+from lpn.instance import Explicit, ReplaySource, Stream, new_source
 from lpn.solvers import (
     MLE_MAX_K,
     BudgetExceededError,
@@ -27,7 +28,6 @@ from lpn.solvers import (
     merge_step,
     mle_bruteforce,
     predicted_bias,
-    recover_first_bit,
     recover_target,
     repetitions_for,
     xor_chain_oracle,
@@ -131,7 +131,7 @@ def vectors(sample):
 
 def test_merge_worked_example():
     layout = BlockLayout(2, 2)
-    rows = [V(s).to_bits_row() for s in ("0110", "1110", "1001", "0101")]
+    rows = [bits_row(V(s)) for s in ("0110", "1110", "1001", "0101")]
     sample = zero_sample(layout, rows, labels=np.array([1, 0, 1, 1], dtype=np.uint8))
     out = merge_step(sample, rng=0)
     assert set(vectors(out)) == {V("1000"), V("1100")}
@@ -160,7 +160,7 @@ def test_merge_single_class_loses_one():
 
 def test_merge_all_singletons_empties():
     layout = BlockLayout(2, 2)
-    rows = [V(s).to_bits_row() for s in ("0001", "0010", "0011")]
+    rows = [bits_row(V(s)) for s in ("0001", "0010", "0011")]
     out = merge_step(zero_sample(layout, rows), rng=2)
     assert len(out) == 0
     assert out.words.shape == (0,)
@@ -296,8 +296,9 @@ def test_aggregated_labels_match_bias_formula():
 def test_recover_first_bit_noiseless():
     src = new_source(8, 0.0, seed=5)
     cfg = SolverConfig(layout=BlockLayout(2, 4), repetitions=5)
-    bit, (ones, zeros) = recover_first_bit(src, cfg)
-    assert bit == src.target.c.bit(0)
+    res = recover_target(src, cfg)
+    ones, zeros = res.per_bit_votes[0]
+    assert res.c_hat.c.bit(0) == src.target.c.bit(0)
     assert ones + zeros == 5
     assert ones in (0, 5)  # noiseless votes all agree
 
@@ -457,7 +458,6 @@ def test_layouts_wider_than_62_bits_are_refused():
     src = new_source(8, 0.0, seed=1)
     cfg = SolverConfig(BlockLayout(2, 32), repetitions=3)
     for call in (lambda: recover_target(src, cfg),
-                 lambda: recover_first_bit(src, cfg),
                  lambda: collect_votes(src, cfg, 3),
                  lambda: ISample(0, BlockLayout(2, 32), np.zeros(4, np.int64))):
         with pytest.raises(ValueError, match="62-bit"):
@@ -469,7 +469,7 @@ def test_votes_use_fresh_examples():
     src = new_source(8, 0.1, seed=8)
     cfg = SolverConfig(layout=BlockLayout(2, 4), repetitions=10)
     before = src.draw_count
-    recover_first_bit(src, cfg)
+    collect_votes(src, cfg, 10)
     used = src.draw_count - before
     assert used >= 10 * 2 * 2**4  # at least a*2^b fresh draws per vote
 
@@ -510,7 +510,7 @@ def test_budget_exceeded_raises_and_reports():
     src = new_source(8, 0.1, seed=12)
     cfg = SolverConfig(layout=BlockLayout(2, 4), repetitions=50, max_examples=300)
     with pytest.raises(BudgetExceededError):
-        recover_first_bit(src, cfg)
+        collect_votes(src, cfg, 50)
 
 
 def test_recover_target_budget_status():
@@ -540,8 +540,6 @@ def test_finite_source_is_a_budget():
     assert len(src) - res.examples_used < 40 * 32
     assert res.wall_time_s > 0
     with pytest.raises(BudgetExceededError):
-        recover_first_bit(short_replay(1000, 31), cfg)
-    with pytest.raises(BudgetExceededError):
         collect_votes(short_replay(1000, 32), cfg, 40)
     # the tighter of max_examples and the rows left wins
     capped = replace(cfg, max_examples=1500)
@@ -570,7 +568,7 @@ def test_redraw_cap_trips_on_degenerate_distribution():
     src = new_source(4, 0.0, distribution=dist, seed=14)
     cfg = SolverConfig(layout=BlockLayout(2, 2), repetitions=1)
     with pytest.raises(BudgetExceededError):
-        recover_first_bit(src, cfg)
+        collect_votes(src, cfg, 1)
 
 
 def test_config_validation():
@@ -585,7 +583,7 @@ def test_auto_repetitions_need_a_noise_rate():
                        np.zeros(10, dtype=np.uint8), 8)
     cfg = SolverConfig(layout=BlockLayout(2, 4))
     with pytest.raises(ValueError):
-        recover_first_bit(src, cfg)
+        recover_target(src, cfg)
 
 
 # -- brute-force MLE --------------------------------------------------
@@ -597,11 +595,12 @@ def draw_words(src, m):
     return words, labels
 
 
-def naive_mle(samples, k):
-    best, best_err = 0, len(samples) + 1
+def naive_mle(words, labels, k):
+    xs = [int(w) for w in words[:, 0]]
+    best, best_err = 0, len(xs) + 1
     for cand in range(1 << k):
-        t = ParityTarget(BitVec(k, cand))
-        err = sum(1 for s in samples if t.predict(s.x) != s.label)
+        err = sum(1 for x, l in zip(xs, labels)
+                  if (x & cand).bit_count() & 1 != l)
         if err < best_err:
             best, best_err = cand, err
     return BitVec(k, best)
@@ -610,10 +609,8 @@ def naive_mle(samples, k):
 def test_mle_agrees_with_naive_enumeration():
     # odd k and m not a multiple of 8 leave padding in the packed columns
     for k, m, seed in [(6, 60, 15), (1, 5, 1), (7, 61, 7), (13, 37, 13)]:
-        src = new_source(k, 0.2, seed=seed)
-        samples = [src.draw() for _ in range(m)]
         words, labels = draw_words(new_source(k, 0.2, seed=seed), m)
-        assert mle_bruteforce(words, labels, k).c == naive_mle(samples, k)
+        assert mle_bruteforce(words, labels, k).c == naive_mle(words, labels, k)
 
 
 def test_mle_noiseless_recovers():
@@ -624,7 +621,7 @@ def test_mle_noiseless_recovers():
 
 def test_mle_tie_break_is_smallest_candidate():
     src = new_source(4, 0.0, distribution=Explicit((V("0000"),), (1.0,)), seed=1)
-    assert mle_bruteforce(*draw_words(src, 10), 4).c == BitVec.zeros(4)
+    assert mle_bruteforce(*draw_words(src, 10), 4).c == BitVec(4)
 
 
 def test_mle_rejects_bad_inputs():
@@ -654,7 +651,7 @@ def test_mle_transform_matches_gray_code_walk_on_ties(k, m):
     # rows from three vectors: a candidate's errors depend only on its
     # three parities, so each error count is shared by 2^(k-3) candidates
     rng = np.random.default_rng(k)
-    dist = Explicit(tuple(BitVec.random(k, rng) for _ in range(3)), (0.5, 0.3, 0.2))
+    dist = Explicit(tuple(random_bitvec(k, rng) for _ in range(3)), (0.5, 0.3, 0.2))
     words, labels = draw_words(new_source(k, 0.3, distribution=dist, seed=m), m)
     assert mle_bruteforce(words, labels, k).c.bits == mle_oracle.mle_gray(
         words, labels, k)
@@ -709,12 +706,12 @@ def test_gaussian_baseline_breaks_under_noise():
 
 @pytest.mark.parametrize("eta,m", [(0.0, 40), (0.0, 90), (0.05, 300)])
 def test_gaussian_baseline_matches_elimination_on_two_word_rows(eta, m):
-    # k=70 rows span two words; the reference eliminates BitVec ints
+    # k=70 rows span two words; the reference eliminates them as ints
     k = 70
-    src = new_source(k, eta, seed=18)
-    examples = [src.draw() for _ in range(m)]
+    words, labels = draw_words(new_source(k, eta, seed=18), m)
     pivots, residues = eliminate(
-        [ex.x.bits | ex.label << k for ex in examples], (1 << k) - 1
+        [int.from_bytes(w.tobytes(), "little") | int(l) << k
+         for w, l in zip(words, labels)], (1 << k) - 1
     )
     if residues:
         want = (GaussStatus.INCONSISTENT, None)

@@ -30,7 +30,6 @@ from lpn.sq import (
     parity_concept,
     sq_answer,
     sq_dimension,
-    weak_advantage,
 )
 
 UNIFORM3 = FiniteDistribution.uniform_over(3)
@@ -293,9 +292,11 @@ def test_weak_advantage_extremes():
     c = parity_concept(0b010, 3)
     comp = Concept("not-c", 3, lambda x: 1 - c.labels(x))
     other = parity_concept(0b100, 3)
-    assert weak_advantage(c, c, UNIFORM3) == 0.5
-    assert weak_advantage(comp, c, UNIFORM3) == -0.5
-    assert weak_advantage(other, c, UNIFORM3) == 0.0
+    for h, want in ((c, 0.5), (comp, -0.5), (other, 0.0)):
+        assert sq_oracle.weak_advantage(h, c, UNIFORM3) == want
+        # as the reduction measures it, with one agreement query
+        agree = SqQuery(lambda x, l, h=h: h.labels(x) == l, 0.1)
+        assert sq_answer(agree, c, UNIFORM3) - 0.5 == want
 
 
 def test_sq_dimension_all_parities():
@@ -391,7 +392,7 @@ def test_reduction_case_one_first_coordinate():
     assert out.kind == "weak_hypothesis"
     assert out.fired is not None
     assert out.advantage >= 0.45
-    assert weak_advantage(out.hypothesis, c, UNIFORM4) == out.advantage
+    assert sq_oracle.weak_advantage(out.hypothesis, c, UNIFORM4) == out.advantage
 
 
 def test_reduction_unbalanced_concept_short_circuits():
@@ -543,6 +544,13 @@ def test_basis_learner_rejects_width_mismatch():
     with pytest.raises(ValueError):
         basis_query_learner(3, parity_concept(1, 3),
                             FiniteDistribution.uniform_over(4))
+
+
+def test_basis_learner_rejects_a_concept_of_another_width():
+    # a 6-bit parity at k=4 once came back as parity:1000, no error
+    for concept in (parity_concept(0b110001, 6), parity_concept(0b01, 2)):
+        with pytest.raises(ValueError, match="concept width"):
+            basis_query_learner(4, concept)
 
 
 def test_basis_learner_point_mass_has_no_basis():
