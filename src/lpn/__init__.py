@@ -5,7 +5,6 @@ from .gf2 import (
     BlockLayout,
     GaussResult,
     GaussStatus,
-    gaussian_solve,
 )
 from .instance import (
     ExampleSource,

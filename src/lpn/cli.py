@@ -363,7 +363,13 @@ def cmd_solve(ns) -> int:
         }
         for seed in seeds
     ]
-    threads = int(os.environ.get("LPN_THREADS", "1") or "1")
+    raw_threads = os.environ.get("LPN_THREADS", "1") or "1"
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        raise _UsageError(
+            f"LPN_THREADS must be an integer, not {raw_threads!r}"
+        ) from None
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_solve_one, tasks))

@@ -11,21 +11,17 @@ The bkw merge and the online decoder view a row's single word as int64
 with its label in bit 63, so they take up to 62 coordinates.  Values
 move between representations without any reindexing.
 
-There are two eliminators, one per kind of traffic.  `eliminate` runs
-one system at a time over Python ints of any width: `gaussian_solve`
-and `express_in_span` hand it a single system whose rows may be
-thousands of bits wide.  `solve_batch` runs many small square
-systems at once over int64 arrays, vectorised along the batch: the SQ
-basis learner solves one k x k system per k-tuple of draws, tens of
-thousands of them per query pass, where a Python loop per system would
-cost more than the rest of the pass.
+`eliminate` is the one GF(2) eliminator: Gauss-Jordan over row words,
+vectorised across a batch of systems.  The elimination baseline hands
+it one system of thousands of rows; the SQ basis learner hands it one
+k x k system per k-tuple of draws, tens of thousands at a time.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,10 +33,6 @@ __all__ = [
     "pack_words",
     "unpack_words",
     "eliminate",
-    "back_substitute",
-    "solve_batch",
-    "express_in_span",
-    "gaussian_solve",
 ]
 
 
@@ -168,99 +160,46 @@ def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(raw, axis=1, count=n, bitorder="little")
 
 
-def eliminate(
-    rows: Iterable[int], colmask: int
-) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Forward elimination of int-packed GF(2) rows on the columns in colmask.
+def eliminate(rows: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan on columns 0..k-1 of T systems of row words at once.
 
-    Each row is reduced by the pivots found so far.  If it keeps a set
-    bit inside colmask it becomes a pivot, keyed by its lowest such bit;
-    otherwise, if anything is left outside the mask, that remainder is a
-    residue.  Bits outside the mask ride along with every XOR, so they
-    can carry a label or a mask of the rows combined.  Returns the
-    pivots as (key bit, reduced row) in the order found, and the
-    residues in input order.
+    rows is a (T, m, nw) uint64 array: system t is the m row words
+    rows[t] (pack_words).  Bits at k and above ride along with every
+    XOR, so they can carry a label.  Returns a reduced copy and the (T,)
+    rank.  In system t, rows 0..rank-1 hold one pivot each, in
+    increasing column order, and each pivot column is clear in every
+    other row; rows from rank on are zero on columns below k.  Any
+    other shape or dtype, or k outside 0..64*nw, is a ValueError.
     """
-    pivots: List[Tuple[int, int]] = []
-    residues: List[int] = []
-    for row in rows:
-        for key, prow in pivots:
-            if row & key:
-                row ^= prow
-        cols = row & colmask
-        if cols:
-            pivots.append((cols & -cols, row))
-        elif row:
-            residues.append(row)
-    return pivots, residues
-
-
-def back_substitute(pivots: Sequence[Tuple[int, int]], n: int) -> int:
-    """The c with <c, row> equal to bit n of every pivot row.
-
-    pivots come from eliminate with colmask (1 << n) - 1 and the label
-    riding in bit n.  Coordinates without a pivot are set to 0.
-    """
-    c = 0
-    for key, prow in sorted(pivots, reverse=True):
-        # prow's other columns lie above key and are already solved
-        if ((prow & c).bit_count() ^ (prow >> n)) & 1:
-            c |= key
-    return c
-
-
-def solve_batch(rows: np.ndarray, k: int) -> np.ndarray:
-    """Solve T square GF(2) systems at once; -1 where one is singular.
-
-    rows is a (T, k) int64 array: system t is the k rows rows[t], each
-    with its coordinates in bits 0..k-1 and its label in bit k, so k is
-    at most 62.  Returns the (T,) int64 array of the unique c with
-    <c, row> equal to every row's label, or -1 for a system whose rows
-    do not span all k coordinates.  This is what eliminate with colmask
-    (1 << k) - 1 followed by back_substitute gives for one system, with
-    -1 where it finds fewer than k pivots.
-    """
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != k or not 1 <= k <= 62:
-        raise ValueError("need a (T, k) array of rows with 1 <= k <= 62")
-    a = rows.astype(np.int64, copy=True)
-    t = np.arange(len(a))
-    ok = np.ones(len(a), dtype=bool)
-    # Gauss-Jordan, column j at step j: rows 0..j-1 hold the pivots so
-    # far, and the first later row with bit j set is swapped into row j
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 3
+            and rows.dtype == np.uint64):
+        raise ValueError("need a (T, m, nw) uint64 array of row words")
+    if not 0 <= k <= 64 * rows.shape[2]:
+        raise ValueError(f"k={k} is outside 0..{64 * rows.shape[2]}")
+    T, m, _ = rows.shape
+    rank = np.zeros(T, dtype=np.intp)
+    if m == 0:  # nothing to pivot on, and a max over no rows raises
+        return rows.copy(), rank
+    # systems along the last axis, so each step works on rows of T words
+    a = np.ascontiguousarray(rows.transpose(1, 2, 0))
+    t = np.arange(T)
+    index = np.arange(m)[:, None]
     for j in range(k):
-        has = (a[:, j:] >> j) & 1
-        ok &= has.any(axis=1)
-        p = j + has.argmax(axis=1)
-        prow = a[t, p]
-        a[t, p] = a[:, j]
-        a[:, j] = prow
-        hit = ((a >> j) & 1).astype(bool)
-        hit[:, j] = False
-        a ^= np.where(hit, prow[:, None], 0)
-    # row j is now coordinate j alone, with its value in the label bit
-    c = (((a >> k) & 1) << np.arange(k, dtype=np.int64)).sum(axis=1)
-    return np.where(ok, c, -1)
-
-
-def express_in_span(rows: Sequence[BitVec], target: BitVec) -> Optional[List[int]]:
-    """Indices of rows whose XOR equals target, or None if out of span.
-
-    Row i carries bit i of a combination mask above the n columns, and
-    the target, eliminated last, carries bit len(rows).  Elimination
-    pivots on the lowest set column, so the result is deterministic for
-    a given row order.
-    """
-    n, m = target.n, len(rows)
-    if any(r.n != n for r in rows):
-        raise ValueError("length mismatch")
-    aug = [r.bits | 1 << (n + i) for i, r in enumerate(rows)]
-    aug.append(target.bits | 1 << (n + m))
-    _, residues = eliminate(aug, (1 << n) - 1)
-    if not residues or not residues[-1] >> (n + m):
-        return None  # the target became a pivot
-    combo = residues[-1] >> n
-    return [i for i in range(m) if (combo >> i) & 1]
+        w, bit = j // 64, np.uint64(1 << j % 64)
+        # m - (the first row at or past the rank with bit j), else 0
+        first = (((a[:, w] & bit) != 0) & (index >= rank)) * (m - index)
+        first = first.max(axis=0)
+        found = first > 0
+        r = np.minimum(rank, m - 1)  # a full-rank system finds nothing
+        p = np.where(found, m - first, r)
+        # swap the pivot into row r, clear bit j everywhere, restore row r
+        prow = a[p, :, t]
+        a[p, :, t] = a[r, :, t]
+        hit = ((a[:, w] & bit) != 0) & found
+        a ^= np.where(hit[:, None], prow.T, np.uint64(0))
+        a[r, :, t] = prow
+        rank += found
+    return a.transpose(2, 0, 1).copy(), rank
 
 
 class GaussStatus(enum.Enum):
@@ -274,24 +213,3 @@ class GaussResult:
     status: GaussStatus
     solution: Optional[BitVec] = None
 
-
-def gaussian_solve(
-    rows: Sequence[int], labels: Sequence[int], n: int
-) -> GaussResult:
-    """Solve <row, c> = label over GF(2) for int-packed rows of n bits.
-
-    Returns SOLVED with the unique solution when the rows have full
-    column rank, UNDERDETERMINED when consistent but rank deficient, and
-    INCONSISTENT when no solution exists.  An inconsistent system is
-    reported as such even if it is also rank deficient.
-    """
-    if len(rows) != len(labels):
-        raise ValueError("labels must match rows one to one")
-    pivots, residues = eliminate(
-        (r | l << n for r, l in zip(rows, labels)), (1 << n) - 1
-    )
-    if residues:  # a row reduced to 0 = 1
-        return GaussResult(GaussStatus.INCONSISTENT)
-    if len(pivots) < n:
-        return GaussResult(GaussStatus.UNDERDETERMINED)
-    return GaussResult(GaussStatus.SOLVED, BitVec(n, back_substitute(pivots, n)))

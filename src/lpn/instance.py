@@ -120,9 +120,9 @@ class Explicit:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ValueError("support and probs must be nonempty and equal length")
-        if any(p < 0 for p in self.probs):
+        if not all(p >= 0.0 for p in self.probs):  # NaN fails too
             raise ValueError("probabilities must be nonnegative")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
+        if not abs(sum(self.probs) - 1.0) <= 1e-9:
             raise ValueError("probabilities must sum to 1")
         n = self.support[0].n
         if any(v.n != n for v in self.support):

@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .gf2 import BitVec, BlockLayout, GaussResult, gaussian_solve
+from .gf2 import BitVec, BlockLayout, GaussResult, GaussStatus, eliminate
 from .instance import NoiseRate, ParityTarget, _check_words
 from .seeding import derive_seed
 
@@ -611,10 +611,15 @@ def gaussian_baseline(
     happen to stay consistent).
     """
     _check_words(words, labels, k)
-    raw = np.ascontiguousarray(words, dtype="<u8").tobytes()
-    step = words.shape[1] * 8
-    rows = [
-        int.from_bytes(raw[i : i + step], "little")
-        for i in range(0, len(raw), step)
-    ]
-    return gaussian_solve(rows, labels.tolist(), k)
+    # one system, each row's label riding at bit k
+    rows = np.zeros((1, len(labels), k // 64 + 1), dtype=np.uint64)
+    rows[0, :, : words.shape[1]] = words
+    rows[0, :, k // 64] |= labels.astype(np.uint64) << np.uint64(k % 64)
+    reduced, (rank,) = eliminate(rows, k)
+    label = (reduced[0, :, k // 64] >> np.uint64(k % 64)) & np.uint64(1)
+    if label[rank:].any():  # a row reduced to 0 = 1
+        return GaussResult(GaussStatus.INCONSISTENT)
+    if rank < k:
+        return GaussResult(GaussStatus.UNDERDETERMINED)
+    # row i is coordinate i alone, with its value in the label bit
+    return GaussResult(GaussStatus.SOLVED, BitVec.from_bits_row(label[:k]))

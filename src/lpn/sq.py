@@ -27,7 +27,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from .gf2 import BitVec, solve_batch
+from .gf2 import BitVec, eliminate
 from .instance import ParityTarget
 from .seeding import derive_seed
 
@@ -599,13 +599,13 @@ def _basis_answers(
     """
     pts = dist.points_array
     labels = concept.labels(pts).astype(np.int64)
-    shifts = np.arange(k, dtype=np.int64)
 
     def events(xs: np.ndarray, ls: np.ndarray) -> np.ndarray:
-        # one elimination per tuple serves all k+1 queries
-        pinned = solve_batch(xs | ls << k, k)
-        basis = pinned >= 0
-        bits = ((pinned[:, None] >> shifts) & 1).astype(bool)
+        # one elimination per tuple serves all k+1 queries; on a basis,
+        # row i is coordinate i alone, its value in the label bit k
+        reduced, rank = eliminate((xs | ls << k).view(np.uint64)[:, :, None], k)
+        basis = rank == k
+        bits = ((reduced[:, :, 0] >> np.uint64(k)) & np.uint64(1)).astype(bool)
         return np.column_stack([basis, bits & basis[:, None]])
 
     return _exact_probs(dist, k, events, pts, labels)
@@ -658,8 +658,8 @@ def concept_class(name: str) -> Tuple[List[Concept], FiniteDistribution]:
     """
     m = name.split(":")
     if len(m) == 2 and "-of-" in m[1]:
-        j_s, n_s = m[1].split("-of-")
         try:
+            j_s, n_s = m[1].split("-of-")
             j, n = int(j_s), int(n_s)
         except ValueError:
             raise ValueError(f"cannot parse class {name!r}") from None

@@ -5,8 +5,8 @@ walks the |D|^k tuples with `itertools.product` in lexicographic order
 of their point indices, asks an array predicate about one tuple at a
 time (as a batch of one), and sums a non-uniform probability in that
 order as the left-to-right product of the draws' weights.  The basis
-learner's k+1 answers are recomputed with one scalar `eliminate` per
-tuple.
+learner's k+1 answers are recomputed with one scalar elimination per
+tuple (`gf2_oracle.eliminate` and `back_substitute` on Python ints).
 
 `kwise_to_unary_reduce` is the reduction one candidate at a time: one
 `rng.choice` per tuple (`sample_tuple`), and a `Concept` built and
@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from lpn.gf2 import back_substitute, eliminate
+from gf2_oracle import back_substitute, eliminate
 from lpn.seeding import derive_seed
 from lpn.sq import (
     Concept,

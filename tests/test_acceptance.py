@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lpn.gf2 import BitVec, BlockLayout, express_in_span, pack_words
+from gf2_oracle import express_in_span
+from lpn.gf2 import BitVec, BlockLayout, pack_words
 from lpn.instance import new_source
 from lpn.online import run_online
 from lpn.solvers import (

@@ -180,6 +180,14 @@ def test_solve_worker_pool_matches_serial(capsys, monkeypatch):
     assert rows_without_time(pooled) == rows_without_time(serial)
 
 
+def test_non_integer_thread_count_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LPN_THREADS", "x")
+    code, out, err = run(capsys, "solve", "--algo", "gauss", "--k", "8",
+                         "--eta", "0")
+    assert code == 1 and out == ""
+    assert "LPN_THREADS must be an integer, not 'x'" in err
+
+
 @pytest.mark.parametrize("algo,extra", [
     ("bkw", ["--k", "8", "--eta", "0.125"]),
     ("mle", ["--k", "8", "--eta", "0.125", "--max-examples", "200"]),

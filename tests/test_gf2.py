@@ -8,26 +8,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gf2_oracle as oracle
 from bitvec_helpers import random_bitvec
 from lpn.gf2 import (
     BitVec,
     BlockLayout,
     GaussStatus,
-    back_substitute,
     eliminate,
-    express_in_span,
-    gaussian_solve,
     pack_words,
     unpack_words,
-    solve_batch,
 )
+from lpn.solvers import gaussian_baseline
 
 V = BitVec.from_string
 
 
 def rank(rows):
-    """Rank of int-packed GF(2) rows: the pivots eliminate finds."""
-    return len(eliminate(rows, -1)[0])
+    """Rank of int-packed GF(2) rows: the pivots the oracle finds."""
+    return len(oracle.eliminate(rows, -1)[0])
+
+
+def words_of(xs, nw):
+    """Int-packed rows as an (m, nw) array of row words."""
+    raw = b"".join(x.to_bytes(8 * nw, "little") for x in xs)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(xs), nw).copy()
+
+
+def ints_of(words):
+    """(m, nw) row words back to int-packed rows."""
+    return [int.from_bytes(w.tobytes(), "little") for w in words]
+
+
+def solve(xs, labels, k):
+    """gaussian_baseline on int-packed rows of k bits."""
+    return gaussian_baseline(
+        words_of(xs, -(-k // 64)), np.array(labels, dtype=np.uint8), k
+    )
 
 
 def dot(u, v):
@@ -108,14 +124,14 @@ def test_layout_validation():
 
 def test_express_in_span():
     rows = [V("1100"), V("0110"), V("0011")]
-    combo = express_in_span(rows, V("1010"))
+    combo = oracle.express_in_span(rows, V("1010"))
     assert combo is not None
     acc = 0
     for i in combo:
         acc ^= rows[i].bits
     assert acc == V("1010").bits
-    assert express_in_span(rows, V("1000")) is None
-    assert express_in_span(rows, BitVec(4)) == []
+    assert oracle.express_in_span(rows, V("1000")) is None
+    assert oracle.express_in_span(rows, BitVec(4)) == []
 
 
 @given(st.integers(1, 40), st.data())
@@ -123,7 +139,7 @@ def test_express_in_span_random(k, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     rows = [random_bitvec(k, rng) for _ in range(k + 4)]
     target = random_bitvec(k, rng)
-    combo = express_in_span(rows, target)
+    combo = oracle.express_in_span(rows, target)
     if combo is None:
         assert rank([r.bits for r in rows] + [target.bits]) > rank(
             [r.bits for r in rows]
@@ -155,7 +171,7 @@ def test_elimination_matches_brute_force():
         assert rank(xs) == len(span).bit_length() - 1
         rows = [BitVec(k, x) for x in xs]
         for t in range(1 << k):
-            combo = express_in_span(rows, BitVec(k, t))
+            combo = oracle.express_in_span(rows, BitVec(k, t))
             if t not in span:
                 assert combo is None
                 continue
@@ -173,7 +189,7 @@ def test_elimination_matches_brute_force():
             c for c in range(1 << k)
             if all((x & c).bit_count() & 1 == l for x, l in zip(xs, labels))
         ]
-        res = gaussian_solve(xs, labels, k)
+        res = solve(xs, labels, k)
         if not fits:
             assert res.status is GaussStatus.INCONSISTENT
         elif len(fits) > 1:
@@ -204,8 +220,26 @@ def _square_systems(k, count, rng):
     return rows
 
 
+def check_reduced(rows, reduced, ranks, k):
+    """The reduced form eliminate promises, system by system: pivots in
+    rows 0..rank-1 in increasing column order, each pivot column clear
+    in every other row, nothing below k from rank on, and the same row
+    space over every bit, labels included."""
+    low = (1 << k) - 1
+    for system, out, r in zip(rows, reduced, ranks.tolist()):
+        before, after = ints_of(system), ints_of(out)
+        keys = [x & low & -(x & low) for x in after[:r]]
+        assert all(keys) and keys == sorted(set(keys))
+        for i, key in enumerate(keys):
+            assert not any(x & key for j, x in enumerate(after) if j != i)
+        assert not any(x & low for x in after[r:])
+        assert rank(before) == rank(after) == rank(before + after)
+
+
 @pytest.mark.parametrize("k", [1, 2, 7, 31, 62])
 def test_solve_batch_matches_eliminate_and_back_substitute(k):
+    # a batch of square systems through gf2.eliminate, against the
+    # oracle's eliminate and back_substitute one system at a time
     rng = np.random.default_rng(k)
     rows = _square_systems(k, 600, rng)
     # every k x k system of 1-bit and 2-bit rows, labels included
@@ -215,29 +249,109 @@ def test_solve_batch_matches_eliminate_and_back_substitute(k):
             np.array(list(itertools.product(range(1 << (k + 1)), repeat=k)),
                      dtype=np.int64),
         ])
-    before = rows.copy()
-    got = solve_batch(rows, k)
-    assert np.array_equal(rows, before)  # the rows are left alone
-    assert got.dtype == np.int64 and got.shape == (len(rows),)
+    batch = rows.view(np.uint64)[:, :, None]
+    before = batch.copy()
+    reduced, ranks = eliminate(batch, k)
+    assert np.array_equal(batch, before)  # the rows are left alone
+    assert reduced.shape == batch.shape and ranks.shape == (len(rows),)
+    check_reduced(batch, reduced, ranks, k)
+    # on a basis, row i is coordinate i alone with its value at bit k
+    pinned = (reduced[:, :, 0] >> np.uint64(k)) & np.uint64(1)
     singular = 0
     for t, system in enumerate(rows.tolist()):
-        pivots, _ = eliminate(system, (1 << k) - 1)
+        pivots, _ = oracle.eliminate(system, (1 << k) - 1)
+        assert ranks[t] == len(pivots), system
         if len(pivots) < k:
             singular += 1
-            assert got[t] == -1, system
         else:
-            assert got[t] == back_substitute(pivots, k), system
+            c = oracle.back_substitute(pivots, k)
+            assert pinned[t].tolist() == [(c >> i) & 1 for i in range(k)]
     assert 0 < singular < len(rows)
 
 
-def test_solve_batch_checks_its_shape():
-    assert solve_batch(np.zeros((0, 3), dtype=np.int64), 3).shape == (0,)
-    for rows, k in ((np.zeros((4, 3), dtype=np.int64), 2),
-                    (np.zeros(3, dtype=np.int64), 3),
-                    (np.zeros((2, 63), dtype=np.int64), 63),
-                    (np.zeros((2, 0), dtype=np.int64), 0)):
+@pytest.mark.parametrize("k", [63, 64, 65, 70, 130])
+def test_eliminate_matches_oracle_on_wide_systems(k):
+    # non-square systems over one to three words, the label at bit k:
+    # random labels (mostly inconsistent), rows from a small subspace
+    # (rank deficient), a planted parity, and the planted parity with
+    # one label flipped
+    rng = np.random.default_rng(k)
+    nw = k // 64 + 1
+
+    def vec():
+        return random_bitvec(k, rng).bits
+
+    basis = [vec() for _ in range(k // 3)]
+    for m in (k // 2, k, 3 * k):
+        c = vec()
+        systems = []
+        for kind in range(4):
+            if kind == 1:
+                xs = []
+                for _ in range(m):
+                    x = 0
+                    for b in basis:
+                        x ^= b * int(rng.integers(0, 2))
+                    xs.append(x)
+            else:
+                xs = [vec() for _ in range(m)]
+            labels = [(x & c).bit_count() & 1 for x in xs]
+            if kind == 0:
+                labels = [int(l) for l in rng.integers(0, 2, size=m)]
+            elif kind == 3:
+                labels[int(rng.integers(0, m))] ^= 1
+            systems.append([x | l << k for x, l in zip(xs, labels)])
+        batch = np.stack([words_of(xs, nw) for xs in systems])
+        before = batch.copy()
+        reduced, ranks = eliminate(batch, k)
+        assert np.array_equal(batch, before)
+        check_reduced(batch, reduced, ranks, k)
+        label = (reduced[:, :, k // 64] >> np.uint64(k % 64)) & np.uint64(1)
+        for t, system in enumerate(systems):
+            pivots, residues = oracle.eliminate(system, (1 << k) - 1)
+            r = len(pivots)
+            assert ranks[t] == r
+            assert label[t, r:].any() == bool(residues)
+            if r == k and not residues:
+                c_t = oracle.back_substitute(pivots, k)
+                assert label[t, :k].tolist() == [(c_t >> i) & 1 for i in range(k)]
+        if m == 3 * k:  # full rank and inconsistent both occur
+            assert ranks[0] == k and ranks[1] < k
+            assert label[0, k:].any() and label[3, k:].any()
+            assert not label[2, k:].any()
+
+
+def test_eliminate_checks_its_input():
+    # empty batches and empty systems: argmax-style scans over an empty
+    # axis must not run
+    for shape in ((0, 3, 1), (4, 0, 1), (0, 0, 2)):
+        reduced, ranks = eliminate(np.zeros(shape, dtype=np.uint64), 5)
+        assert reduced.shape == shape and ranks.shape == (shape[0],)
+        assert not ranks.any()
+    rng = np.random.default_rng(9)
+    rows = rng.integers(0, 2**63, size=(3, 8, 2), dtype=np.uint64)
+    # k = 0 reduces nothing; the result is still a copy
+    reduced, ranks = eliminate(rows, 0)
+    assert np.array_equal(reduced, rows) and not ranks.any()
+    reduced[0, 0, 0] ^= np.uint64(1)
+    assert not np.array_equal(reduced, rows)
+    # every bit a column, and a strided view eliminates like its copy
+    reduced, ranks = eliminate(rows, 128)
+    check_reduced(rows, reduced, ranks, 128)
+    strided = rows[:, ::2]
+    for got, want in zip(eliminate(strided, 100), eliminate(strided.copy(), 100)):
+        assert np.array_equal(got, want)
+    for bad, k in ((np.zeros((4, 3), dtype=np.uint64), 3),
+                   (np.zeros((1, 4, 3, 1), dtype=np.uint64), 3),
+                   (np.zeros((1, 4, 1), dtype=np.int64), 3),
+                   (np.zeros((1, 4, 1), dtype=np.uint32), 3),
+                   (np.zeros((1, 4, 1), dtype=">u8"), 3),
+                   (np.zeros((1, 4, 1), dtype=np.uint64).tolist(), 3),
+                   (np.zeros((1, 4, 1), dtype=np.uint64), -1),
+                   (np.zeros((1, 4, 1), dtype=np.uint64), 65),
+                   (np.zeros((1, 4, 2), dtype=np.uint64), 129)):
         with pytest.raises(ValueError):
-            solve_batch(rows, k)
+            eliminate(bad, k)
 
 
 def test_pack_rows_bit_order():
@@ -278,50 +392,50 @@ def test_pack_words_round_trip(n):
     assert back.dtype == np.uint8 and np.array_equal(back, bits)
 
 
-# -- gaussian_solve ---------------------------------------------------
+# -- gaussian_baseline -----------------------------------------------
 
 
 def test_solve_identity_system():
     c = V("10110")
     rows = [BitVec(5, 1 << i) for i in range(5)]
     labels = [c.bit(i) for i in range(5)]
-    res = gaussian_solve([r.bits for r in rows], labels, 5)
+    res = solve([r.bits for r in rows], labels, 5)
     assert res.status is GaussStatus.SOLVED
     assert res.solution == c
 
 
 def test_solve_hand_system():
     rows = [V(s).bits for s in ("1100", "0100", "0010", "0001")]
-    res = gaussian_solve(rows, [1, 0, 0, 0], 4)
+    res = solve(rows, [1, 0, 0, 0], 4)
     assert res.status is GaussStatus.SOLVED
     assert res.solution == V("1000")
     # flipping the second label moves the pinned first coordinate
-    res = gaussian_solve(rows, [1, 1, 0, 0], 4)
+    res = solve(rows, [1, 1, 0, 0], 4)
     assert res.status is GaussStatus.SOLVED
     assert res.solution == V("0100")
 
 
 def test_solve_inconsistent():
-    res = gaussian_solve([V("1000").bits] * 2, [0, 1], 4)
+    res = solve([V("1000").bits] * 2, [0, 1], 4)
     assert res.status is GaussStatus.INCONSISTENT
     assert res.solution is None
 
 
 def test_solve_underdetermined():
-    res = gaussian_solve([V("1100").bits, V("0011").bits], [0, 1], 4)
+    res = solve([V("1100").bits, V("0011").bits], [0, 1], 4)
     assert res.status is GaussStatus.UNDERDETERMINED
 
 
 def test_solve_requires_labels():
     with pytest.raises(ValueError):
-        gaussian_solve([V("10").bits], [], 2)
+        solve([V("10").bits], [], 2)
 
 
 def test_redundant_consistent_rows_still_solve():
     c = V("101")
     rows = [V("100"), V("010"), V("001"), V("110"), V("111")]
     labels = [dot(r, c) for r in rows]
-    res = gaussian_solve([r.bits for r in rows], labels, 3)
+    res = solve([r.bits for r in rows], labels, 3)
     assert res.status is GaussStatus.SOLVED
     assert res.solution == c
 
@@ -335,6 +449,6 @@ def test_solve_round_trip_random_full_rank(k, data):
     while rank([r.bits for r in rows]) < k:
         rows.append(random_bitvec(k, rng))
     labels = [dot(r, c) for r in rows]
-    res = gaussian_solve([r.bits for r in rows], labels, k)
+    res = solve([r.bits for r in rows], labels, k)
     assert res.status is GaussStatus.SOLVED
     assert res.solution == c

@@ -149,6 +149,8 @@ def test_explicit_validation():
         Explicit((V("10"), V("011")), (0.5, 0.5))
     with pytest.raises(ValueError):
         Explicit((), ())
+    with pytest.raises(ValueError):
+        Explicit((V("10"), V("01")), (float("nan"), 1.0))
 
 
 def test_stream_serves_in_order_then_exhausts():

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 import merge_oracle
 import mle_oracle
 from bitvec_helpers import bits_row, random_bitvec
-from lpn.gf2 import (
-    BitVec, BlockLayout, GaussStatus, back_substitute, eliminate, pack_words,
-)
+from gf2_oracle import back_substitute, eliminate
+from lpn.gf2 import BitVec, BlockLayout, GaussStatus, pack_words
 from lpn import solvers
 from lpn.instance import Explicit, ReplaySource, Stream, new_source
 from lpn.solvers import (

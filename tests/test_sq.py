@@ -336,6 +336,8 @@ def test_concept_class_parsing():
     for bad in ("parity:9", "mystery:2-of-3", "parity:4-of-2"):
         with pytest.raises(ValueError):
             concept_class(bad)
+    with pytest.raises(ValueError, match="cannot parse"):
+        concept_class("parity:1-of-2-of-3")
 
 
 def test_class_width_is_capped_before_allocating():
