@@ -142,6 +142,8 @@ def _parse_seeds(spec: str) -> List[int]:
         ) from None
     if not seeds:
         raise _UsageError("--seeds must name at least one seed")
+    if min(seeds) < 0:
+        raise _UsageError(f"--seeds must be nonnegative, not {spec!r}")
     return seeds
 
 
@@ -450,6 +452,8 @@ def cmd_sq(ns) -> int:
 
 
 def cmd_bias(ns) -> int:
+    if ns.seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, not {ns.seed}")
     pb = predicted_bias(ns.eta, ns.s)
     mc = xor_chain_oracle(ns.eta, ns.s, ns.trials, ns.seed)
     sigma = math.sqrt(max(pb * (1 - pb), 0.0) / ns.trials)
@@ -461,6 +465,8 @@ def cmd_bias(ns) -> int:
 
 
 def cmd_gen(ns) -> int:
+    if ns.seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, not {ns.seed}")
     data = generate_instance(ns.k, ns.count, ns.eta, ns.seed, ns.with_target)
     write_instance(ns.out, data)
     print(f"wrote {ns.out} (k={data.k}, count={data.count}, eta={data.eta!r})")

@@ -65,15 +65,6 @@ class BitVec:
         return cls(len(s), int(s[::-1] or "0", 2))
 
     @classmethod
-    def from_bytes_le(cls, n: int, raw: bytes) -> "BitVec":
-        if len(raw) != (n + 7) // 8:
-            raise ValueError(f"expected {(n + 7) // 8} bytes for {n} coordinates")
-        bits = int.from_bytes(raw, "little")
-        if bits >> n:
-            raise ValueError("padding bits beyond the vector length must be zero")
-        return cls(n, bits)
-
-    @classmethod
     def from_bits_row(cls, row: np.ndarray) -> "BitVec":
         """Build from a numpy 0/1 row, column 0 = coordinate 1."""
         row = np.asarray(row, dtype=np.uint8)

@@ -225,6 +225,8 @@ class ExampleSource(_BufferedDraws):
         super().__init__()
         if k < 1:
             raise ValueError("k must be positive")
+        if seed < 0:
+            raise ValueError("seed must be nonnegative")
         self.k = k
         self.eta = eta if isinstance(eta, NoiseRate) else NoiseRate(float(eta))
         self.distribution = distribution if distribution is not None else Uniform()

@@ -29,7 +29,7 @@ import numpy as np
 
 from .gf2 import BitVec, unpack_words
 from .instance import (
-    NoiseRate, ParityTarget, ReplaySource, _check_words, _vector_words, new_source,
+    NoiseRate, ParityTarget, ReplaySource, _check_words, new_source,
 )
 
 __all__ = [
@@ -188,17 +188,18 @@ def _read_canonical(raw: bytes) -> Optional[InstanceData]:
     return InstanceData(k, eta, seed, words, labels, target)
 
 
-def _parse_vector(field: str, k: int, line_no: int) -> BitVec:
+def _check_vector(field: str, k: int, line_no: int) -> None:
     nbytes = (k + 7) // 8
     if len(field) != 2 * nbytes or not re.fullmatch(r"[0-9a-fA-F]+", field):
         raise InstanceFormatError(
             f"expected {2 * nbytes} hex digits for a {k}-bit vector, got {field!r}",
             line_no,
         )
-    try:
-        return BitVec.from_bytes_le(k, bytes.fromhex(field))
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc), line_no) from None
+    # the last byte holds coordinates 8*nbytes - 7 .. k, then the pad bits
+    if int(field[-2:], 16) >> ((k - 1) % 8 + 1):
+        raise InstanceFormatError(
+            "padding bits beyond the vector length must be zero", line_no
+        )
 
 
 def _read_lines(raw: bytes) -> InstanceData:
@@ -225,7 +226,7 @@ def _read_lines(raw: bytes) -> InstanceData:
             f"header promises {count} examples, file has {len(raw_lines) - 1}",
             len(raw_lines) + 1,
         )
-    rows = []
+    fields = []
     labels = np.zeros(count, dtype=np.uint8)
     target: Optional[BitVec] = None
     body = raw_lines[1:]
@@ -236,7 +237,8 @@ def _read_lines(raw: bytes) -> InstanceData:
             raise InstanceFormatError(
                 "example lines must be '<hex(x)> <label>'", line_no
             )
-        rows.append(_parse_vector(parts[0], k, line_no))
+        _check_vector(parts[0], k, line_no)
+        fields.append(parts[0])
         if parts[1] not in ("0", "1"):
             raise InstanceFormatError(f"label must be 0 or 1, got {parts[1]!r}", line_no)
         labels[i] = int(parts[1])
@@ -249,10 +251,16 @@ def _read_lines(raw: bytes) -> InstanceData:
                 "only an optional 'TARGET <hex(c)>' line may follow the examples",
                 line_no,
             )
-        target = _parse_vector(parts[1], k, line_no)
+        _check_vector(parts[1], k, line_no)
+        fields.append(parts[1])
         if len(extra) > 1:
             raise InstanceFormatError("content after the TARGET line", line_no + 1)
-    return InstanceData(k, eta, seed, _vector_words(rows, k), labels, target)
+    # every field passed _check_vector, so the canonical decoder takes them
+    digits = np.frombuffer("".join(fields).lower().encode("ascii"), dtype=np.uint8)
+    words = _decode_hex(digits.reshape(len(fields), 2 * -(-k // 8)), k)
+    if extra:
+        target = BitVec(k, int.from_bytes(words[count].tobytes(), "little"))
+    return InstanceData(k, eta, seed, words[:count], labels, target)
 
 
 def read_instance(path: str) -> InstanceData:

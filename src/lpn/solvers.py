@@ -142,6 +142,8 @@ def xor_chain_oracle(
         raise ValueError("need at least one trial")
     if s < 1:
         raise ValueError("chain length must be positive")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     e = float(eta)
     rng = np.random.default_rng(seed)
     rows_per_chunk = max(1, 1_000_000 // max(s, 1))

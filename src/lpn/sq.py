@@ -8,12 +8,13 @@ dimension of a concept class, a reduction that answers k-wise queries
 using unary ones (plus unlabeled data), and a parity learner that asks
 one k-wise query per coordinate.
 
-Concepts and queries act on arrays: points are int64 packed n-bit
-inputs, a concept maps an (m,) array of points to its (m,) 0/1 labels,
-a unary predicate maps the point and label columns to (m,) bools, and a
-k-wise predicate maps (T, k) point and label arrays, one row per tuple
-of draws, to (T,) bools.  Exact k-wise answers enumerate the tuples in
-chunks, so every query costs a few numpy calls per chunk.
+Everything is an array: a distribution holds int64 packed n-bit points
+and float64 weights, a concept maps (m,) points to (m,) 0/1 labels, a
+unary predicate maps the point and label columns to (m,) bools, or to
+(m, q) bools for q events, and a k-wise predicate maps (T, k) point and
+label arrays, one row per tuple of draws, to (T,) bools.  Exact k-wise
+answers enumerate the tuples in chunks, so every query costs a few
+numpy calls per chunk.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -60,9 +60,9 @@ KWISE_ENUM_CAP = 1 << 20
 ENUM_CHUNK = 1 << 16
 # tuples drawn per rng.choice call by UnlabeledDraws.sample_tuples
 _DRAW_CHUNK = 1 << 10
-# The widest input a uniform distribution may span.  It lists all 2^n
-# points as Python ints with their weights, a peak near 150 MB at
-# n = 20, so wider classes are refused before anything is allocated.
+# The widest input a uniform distribution may span: its 2^n points and
+# weights take 16 MB at n = 20, and sq dim's float per point and concept
+# more, so wider classes are refused before anything is allocated.
 MAX_CLASS_WIDTH = 20
 
 
@@ -97,50 +97,52 @@ def conjunction_concept(mask: int, n: int) -> Concept:
     return Concept(name, n, lambda pts: ((pts & mask) == mask).astype(np.uint8))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDistribution:
-    """A distribution over n-bit points, packed ints with weights."""
+    """A distribution over n-bit points: a read-only (N,) int64 array of
+    distinct packed points and one of their float64 weights, both copied
+    in.  Arrays do not compare with ==, so neither do distributions."""
 
     n: int
-    points: Tuple[int, ...]
-    weights: Tuple[float, ...]
+    points: np.ndarray
+    weights: np.ndarray
     is_uniform: bool = False
 
     def __post_init__(self):
-        if len(self.points) != len(self.weights) or not self.points:
+        if not 0 <= self.n <= 63:
+            raise ValueError(f"width n={self.n} is outside 0..63")
+        points = np.asarray(self.points)
+        weights = np.array(self.weights, dtype=np.float64)
+        if points.ndim != 1 or points.shape != weights.shape or not len(points):
             raise ValueError("points and weights must be nonempty, equal length")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("points must be distinct")
-        if any(p >> self.n or p < 0 for p in self.points):
+        if points.dtype.kind not in "iu":  # a cast would truncate 1.5 to 1
+            raise ValueError("points must be integers that fit in n bits")
+        if points.min() < 0 or int(points.max()) >> self.n:
             raise ValueError("points must fit in n bits")
-        if not all(w >= 0.0 for w in self.weights):  # NaN fails too
+        ordered = np.sort(points)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("points must be distinct")
+        if not (weights >= 0.0).all():  # NaN fails too
             raise ValueError("weights must be nonnegative")
-        if not abs(sum(self.weights) - 1.0) <= 1e-9:
+        if not abs(weights.sum() - 1.0) <= 1e-9:
             raise ValueError("weights must sum to 1")
+        object.__setattr__(self, "points", _frozen(points.astype(np.int64)))
+        object.__setattr__(self, "weights", _frozen(weights))
 
     @classmethod
     def uniform_over(cls, n: int) -> "FiniteDistribution":
-        if n > MAX_CLASS_WIDTH:
+        if not 0 <= n <= MAX_CLASS_WIDTH:
             raise ValueError(
-                f"width n={n} exceeds MAX_CLASS_WIDTH={MAX_CLASS_WIDTH}: the "
-                "uniform distribution lists all 2^n points"
+                f"width n={n} is outside 0..MAX_CLASS_WIDTH={MAX_CLASS_WIDTH}:"
+                " the uniform distribution lists all 2^n points"
             )
         size = 1 << n
-        return cls(n, tuple(range(size)), tuple([1.0 / size] * size), True)
+        return cls(n, np.arange(size), np.full(size, 1.0 / size), True)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Sequence[Tuple[int, float]]
                    ) -> "FiniteDistribution":
-        return cls(n, tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
-
-    # built once per distribution and read-only, like the tuples
-    @cached_property
-    def points_array(self) -> np.ndarray:
-        return _frozen(np.asarray(self.points, dtype=np.int64))
-
-    @cached_property
-    def weights_array(self) -> np.ndarray:
-        return _frozen(np.asarray(self.weights, dtype=np.float64))
+        return cls(n, [p for p, _ in pairs], [w for _, w in pairs])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -157,7 +159,8 @@ def _check_tau(tau: float) -> None:
 class SqQuery:
     """Unary query: asks Pr[predicate(x, c(x))] within tolerance tau.
 
-    predicate maps the (m,) point and label columns to (m,) bools.
+    predicate maps the (m,) point and label columns to (m,) bools for
+    one event, or to (m, q) bools for q events asked at once.
     """
 
     predicate: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -208,12 +211,11 @@ class SampledNoisy:
 OracleMode = Union[Exact, AdversarialWorst, SampledNoisy]
 
 
-def _distort(p: float, tau: float, mode: OracleMode) -> float:
+def _distort(p: np.ndarray, tau: float, mode: OracleMode) -> np.ndarray:
     if isinstance(mode, Exact):
         return p
     if isinstance(mode, AdversarialWorst):
-        shifted = p + tau if p >= 0.5 else p - tau
-        return min(1.0, max(0.0, shifted))
+        return np.clip(np.where(p >= 0.5, p + tau, p - tau), 0.0, 1.0)
     raise TypeError(f"unsupported oracle mode {mode!r}")
 
 
@@ -222,19 +224,24 @@ def sq_answer(
     concept: Concept,
     dist: FiniteDistribution,
     mode: OracleMode = Exact(),
-) -> float:
-    """Answer a unary query under the given oracle mode."""
-    pts = dist.points_array
+) -> Union[float, np.ndarray]:
+    """Answer a unary query under the given oracle mode: a float for an
+    (m,) predicate, or a (q,) array for an (m, q) one, entry e bit for
+    bit the answer to event e alone (one dot product per event row)."""
+    pts = dist.points
     vals = np.asarray(query.predicate(pts, concept.labels(pts)), dtype=bool)
-    vals = vals.astype(np.float64)
+    events = vals.reshape(len(pts), -1)
     if isinstance(mode, SampledNoisy):
         if mode.samples < 1:
             raise ValueError("need at least one sample")
         rng = np.random.default_rng(derive_seed(mode.seed, "sq-sample"))
-        idx = rng.choice(len(pts), size=mode.samples, p=dist.weights_array)
-        return float(vals[idx].mean())
-    p = float(vals @ dist.weights_array)
-    return _distort(p, query.tau, mode)
+        idx = rng.choice(len(pts), size=mode.samples, p=dist.weights)
+        p = events.astype(np.float64)[idx].mean(axis=0)
+    else:
+        rows = np.ascontiguousarray(events.T, dtype=np.float64)
+        p = _distort(np.array([row @ dist.weights for row in rows]),
+                     query.tau, mode)
+    return float(p[0]) if vals.ndim == 1 else p
 
 
 def _exact_probs(dist: FiniteDistribution, k: int, pred: Callable,
@@ -256,7 +263,7 @@ def _exact_probs(dist: FiniteDistribution, k: int, pred: Callable,
         raise ValueError(
             f"{n}^{k} tuples exceed the enumeration cap of {KWISE_ENUM_CAP}"
         )
-    weights = dist.weights_array
+    weights = dist.weights
     place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     sums = None
     for start in range(0, total, ENUM_CHUNK):
@@ -288,26 +295,26 @@ def kwise_answer(
     mode: OracleMode = Exact(),
 ) -> float:
     """Answer a k-wise query; exact answers enumerate all |D|^k tuples."""
-    pts = dist.points_array
+    pts = dist.points
     labels = concept.labels(pts)
     k = query.k
     if isinstance(mode, SampledNoisy):
         if mode.samples < 1:
             raise ValueError("need at least one sample")
         rng = np.random.default_rng(derive_seed(mode.seed, "sq-sample-k"))
-        idx = rng.choice(len(pts), size=(mode.samples, k), p=dist.weights_array)
+        idx = rng.choice(len(pts), size=(mode.samples, k), p=dist.weights)
         hits = np.asarray(query.predicate(pts[idx], labels[idx]), dtype=bool)
         return int(hits.sum()) / mode.samples
     (p,) = _exact_probs(dist, k, query.predicate, pts, labels)
-    return _distort(p, query.tau, mode)
+    return float(_distort(p, query.tau, mode))
 
 
 def make_unary_oracle(
     concept: Concept, dist: FiniteDistribution, mode: OracleMode = Exact()
-) -> Callable[[SqQuery], float]:
+) -> Callable[[SqQuery], Union[float, np.ndarray]]:
     """sq_answer about concept under dist; the concept's labels on the
     distribution's points are computed once, not once per query."""
-    pts = dist.points_array
+    pts = dist.points
     known = _frozen(np.array(concept.labels(pts)))
     cached = Concept(concept.name, concept.n,
                      lambda x: known if x is pts else concept.labels(x))
@@ -329,11 +336,11 @@ class SqDimReport:
 def _corr_matrix(
     concepts: Sequence[Concept], dist: FiniteDistribution
 ) -> np.ndarray:
-    pts = dist.points_array
+    pts = dist.points
     signs = 1.0 - 2.0 * np.stack([c.labels(pts) for c in concepts]).astype(
         np.float64
     )
-    return (signs * dist.weights_array) @ signs.T
+    return (signs * dist.weights) @ signs.T
 
 
 def sq_dimension(
@@ -415,13 +422,13 @@ class UnlabeledDraws:
         for start in range(0, count, _DRAW_CHUNK):
             idx = rng.choice(len(self.dist.points),
                              size=(min(_DRAW_CHUNK, count - start), k),
-                             p=self.dist.weights_array)
-            yield from self.dist.points_array[idx]
+                             p=self.dist.weights)
+            yield from self.dist.points[idx]
 
     def kwise_prob(
         self, pred: Callable[[np.ndarray], np.ndarray], k: int
     ) -> float:
-        (p,) = _exact_probs(self.dist, k, pred, self.dist.points_array)
+        (p,) = _exact_probs(self.dist, k, pred, self.dist.points)
         return p
 
 
@@ -459,38 +466,22 @@ def _substitute(query: KWiseQuery, z: np.ndarray, free: np.ndarray,
     return np.asarray(out, dtype=np.uint8).reshape(c, m)
 
 
-def _substituted(query: KWiseQuery, z: Sequence[int], i: int,
-                 lvec: Tuple[int, ...], n: int) -> Concept:
-    """The candidate hypothesis h(x) = Q(z with x at position i, lvec)."""
-    z_row = np.array(z, dtype=np.int64)
-    free = (np.arange(len(z)) == i - 1)[None, :]
-    l_row = np.array([lvec], dtype=np.uint8)
+def _hypothesis(query: KWiseQuery, z: np.ndarray, free: np.ndarray,
+                lvec: np.ndarray, n: int, negate: bool) -> Concept:
+    """The candidate h(x) = Q(z with x at its free position, lvec) of
+    the (1, k) free and lvec rows, or its complement not(h)."""
+    name = (f"h[pos={int(np.argmax(free)) + 1},"
+            f"labels={''.join(map(str, lvec[0]))}]")
     return Concept(
-        f"h[pos={i},labels={''.join(map(str, lvec))}]", n,
-        lambda pts: _substitute(query, z_row, free, l_row, pts)[0],
+        f"not({name})" if negate else name, n,
+        lambda pts: _substitute(query, z, free, lvec, pts)[0] ^ int(negate),
     )
-
-
-def _complement(h: Concept) -> Concept:
-    return Concept(f"not({h.name})", h.n, lambda pts: 1 - h.labels(pts))
-
-
-def _candidate_hits(query: KWiseQuery, z: np.ndarray, free: np.ndarray,
-                    lvec: np.ndarray, pts: np.ndarray, row: np.ndarray
-                    ) -> Callable[[np.ndarray], np.ndarray]:
-    """h(x) == 1 for the candidate of the (1, k) free and lvec rows.
-
-    row holds the answer on pts; pts is read-only and cached, so an
-    array that is pts has the same points.  Other arrays are labelled.
-    """
-    return lambda x: (row if x is pts
-                      else _substitute(query, z, free, lvec, x)[0] == 1)
 
 
 def kwise_to_unary_reduce(
     query: KWiseQuery,
     eps: float,
-    unary_oracle: Callable[[SqQuery], float],
+    unary_oracle: Callable[[SqQuery], Union[float, np.ndarray]],
     unlabeled: UnlabeledDraws,
     tuples_to_try: Optional[int] = None,
     delta: float = 0.05,
@@ -511,10 +502,11 @@ def kwise_to_unary_reduce(
 
     The tuples come from one rng.choice draw (per 1024 tuples), which
     takes the same doubles as one draw per tuple.  For each tuple, one
-    predicate call labels the points under all k*2^k candidates (a few
-    calls once that matrix would pass ENUM_CHUNK entries), and both
-    unary queries of a candidate read its row; only the candidate that
-    fires is built as a Concept.
+    unary query asks both events, h-and-1 and h-mass, of all k*2^k
+    candidates (one query per chunk once the labels would pass
+    ENUM_CHUNK entries), labelling the oracle's points under every
+    candidate with one predicate call.  The first candidate in order
+    that fires wins, and only it is built as a Concept.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
@@ -544,34 +536,31 @@ def kwise_to_unary_reduce(
     cands = [(i, lvec) for i in range(1, k + 1) for lvec in patterns]
     free = np.repeat(np.eye(k, dtype=bool), len(patterns), axis=0)
     lvecs = np.array(patterns * k, dtype=np.uint8).reshape(len(cands), k)
-    pts = unlabeled.dist.points_array
-    per_call = max(1, ENUM_CHUNK // len(pts))
+    per_call = max(1, ENUM_CHUNK // len(unlabeled.dist.points))
     for t, z in enumerate(unlabeled.sample_tuples(tuples_to_try, k, rng)):
         for c0 in range(0, len(cands), per_call):
-            hits = _substitute(query, z, free[c0:c0 + per_call],
-                               lvecs[c0:c0 + per_call], pts) == 1
-            hits.flags.writeable = False
-            for c, row in enumerate(hits, c0):
-                one = _candidate_hits(query, z, free[c:c + 1],
-                                      lvecs[c:c + 1], pts, row)
-                a = unary_oracle(SqQuery(
-                    lambda x, l, one=one: one(x) & (l == 1), tau, "h-and-1"
-                ))
-                b = unary_oracle(SqQuery(
-                    lambda x, l, one=one: one(x), tau, "h-mass"
-                ))
-                if abs(a - b / 2) >= eps:
-                    i, lvec = cands[c]
-                    h = _substituted(query, z, i, lvec, n)
-                    hyp = h if a - b / 2 > 0 else _complement(h)
-                    adv = unary_oracle(
-                        SqQuery(lambda x, l: hyp.labels(x) == l, tau,
-                                "h-agreement")
-                    ) - 0.5
-                    return ReductionOutcome(
-                        "weak_hypothesis", t + 1, hypothesis=hyp,
-                        advantage=adv, fired=(t, i, lvec),
-                    )
+            part = slice(c0, c0 + per_call)
+
+            def events(x, l):
+                h = _substitute(query, z, free[part], lvecs[part], x).T == 1
+                return np.hstack([h & (l == 1)[:, None], h])
+
+            ab = unary_oracle(SqQuery(events, tau, "h-and-1,h-mass"))
+            gap = ab[:len(ab) // 2] - ab[len(ab) // 2:] / 2
+            fires = np.flatnonzero(np.abs(gap) >= eps)
+            if len(fires):
+                c = c0 + fires[0]
+                hyp = _hypothesis(query, z, free[c:c + 1], lvecs[c:c + 1],
+                                  n, negate=gap[fires[0]] < 0)
+                adv = unary_oracle(
+                    SqQuery(lambda x, l: hyp.labels(x) == l, tau,
+                            "h-agreement")
+                ) - 0.5
+                i, lvec = cands[c]
+                return ReductionOutcome(
+                    "weak_hypothesis", t + 1, hypothesis=hyp,
+                    advantage=adv, fired=(t, i, lvec),
+                )
     estimate = 0.0
     for lvec in patterns:
         l_row = np.array(lvec, dtype=np.uint8)
@@ -597,7 +586,7 @@ def _basis_answers(
     Answer 0 is Pr[the k draws form a basis]; answer i is Pr[they form
     a basis and the parity they pin down has bit i set].
     """
-    pts = dist.points_array
+    pts = dist.points
     labels = concept.labels(pts).astype(np.int64)
 
     def events(xs: np.ndarray, ls: np.ndarray) -> np.ndarray:

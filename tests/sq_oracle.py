@@ -39,21 +39,22 @@ from lpn.sq import (
 
 def weak_advantage(h: Concept, c: Concept, dist: FiniteDistribution) -> float:
     """Pr[h(x) = c(x)] - 1/2 under the distribution."""
-    pts = dist.points_array
+    pts = dist.points
     agree = (h.labels(pts) == c.labels(pts)).astype(np.float64)
-    return float(agree @ dist.weights_array) - 0.5
+    return float(agree @ dist.weights) - 0.5
 
 
 def _enumerate(dist: FiniteDistribution, k: int, hit: Callable,
                *columns) -> float:
-    """Pr[hit] over k draws; hit gets one k-tuple of entries per column."""
+    """Pr[hit] over k draws; hit gets one k-tuple of entries per column,
+    which are lists of Python scalars indexed like dist.points."""
     n = len(dist.points)
     # product() over each column in lockstep yields the same index tuples
     args = zip(*(itertools.product(col, repeat=k) for col in columns))
     if dist.is_uniform:
         return sum(1 for a in args if hit(*a)) / n**k
     p = 0.0
-    for a, ws in zip(args, itertools.product(dist.weights, repeat=k)):
+    for a, ws in zip(args, itertools.product(dist.weights.tolist(), repeat=k)):
         if hit(*a):
             p += math.prod(ws)
     return p
@@ -66,14 +67,14 @@ def _one_tuple(pred: Callable) -> Callable:
 def kwise_answer(query: KWiseQuery, concept: Concept,
                  dist: FiniteDistribution) -> float:
     """The exact k-wise answer."""
-    labels = concept.labels(dist.points_array).tolist()
+    labels = concept.labels(dist.points).tolist()
     return _enumerate(dist, query.k, _one_tuple(query.predicate),
-                      dist.points, labels)
+                      dist.points.tolist(), labels)
 
 
 def kwise_prob(dist: FiniteDistribution, pred: Callable, k: int) -> float:
     """UnlabeledDraws.kwise_prob: pred sees the points only."""
-    return _enumerate(dist, k, _one_tuple(pred), dist.points)
+    return _enumerate(dist, k, _one_tuple(pred), dist.points.tolist())
 
 
 def basis_answers(k: int, concept: Concept,
@@ -87,14 +88,15 @@ def basis_answers(k: int, concept: Concept,
         pivots, _ = eliminate([x | l << k for x, l in zip(xs, ls)], colmask)
         return back_substitute(pivots, k) if len(pivots) == k else None
 
-    labels = concept.labels(dist.points_array).tolist()
+    points = dist.points.tolist()
+    labels = concept.labels(dist.points).tolist()
     answers = [_enumerate(dist, k, lambda xs, ls: pinned(xs, ls) is not None,
-                          dist.points, labels)]
+                          points, labels)]
     for i in range(k):
         answers.append(_enumerate(
             dist, k,
             lambda xs, ls: (c := pinned(xs, ls)) is not None and (c >> i) & 1,
-            dist.points, labels,
+            points, labels,
         ))
     return answers
 
@@ -103,8 +105,8 @@ def sample_tuple(unlabeled: UnlabeledDraws, k: int,
                  rng: np.random.Generator) -> Tuple[int, ...]:
     """One tuple of k independent draws, from one rng.choice call."""
     dist = unlabeled.dist
-    idx = rng.choice(len(dist.points), size=k, p=dist.weights_array)
-    return tuple(dist.points[i] for i in idx)
+    idx = rng.choice(len(dist.points), size=k, p=dist.weights)
+    return tuple(int(dist.points[i]) for i in idx)
 
 
 def _substituted(query: KWiseQuery, z: Tuple[int, ...], i: int,

@@ -12,6 +12,7 @@ from lpn.cli import SOLVE_COLUMNS, SQ_COLUMNS, _parse_seeds, main
 from lpn.gf2 import unpack_words
 from lpn.instance import new_source
 from lpn.instfile import read_instance
+from lpn.solvers import xor_chain_oracle
 
 
 def run(capsys, *argv):
@@ -401,6 +402,41 @@ def test_parse_seeds_forms():
     assert _parse_seeds("3") == [0, 1, 2]
     assert _parse_seeds("5,7") == [5, 7]
     assert _parse_seeds("4,") == [4]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gen", "--k", "8", "--count", "5", "--eta", "0.1", "--seed", "-1",
+      "--out", "OUT"], "--seed"),
+    (["bias", "--eta", "0.1", "--s", "3", "--seed", "-2"], "--seed"),
+    (["solve", "--algo", "mle", "--k", "8", "--eta", "0.1", "--seeds=-1,"],
+     "--seeds"),
+    (["solve", "--algo", "bkw", "--in", "IN", "--seeds", "0,-3"], "--seeds"),
+])
+def test_negative_seeds_are_usage_errors(tmp_path, capsys, argv, flag):
+    # numpy's "expected non-negative integer" once named no flag
+    path = tmp_path / "in.lpn"
+    run(capsys, "gen", "--k", "8", "--count", "50", "--eta", "0.0",
+        "--out", str(path))
+    argv = [{"OUT": str(tmp_path / "out.lpn"), "IN": str(path)}.get(a, a)
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"{flag} must be nonnegative" in err
+    assert not (tmp_path / "out.lpn").exists()
+
+
+def test_negative_seeds_are_refused_below_the_cli():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        new_source(8, 0.1, seed=-1)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        xor_chain_oracle(0.1, 3, trials=10, seed=-1)
+
+
+def test_sq_accepts_a_negative_seed(capsys):
+    code, out, _ = run(capsys, "sq", "reduce", "--class", "parity:2-of-4",
+                       "--seed", "-3", "--tuples", "5")
+    assert code == 0
+    assert rows_from_csv(out)[0]["seed"] == "-3"
 
 
 # -- sq ---------------------------------------------------------------

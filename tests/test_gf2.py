@@ -67,7 +67,7 @@ def test_from_string_coordinate_order():
 
 def test_round_trips():
     v = V("1101001")
-    assert BitVec.from_bytes_le(7, v.to_bytes_le()) == v
+    assert BitVec(7, int.from_bytes(v.to_bytes_le(), "little")) == v
     assert BitVec.from_bits_row(np.array([1, 1, 0, 1, 0, 0, 1])) == v
 
 

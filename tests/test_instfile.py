@@ -159,6 +159,20 @@ def test_nonzero_pad_bits_rejected(tmp_path):
         read_instance(path)
 
 
+@pytest.mark.parametrize("text,line_no", [
+    # a middle row, with CRLF line ends and an uppercase digit
+    ("LPN v1 k=12 eta=0.1 seed=0 count=3\r\n0100 1\r\n01F0 0\r\n0200 1\r\n", 3),
+    ("LPN v1 k=12 eta=0.1 seed=0 count=2\n0100 1\n0200 0\nTARGET 0110\n", 4),
+    ("LPN v1 k=1 eta=0.1 seed=0 count=2\n01 1\n00 0\nTARGET 02\n", 4),
+])
+def test_pad_bits_name_their_line(tmp_path, text, line_no):
+    path = write_text(tmp_path, text)
+    with pytest.raises(InstanceFormatError) as exc:
+        read_instance(path)
+    assert str(exc.value) == (
+        f"line {line_no}: padding bits beyond the vector length must be zero")
+
+
 def test_junk_after_examples_rejected(tmp_path):
     path = write_text(
         tmp_path, "LPN v1 k=8 eta=0.1 seed=0 count=1\n01 1\nnot a target\n"
