@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -182,14 +182,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _draw_samples(src, m: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The next m examples as (row words, labels), or None if a finite
-    source holds fewer."""
-    left = src.remaining()
-    if left is not None and m > left:
-        return None
-    words, labels, _ = src.draw_batch(m, packed=True)
-    return words, labels
+def _hex(v) -> str:
+    """A BitVec as little-endian hex, or "" for none."""
+    return "" if v is None else v.to_bytes_le().hex()
 
 
 def _timed(row: Dict, solve, *args):
@@ -201,127 +196,92 @@ def _timed(row: Dict, solve, *args):
 
 
 def _solve_one(task: Dict) -> Dict:
-    algo = task["algo"]
-    seed = task["seed"]
+    algo, seed, data = task["algo"], task["seed"], task["data"]
+    cap, delta = task["max_examples"], task["delta"]
     row: Dict = {
         "schema": "lpn-solve/1",
         "algo": algo,
         "seed": seed,
-        "delta": _fmt(task["delta"]),
-        "max_examples": _fmt(task["max_examples"]),
+        "delta": _fmt(delta),
+        "max_examples": _fmt(cap),
     }
-    data = task["data"]
     if data is not None:
         src = replay_source(data)
-        k, eta = data.k, data.eta
-        target = data.target
+        k, eta, target = data.k, data.eta, data.target
     else:
         k = task["k"]
         if k is None and algo == "online":
             k = task["blocks"] * task["width"]
         src = new_source(k, task["eta"], seed=seed)
-        eta = float(src.eta)
-        target = src.target.c
-    row["k"] = k
-    row["eta"] = _fmt(eta)
-    row["target"] = target.to_bytes_le().hex() if target is not None else ""
+        eta, target = float(src.eta), src.target.c
+    row.update(k=k, eta=_fmt(eta), target=_hex(target))
 
     if algo == "bkw":
         if (task["a"] is None) != (task["b"] is None):
             raise _UsageError("--a and --b go together")
-        if task["a"] is not None:
+        if task["a"] is None:
+            layout = choose_parameters(k, eta, delta, task["profile"]).layout
+        else:
             layout = BlockLayout(task["a"], task["b"])
             if layout.total < k:
                 raise _UsageError("a*b must cover k")
-            cfg = SolverConfig(
-                layout,
-                repetitions=repetitions_for(k, eta, task["delta"], layout.a),
-                delta=task["delta"],
-                max_examples=task["max_examples"],
-            )
-        else:
-            base = choose_parameters(k, eta, task["delta"], task["profile"])
-            cfg = SolverConfig(
-                base.layout, base.repetitions, base.delta,
-                max_examples=task["max_examples"],
-            )
-        row.update(a=cfg.layout.a, b=cfg.layout.b,
-                   repetitions=cfg.repetitions)
-        res = _timed(row, recover_target, src, cfg, seed)
-        status = res.status.value
-        c_hat = res.c_hat.c if res.c_hat is not None else None
-        row["examples_used"] = res.examples_used
-        row["status"] = status
-        row["c_hat"] = c_hat.to_bytes_le().hex() if c_hat is not None else ""
-        recovered = status == SolverStatus.RECOVERED.value
-        row["success"] = _fmt(
-            recovered and (target is None or c_hat == target)
-        )
-        return row
-
-    if algo == "mle":
-        if k > MLE_MAX_K:
+        cfg = SolverConfig(layout, repetitions_for(k, eta, delta, layout.a),
+                           delta, max_examples=cap)
+        row.update(a=layout.a, b=layout.b, repetitions=cfg.repetitions)
+        out = _timed(row, recover_target, src, cfg, seed)
+        row["examples_used"] = out.examples_used
+    else:
+        # a fixed number of draws, refused whole if a file holds fewer
+        if algo == "mle" and k > MLE_MAX_K:
             raise _UsageError(f"mle is capped at k={MLE_MAX_K}")
-        m = task["max_examples"]
-        drawn = _draw_samples(src, 2000 if m is None else m)
-        if drawn is None:
+        left = src.remaining()
+        if algo == "online":
+            if cap is None and left is None:
+                raise _UsageError(
+                    "online on a live source needs --max-examples")
+            need = left if cap is None else cap
+            row.update(blocks=task["blocks"], width=task["width"],
+                       matrices=task["matrices"], count=need)
+        else:
+            need = cap if cap is not None else 2000 if algo == "mle" else 3 * k
+        if left is not None and need > left:
             row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
-                       examples_used=src.draw_count)
+                       examples_used=0)
             return row
-        h = _timed(row, mle_bruteforce, *drawn, k)
-        row.update(
-            status="recovered",
-            c_hat=h.c.to_bytes_le().hex(),
-            examples_used=src.draw_count,
-            success=_fmt(h.c == target) if target is not None else "",
-        )
-        return row
+        if algo == "online":
+            out = _timed(row, run_online, src, task["blocks"], task["width"],
+                         task["matrices"], need)
+        else:
+            words, labels, _ = src.draw_batch(need, packed=True)
+            solver = mle_bruteforce if algo == "mle" else gaussian_baseline
+            out = _timed(row, solver, words, labels, k)
+        row["examples_used"] = src.draw_count
 
-    if algo == "gauss":
-        m = task["max_examples"]
-        drawn = _draw_samples(src, 3 * k if m is None else m)
-        if drawn is None:
-            row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
-                       examples_used=src.draw_count)
-            return row
-        gr = _timed(row, gaussian_baseline, *drawn, k)
-        solved = gr.status is GaussStatus.SOLVED
+    if algo == "bkw":
+        status = out.status.value
+        c_hat = None if out.c_hat is None else out.c_hat.c
+        success = out.status is SolverStatus.RECOVERED and (
+            target is None or c_hat == target)
+    elif algo == "mle":
+        status, c_hat = "recovered", out.c
+        success = None if target is None else c_hat == target
+    elif algo == "gauss":
+        solved = out.status is GaussStatus.SOLVED
+        status, c_hat = out.status.value, out.solution if solved else None
+        success = solved and (target is None or c_hat == target)
+    else:
+        status, c_hat = "completed", None
+        success = None if out.errors is None else out.errors == 0
         row.update(
-            status=gr.status.value,
-            c_hat=gr.solution.to_bytes_le().hex() if solved else "",
-            examples_used=src.draw_count,
-            success=_fmt(solved and gr.solution == target)
-            if target is not None
-            else _fmt(solved),
+            predicted=out.predicted,
+            unknown=out.unknown,
+            errors="" if out.errors is None else out.errors,
+            ties=out.ties,
+            max_vote_depth=out.max_vote_depth,
+            fill=sum(out.per_matrix_fill),
+            capacity=out.capacity,
         )
-        return row
-
-    # online
-    g, w, t = task["blocks"], task["width"], task["matrices"]
-    count = task["max_examples"]
-    left = src.remaining()
-    if count is None:
-        if left is None:
-            raise _UsageError("online on a live source needs --max-examples")
-        count = left
-    row.update(blocks=g, width=w, matrices=t, count=count)
-    if left is not None and count > left:
-        row.update(status=SolverStatus.BUDGET_EXCEEDED.value, success="",
-                   examples_used=src.draw_count)
-        return row
-    rep = _timed(row, run_online, src, g, w, t, count)
-    row.update(
-        status="completed",
-        predicted=rep.predicted,
-        unknown=rep.unknown,
-        errors="" if rep.errors is None else rep.errors,
-        ties=rep.ties,
-        max_vote_depth=rep.max_vote_depth,
-        fill=sum(rep.per_matrix_fill),
-        capacity=rep.capacity,
-        examples_used=src.draw_count,
-        success=_fmt(rep.errors == 0) if rep.errors is not None else "",
-    )
+    row.update(status=status, c_hat=_hex(c_hat), success=_fmt(success))
     return row
 
 
@@ -340,6 +300,8 @@ def cmd_solve(ns) -> int:
                 raise _UsageError("online needs --blocks, --width and --matrices")
             if value < 1:
                 raise _UsageError(f"--{flag} must be at least 1")
+    if not 0.0 < ns.delta < 1.0:
+        raise _UsageError(f"--delta must lie in (0, 1), not {ns.delta!r}")
     if ns.max_examples is not None and ns.max_examples < 0:
         raise _UsageError("--max-examples must be nonnegative")
     if ns.max_examples == 0 and ns.algo in ("mle", "gauss"):
@@ -347,24 +309,7 @@ def cmd_solve(ns) -> int:
     seeds = _parse_seeds(ns.seeds)
     # one decode serves every seed; each row replays the same arrays
     data = read_instance(ns.in_path) if ns.in_path is not None else None
-    tasks = [
-        {
-            "algo": ns.algo,
-            "seed": seed,
-            "data": data,
-            "k": ns.k,
-            "eta": ns.eta,
-            "a": ns.a,
-            "b": ns.b,
-            "blocks": ns.blocks,
-            "width": ns.width,
-            "matrices": ns.matrices,
-            "delta": ns.delta,
-            "max_examples": ns.max_examples,
-            "profile": ns.profile,
-        }
-        for seed in seeds
-    ]
+    tasks = [dict(vars(ns), seed=seed, data=data) for seed in seeds]
     raw_threads = os.environ.get("LPN_THREADS", "1") or "1"
     try:
         threads = int(raw_threads)
@@ -467,6 +412,8 @@ def cmd_bias(ns) -> int:
 def cmd_gen(ns) -> int:
     if ns.seed < 0:
         raise _UsageError(f"--seed must be nonnegative, not {ns.seed}")
+    if ns.count < 0:
+        raise _UsageError(f"--count must be nonnegative, not {ns.count}")
     data = generate_instance(ns.k, ns.count, ns.eta, ns.seed, ns.with_target)
     write_instance(ns.out, data)
     print(f"wrote {ns.out} (k={data.k}, count={data.count}, eta={data.eta!r})")

@@ -12,16 +12,16 @@ Everything is an array: a distribution holds int64 packed n-bit points
 and float64 weights, a concept maps (m,) points to (m,) 0/1 labels, a
 unary predicate maps the point and label columns to (m,) bools, or to
 (m, q) bools for q events, and a k-wise predicate maps (T, k) point and
-label arrays, one row per tuple of draws, to (T,) bools.  Exact k-wise
-answers enumerate the tuples in chunks, so every query costs a few
-numpy calls per chunk.
+label arrays, one row per tuple of draws, to (T,) bools, or to (T, q)
+bools for q events.  Exact k-wise answers enumerate the tuples in
+chunks, so every query costs a few numpy calls per chunk.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -101,12 +101,13 @@ def conjunction_concept(mask: int, n: int) -> Concept:
 class FiniteDistribution:
     """A distribution over n-bit points: a read-only (N,) int64 array of
     distinct packed points and one of their float64 weights, both copied
-    in.  Arrays do not compare with ==, so neither do distributions."""
+    in.  is_uniform says whether every weight is equal.  Arrays do not
+    compare with ==, so neither do distributions."""
 
     n: int
     points: np.ndarray
     weights: np.ndarray
-    is_uniform: bool = False
+    is_uniform: bool = field(init=False)
 
     def __post_init__(self):
         if not 0 <= self.n <= 63:
@@ -128,6 +129,8 @@ class FiniteDistribution:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "points", _frozen(points.astype(np.int64)))
         object.__setattr__(self, "weights", _frozen(weights))
+        object.__setattr__(self, "is_uniform",
+                           bool((weights == weights[0]).all()))
 
     @classmethod
     def uniform_over(cls, n: int) -> "FiniteDistribution":
@@ -137,7 +140,7 @@ class FiniteDistribution:
                 " the uniform distribution lists all 2^n points"
             )
         size = 1 << n
-        return cls(n, np.arange(size), np.full(size, 1.0 / size), True)
+        return cls(n, np.arange(size), np.full(size, 1.0 / size))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Sequence[Tuple[int, float]]
@@ -176,7 +179,8 @@ class KWiseQuery:
     """k-wise query over k independent draws and their labels.
 
     predicate maps (T, k) point and label arrays, row t holding the
-    draws of tuple t in order, to (T,) bools.
+    draws of tuple t in order, to (T,) bools for one event, or to (T, q)
+    bools for q events asked at once.
     """
 
     k: int
@@ -245,17 +249,18 @@ def sq_answer(
 
 
 def _exact_probs(dist: FiniteDistribution, k: int, pred: Callable,
-                 *columns: np.ndarray) -> List[float]:
+                 *columns: np.ndarray) -> np.ndarray:
     """Pr[event] over k independent draws from dist, by enumeration.
 
     Each column is an array indexed like dist.points.  pred gets, for a
     chunk of T tuples of draws, one (T, k) array per column, and returns
     (T,) bools for one event or (T, q) bools for q events at once; the
-    result has one probability per event.  Tuples are visited in
-    lexicographic order of their point indices, ENUM_CHUNK at a time.
-    A uniform probability is a count over n^k.  A non-uniform one sums
-    each tuple's weight, the product of its draws' weights taken left to
-    right, in tuple order, so chunking does not change a single bit.
+    result is a 0-d or (q,) float64 array, one probability per event.
+    Tuples are visited in lexicographic order of their point indices,
+    ENUM_CHUNK at a time.  A uniform probability is a count over n^k.  A
+    non-uniform one sums each tuple's weight, the product of its draws'
+    weights taken left to right, in tuple order, so neither chunking nor
+    the number of events changes a single bit.
     """
     n = len(dist.points)
     total = n**k
@@ -265,27 +270,26 @@ def _exact_probs(dist: FiniteDistribution, k: int, pred: Callable,
         )
     weights = dist.weights
     place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    sums = None
+    sums = 0
     for start in range(0, total, ENUM_CHUNK):
         t = np.arange(start, min(start + ENUM_CHUNK, total), dtype=np.int64)
         idx = t[:, None] // place % n
         hits = np.asarray(pred(*(col[idx] for col in columns)), dtype=bool)
+        shape = hits.shape[1:]
         hits = hits.reshape(len(t), -1)
         if dist.is_uniform:
-            counts = hits.sum(axis=0)
-            sums = counts if sums is None else sums + counts
+            sums = sums + hits.sum(axis=0)
             continue
         w = weights[idx[:, 0]]
         for j in range(1, k):
             w = w * weights[idx[:, j]]
-        if sums is None:
-            sums = [0.0] * hits.shape[1]
-        # cumsum adds in order, carrying the sum so far into each chunk
-        for e in range(hits.shape[1]):
-            sums[e] = np.cumsum(np.append(sums[e], w[hits[:, e]]))[-1]
-    if dist.is_uniform:
-        return [int(c) / total for c in sums]
-    return [float(p) for p in sums]
+        # cumsum adds down each column in order, carrying the sum so far
+        # into each chunk; a miss adds +0.0, which changes no sum
+        terms = np.where(hits, w[:, None], 0.0)
+        carried = np.broadcast_to(sums, (1, terms.shape[1]))
+        sums = np.cumsum(np.vstack([carried, terms]), axis=0)[-1]
+    probs = sums / total if dist.is_uniform else sums
+    return probs.reshape(shape)
 
 
 def kwise_answer(
@@ -293,8 +297,12 @@ def kwise_answer(
     concept: Concept,
     dist: FiniteDistribution,
     mode: OracleMode = Exact(),
-) -> float:
-    """Answer a k-wise query; exact answers enumerate all |D|^k tuples."""
+) -> Union[float, np.ndarray]:
+    """Answer a k-wise query; exact answers enumerate all |D|^k tuples.
+
+    The answer is a float for a (T,) predicate, or a (q,) array for a
+    (T, q) one, entry e bit for bit the answer to event e alone.
+    """
     pts = dist.points
     labels = concept.labels(pts)
     k = query.k
@@ -304,9 +312,11 @@ def kwise_answer(
         rng = np.random.default_rng(derive_seed(mode.seed, "sq-sample-k"))
         idx = rng.choice(len(pts), size=(mode.samples, k), p=dist.weights)
         hits = np.asarray(query.predicate(pts[idx], labels[idx]), dtype=bool)
-        return int(hits.sum()) / mode.samples
-    (p,) = _exact_probs(dist, k, query.predicate, pts, labels)
-    return float(_distort(p, query.tau, mode))
+        p = hits.sum(axis=0) / mode.samples
+    else:
+        p = _distort(_exact_probs(dist, k, query.predicate, pts, labels),
+                     query.tau, mode)
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def make_unary_oracle(
@@ -428,8 +438,7 @@ class UnlabeledDraws:
     def kwise_prob(
         self, pred: Callable[[np.ndarray], np.ndarray], k: int
     ) -> float:
-        (p,) = _exact_probs(self.dist, k, pred, self.dist.points)
-        return p
+        return float(_exact_probs(self.dist, k, pred, self.dist.points))
 
 
 @dataclass
@@ -578,26 +587,24 @@ def kwise_to_unary_reduce(
 # parity learning from basis queries
 
 
-def _basis_answers(
-    k: int, concept: Concept, dist: FiniteDistribution
-) -> List[float]:
-    """The learner's k+1 exact k-wise answers, from one enumeration.
+def _basis_query(k: int) -> KWiseQuery:
+    """The learner's k+1 k-wise events, asked as one query.
 
-    Answer 0 is Pr[the k draws form a basis]; answer i is Pr[they form
-    a basis and the parity they pin down has bit i set].
+    Event 0 is "the k draws form a basis"; event i is "they form a basis
+    and the parity they pin down has bit i set".  The tolerance is
+    nominal: the learner asks the exact oracle.
     """
-    pts = dist.points
-    labels = concept.labels(pts).astype(np.int64)
 
     def events(xs: np.ndarray, ls: np.ndarray) -> np.ndarray:
-        # one elimination per tuple serves all k+1 queries; on a basis,
+        # one elimination per tuple serves all k+1 events; on a basis,
         # row i is coordinate i alone, its value in the label bit k
-        reduced, rank = eliminate((xs | ls << k).view(np.uint64)[:, :, None], k)
+        rows = xs | ls.astype(np.int64) << k
+        reduced, rank = eliminate(rows.view(np.uint64)[:, :, None], k)
         basis = rank == k
         bits = ((reduced[:, :, 0] >> np.uint64(k)) & np.uint64(1)).astype(bool)
         return np.column_stack([basis, bits & basis[:, None]])
 
-    return _exact_probs(dist, k, events, pts, labels)
+    return KWiseQuery(k, events, 0.01, "basis")
 
 
 def basis_query_learner(
@@ -613,8 +620,8 @@ def basis_query_learner(
     with a positive basis probability the per-coordinate answers are
     either 0 or the full basis mass, so each bit is read off by
     comparing against half the basis probability.  All k+1 answers
-    come from one pass over the tuples; k is at most 62, and the concept
-    and the distribution are both k bits wide.
+    come from one kwise_answer call, one pass over the tuples; k is at
+    most 62, and the concept and the distribution are both k bits wide.
     """
     if not 1 <= k <= 62:
         raise ValueError("the basis learner takes 1 <= k <= 62")
@@ -624,7 +631,7 @@ def basis_query_learner(
         raise ValueError("distribution width must equal k")
     if concept.n != k:
         raise ValueError("concept width must equal k")
-    p_basis, *answers = _basis_answers(k, concept, dist)
+    p_basis, *answers = kwise_answer(_basis_query(k), concept, dist)
     if p_basis <= 0.0:
         raise ValueError("distribution never yields a basis")
     bits = 0

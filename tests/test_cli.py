@@ -90,7 +90,7 @@ def test_solve_mle_live_source(capsys):
 def test_draw_samples_match_the_rows_drawn(k):
     # mle and gauss take the examples as row words
     bits, labels, _ = new_source(k, 0.1, seed=4).draw_batch(5000)
-    words, got = cli._draw_samples(new_source(k, 0.1, seed=4), 5000)
+    words, got, _ = new_source(k, 0.1, seed=4).draw_batch(5000, packed=True)
     assert words.shape == (5000, -(-k // 64))
     assert np.array_equal(unpack_words(words, k), bits)
     assert np.array_equal(got, labels)
@@ -271,6 +271,30 @@ def test_solve_short_file_draws_nothing(tmp_path, capsys, algo, extra):
     assert row["c_hat"] == ""
 
 
+@pytest.mark.parametrize("algo,extra,status,success,solves", [
+    ("bkw", [], "recovered", "true", True),
+    ("mle", [], "recovered", "", True),
+    ("gauss", [], "solved", "true", True),
+    ("online", ["--blocks", "2", "--width", "4", "--matrices", "2",
+                "--max-examples", "100"], "completed", "", False),
+])
+def test_file_without_target_rows(tmp_path, capsys, algo, extra, status,
+                                  success, solves):
+    # the same seed draws the same rows with and without the TARGET line
+    bare, marked = tmp_path / "bare.lpn", tmp_path / "marked.lpn"
+    for path, flag in ((bare, []), (marked, ["--with-target"])):
+        run(capsys, "gen", "--k", "8", "--count", "5000", "--eta", "0.0",
+            "--seed", "6", "--out", str(path), *flag)
+    target = read_instance(str(marked)).target.to_bytes_le().hex()
+    code, out, _ = run(capsys, "solve", "--algo", algo, "--in", str(bare),
+                       *extra)
+    assert code == 0
+    row = rows_from_csv(out)[0]
+    assert (row["status"], row["success"]) == (status, success)
+    assert row["target"] == ""
+    assert row["c_hat"] == (target if solves else "")
+
+
 # -- solve usage errors -----------------------------------------------
 
 
@@ -310,6 +334,18 @@ def test_solve_short_file_draws_nothing(tmp_path, capsys, algo, extra):
       "--seeds", "1,a"], "--seeds takes a count or a comma-separated list"),
     (["solve", "--algo", "mle", "--k", "8", "--eta", "0.1",
       "--seeds", "two"], "--seeds takes a count or a comma-separated list"),
+    (["gen", "--k", "8", "--count", "-1", "--eta", "0.1",
+      "--out", "/nonexistent/x.lpn"],
+     "--count must be nonnegative"),
+    (["solve", "--algo", "bkw", "--k", "8", "--eta", "0.1", "--delta", "7"],
+     "--delta must lie in (0, 1)"),
+    (["solve", "--algo", "mle", "--k", "8", "--eta", "0.1", "--delta", "7"],
+     "--delta must lie in (0, 1)"),
+    (["solve", "--algo", "gauss", "--k", "8", "--eta", "0.1", "--delta", "0"],
+     "--delta must lie in (0, 1)"),
+    (["solve", "--algo", "online", "--eta", "0.1", "--blocks", "2",
+      "--width", "4", "--matrices", "2", "--max-examples", "9",
+      "--delta", "nan"], "--delta must lie in (0, 1)"),
 ])
 def test_usage_errors_exit_one(tmp_path, capsys, argv, fragment):
     code, _, err = run(capsys, *argv)

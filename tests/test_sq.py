@@ -90,6 +90,21 @@ def test_from_pairs_validation():
         == 2**63 - 1
 
 
+def test_uniformity_follows_the_weights():
+    # a hand-set flag once made this distribution count 1/3 per point
+    with pytest.raises(TypeError):
+        FiniteDistribution(2, [0, 1, 2], [0.5, 0.25, 0.25], True)
+    skewed = FiniteDistribution(2, [0, 1, 2], [0.5, 0.25, 0.25])
+    assert not skewed.is_uniform
+    assert FiniteDistribution.from_pairs(2, [(0, 0.5), (3, 0.5)]).is_uniform
+    c = parity_concept(1, 2)
+    ones = KWiseQuery(1, lambda xs, ls: ls[:, 0] == 1, 0.1)
+    assert kwise_answer(ones, c, skewed) == 0.25
+    assert sq_answer(SqQuery(lambda x, l: l == 1, 0.1), c, skewed) == 0.25
+    assert UnlabeledDraws(skewed).kwise_prob(lambda xs: xs[:, 0] == 1, 1) \
+        == 0.25
+
+
 def test_points_and_weights_are_read_only_copies():
     pts, w = np.array([0, 3]), np.array([0.25, 0.75])
     for d in (UNIFORM3, FiniteDistribution(2, pts, w)):
@@ -164,6 +179,21 @@ def test_multi_event_answers_equal_single_event_answers(mode):
             assert multi.shape == (q,) and multi.dtype == np.float64
             single = [sq_answer(SqQuery(lambda x, l, e=e: table[l, x, e], 0.03),
                                 c, dist, mode) for e in range(q)]
+            assert all(type(a) is float for a in single)
+            assert multi.tolist() == single, (len(dist.points), q)
+        # the same events as one 2-wise query: both draws must hit
+        for q in (1, 3, 8):
+            table = rng.random((2, 128, q)) < rng.random(q)
+
+            def pair(xs, ls, e=slice(None)):
+                hit = [table[ls[:, j], xs[:, j], e] for j in (0, 1)]
+                return hit[0] & hit[1]
+
+            multi = kwise_answer(KWiseQuery(2, pair, 0.03), c, dist, mode)
+            assert multi.shape == (q,) and multi.dtype == np.float64
+            single = [kwise_answer(KWiseQuery(2, lambda xs, ls, e=e:
+                                              pair(xs, ls, e), 0.03),
+                                   c, dist, mode) for e in range(q)]
             assert all(type(a) is float for a in single)
             assert multi.tolist() == single, (len(dist.points), q)
 
@@ -343,13 +373,14 @@ def test_basis_answers_match_scalar_eliminate_learner(monkeypatch, k, chunk):
     for dist in dists:
         for mask in sorted(masks):
             c = parity_concept(mask, k)
-            got = sqmod._basis_answers(k, c, dist)
-            assert got == sq_oracle.basis_answers(k, c, dist), (mask, dist)
+            got = kwise_answer(sqmod._basis_query(k), c, dist)
+            assert got.tolist() == sq_oracle.basis_answers(k, c, dist), \
+                (mask, dist)
 
 
 def test_basis_answers_match_oracle_on_the_uniform_k4_space():
     c = parity_concept(0b1011, 4)
-    got = sqmod._basis_answers(4, c, UNIFORM4)
+    got = kwise_answer(sqmod._basis_query(4), c, UNIFORM4).tolist()
     assert got == sq_oracle.basis_answers(4, c, UNIFORM4)
     assert got[0] > 0 and [a > got[0] / 2 for a in got[1:]] == [1, 1, 0, 1]
 
