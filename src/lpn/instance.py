@@ -16,6 +16,7 @@ plain draw_batch(m) unpacks them into a (m, k) 0/1 uint8 matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,9 +66,14 @@ class ParityTarget:
     def k(self) -> int:
         return self.c.n
 
+    @cached_property
+    def _words(self) -> np.ndarray:
+        """c as a (1, ceil(k/64)) uint64 row word, built on first use."""
+        return _vector_words((self.c,), self.k)
+
     def predict_words(self, words: np.ndarray) -> np.ndarray:
         """Clean labels for (m, ceil(k/64)) uint64 row words."""
-        c = _vector_words((self.c,), self.k)
+        c = self._words
         return np.bitwise_count(np.bitwise_xor.reduce(words & c, axis=1)) & 1
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "predicted_bias",
     "xor_chain_oracle",
     "repetitions_for",
+    "predicted_examples",
     "choose_parameters",
     "merge_step",
     "collect_votes",
@@ -67,6 +68,11 @@ _ROUND_CELLS = 50_000_000
 # the online decoder; layouts wider than this do not fit
 _MAX_WIDTH = 62
 _VEC = (1 << 63) - 1
+
+# a solve with no limit on its examples (no max_examples, live source)
+# is refused when predicted_examples passes this: about a day at 13 M
+# examples/s
+_MAX_UNCAPPED = 2**40
 
 
 class SolverStatus(enum.Enum):
@@ -184,6 +190,35 @@ def repetitions_for(
     return max(1, math.ceil(reps))
 
 
+def predicted_examples(
+    k: int, eta: Union[float, NoiseRate], delta: float, layout: BlockLayout
+) -> float:
+    """Expected examples a bkw solve draws, from a survivor model.
+
+    Each vote draws n = a*2^b examples, and each of the a-1 merge levels
+    drops one row per occupied class of 2^b block values, so on average
+    n <- n - 2^b*(1 - (1 - 2^-b)^n).  The survivors are uniform over the
+    2^b values of block 1, so a draw holds the probe e1 with probability
+    hit = 1 - (1 - 2^-b)^n, and k*reps votes, reps from repetitions_for,
+    take k*reps*a*2^b/hit examples.  This is an expected count, not a
+    bound.  Coordinates past k (a*b > k) are zero, not uniform; the
+    model ignores that, so it errs high on padded layouts.
+    """
+    reps = repetitions_for(k, eta, delta, layout.a)
+    return _expected_examples(k, reps, layout)
+
+
+def _expected_examples(k: int, reps: int, layout: BlockLayout) -> float:
+    """predicted_examples for a given vote count per coordinate."""
+    a, b = layout.a, layout.b
+    log_miss = math.log1p(-(2.0**-b))
+    n = float(a * 2**b)
+    for _ in range(a - 1):
+        n -= 2**b * -math.expm1(n * log_miss)
+    hit = -math.expm1(n * log_miss)
+    return k * reps * a * 2**b / hit
+
+
 def choose_parameters(
     k: int,
     eta: Union[float, NoiseRate],
@@ -196,6 +231,12 @@ def choose_parameters(
     (2^b per block) and vote bias ((1-2*eta)^(2^(a-1)) per chain).
     shallow: a ~ lg(lg(k))/2, far fewer XOR terms per chain at the cost
     of wider blocks; only sensible when examples are cheap.
+
+    b = ceil(k/a).  When a*b passes the 62-bit limit of bkw, a moves to
+    the nearest depth whose layout fits, the shallower one on a tie: at
+    k = 61 and 62, balanced's a=3 would take 63 bits, so a=2 and b=31.
+    Above k = 62 no layout fits, and the profile's own a stays for the
+    solve to refuse.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -205,6 +246,9 @@ def choose_parameters(
         a = max(1, math.ceil(math.log2(max(2.0, math.log2(max(2, k)))) / 2))
     else:
         raise ValueError(f"unknown profile {profile!r}")
+    fits = [d for d in range(1, k + 1) if d * math.ceil(k / d) <= _MAX_WIDTH]
+    if fits:
+        a = min(fits, key=lambda d: (abs(d - a), d))
     b = math.ceil(k / a)
     layout = BlockLayout(a, b)
     reps = repetitions_for(k, eta, delta, a)
@@ -282,6 +326,10 @@ def _merge_segmented(
     of its group and then dropped.  Returns the new rows and segments in
     (segment, block value) order; groups of size one vanish entirely.
 
+    The rows of a group stay contiguous once its representative is
+    dropped, so each representative's word is read once and repeated
+    over the size-1 rows it is XORed into.
+
     prov, when given, is an (s, w) int array: row r is the XOR of the
     rows indexed by prov[r].  An output row gets its own row's w
     indices followed by its representative's, so w doubles.
@@ -299,23 +347,33 @@ def _merge_segmented(
     # key << sh | position sorts into the stable order of key, and faster;
     # segments and keys are bounded by the round size, so both fit
     sh = (s - 1).bit_length()
+    pm = (1 << sh) - 1  # the position bits
     assert int(key.max()) >> (63 - sh) == 0, "sort key overflows 63 bits"
     key <<= sh
     key |= np.arange(s)
     key.sort()
-    order, ks = key & ((1 << sh) - 1), key >> sh
-    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-    sizes = np.diff(np.r_[starts, s])
+    # a group starts where the sorted key changes above the position bits
+    new = np.empty(s, dtype=bool)
+    new[0] = True
+    np.greater(key[1:] ^ key[:-1], pm, out=new[1:])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=s)
     rep_pos = starts + rng.integers(0, sizes)
     keep = np.ones(s, dtype=bool)
     keep[rep_pos] = False
 
-    rows = order[keep]
-    reps = order[np.repeat(rep_pos, sizes)[keep]]
-    out = x[rows] ^ x[reps]
+    kept = key[keep]
+    rows = kept & pm
+    reps = key[rep_pos] & pm
+    sizes -= 1  # rows each representative is XORed into
+    out = x[rows]
+    out ^= np.repeat(x[reps], sizes)
     assert not (out & mask << lo).any(), "collapsed block must be zero"
-    out_prov = None if prov is None else np.hstack([prov[rows], prov[reps]])
-    return out, ks[keep] >> b, out_prov
+    out_prov = None
+    if prov is not None:
+        out_prov = np.hstack([prov[rows], prov[np.repeat(reps, sizes)]])
+    kept >>= sh + b
+    return out, kept, out_prov
 
 
 def merge_step(
@@ -528,14 +586,26 @@ def recover_target(
     first).  All bits share one example stream and one budget:
     max_examples and, for a finite source, the rows it has left.
     Running out, or a vote past the redraw cap, ends the solve with
-    BUDGET_EXCEEDED and the examples drawn so far.  The merge RNG lanes
-    derive from `seed`, defaulting to the source's own seed.
+    BUDGET_EXCEEDED and the examples drawn so far.  Without either
+    limit, a solve that the model of predicted_examples expects to draw
+    more than 2^40 examples is refused with ValueError before any
+    draw.  The merge RNG lanes derive from `seed`, defaulting to the
+    source's own seed.
     """
     layout = config.layout
     k = source.k
     _check_layout(k, layout)
     reps = _resolve_repetitions(source, config)
     budget = _BudgetTracker(source, config.max_examples)
+    if budget.limit is None:
+        need = _expected_examples(k, reps, layout)
+        if need > _MAX_UNCAPPED:
+            raise ValueError(
+                f"bkw at k={k} with layout {layout.a}x{layout.b} and {reps} "
+                f"votes per bit is predicted to draw {need:.3g} examples, "
+                f"more than the 2^{_MAX_UNCAPPED.bit_length() - 1} a solve "
+                "may draw without max_examples (--max-examples)"
+            )
     if seed is None:
         seed = source.rng_seed
     t0 = time.perf_counter()

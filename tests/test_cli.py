@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -235,6 +236,30 @@ def test_solve_budget_exceeded_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--algo", "mle", "--in", str(p))
     assert code == 3
     assert rows_from_csv(out)[0]["status"] == "budget_exceeded"
+
+
+def test_bkw_predicted_past_2_40_examples_is_refused(capsys):
+    # layout 3x14 and 1,336,922,346 votes per bit: about 3.8e15 examples
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--algo", "bkw", "--k", "40",
+                         "--eta", "0.45")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert "3.8e+15 examples" in err and "--max-examples" in err
+    # a cap keeps the solve, which then runs into it
+    code, out, _ = run(capsys, "solve", "--algo", "bkw", "--k", "40",
+                       "--eta", "0.45", "--max-examples", "1000")
+    assert code == 3
+    assert rows_from_csv(out)[0]["status"] == "budget_exceeded"
+
+
+@pytest.mark.parametrize("k", [61, 62])
+def test_bkw_at_k61_and_62_takes_a_fitting_layout(capsys, k):
+    code, out, err = run(capsys, "solve", "--algo", "bkw", "--k", str(k),
+                         "--eta", "0.1", "--max-examples", "1000")
+    assert code == 3 and err == ""
+    row = rows_from_csv(out)[0]
+    assert (row["a"], row["b"], row["status"]) == ("2", "31", "budget_exceeded")
 
 
 def test_solve_bkw_short_file_reports_drawn_examples(tmp_path, capsys):

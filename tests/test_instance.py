@@ -46,6 +46,18 @@ def test_parity_target_predicts():
     assert list(t.predict_words(pack_words(rows))) == [1, 1, 0]
 
 
+def test_target_word_is_built_once():
+    t = ParityTarget(V("1010"))
+    rows = pack_words(np.eye(4, dtype=np.uint8))
+    assert list(t.predict_words(rows)) == [1, 0, 1, 0]
+    word = t._words
+    assert list(t.predict_words(rows)) == [1, 0, 1, 0]
+    assert t._words is word
+    # the cached word takes no part in equality or hashing
+    fresh = ParityTarget(V("1010"))
+    assert t == fresh and hash(t) == hash(fresh)
+
+
 @pytest.mark.parametrize("k", [1, 24, 62, 300])
 def test_predict_rows_matches_matmul(k):
     # predict_words on the rows' words against an integer matmul

@@ -112,6 +112,61 @@ def test_choose_parameters_covers_k():
         assert cfg.layout.total >= k
 
 
+@pytest.mark.parametrize("profile", ["balanced", "shallow"])
+def test_choose_parameters_fit_the_62_bit_limit(profile):
+    for k in range(1, 63):
+        solvers._check_layout(k, choose_parameters(k, 0.1, 0.1, profile).layout)
+    for k in (61, 62):
+        layout = choose_parameters(k, 0.1, 0.1, profile).layout
+        assert (layout.a, layout.b) == (2, 31)
+
+
+@pytest.mark.parametrize("profile", ["balanced", "shallow"])
+def test_choose_parameters_keep_the_profile_depth_up_to_k60(profile):
+    for k in range(1, 61):
+        if profile == "balanced":
+            a = max(1, round(math.log2(k) / 2))
+        else:
+            a = max(1, math.ceil(math.log2(max(2.0, math.log2(max(2, k)))) / 2))
+        layout = choose_parameters(k, 0.1, 0.1, profile).layout
+        assert (layout.a, layout.b) == (a, math.ceil(k / a))
+
+
+def test_predicted_examples_values():
+    # the survivor model at the benchmark's and AC-1's settings
+    assert round(solvers.predicted_examples(24, 0.125, 0.1, BlockLayout(3, 8))) \
+        == 3299279
+    assert round(solvers.predicted_examples(24, 0.125, 1e-4, BlockLayout(3, 8))) \
+        == 6971058
+    with pytest.raises(ValueError, match="infeasible"):
+        solvers.predicted_examples(24, 0.49, 0.1, BlockLayout(6, 4))
+
+
+def mean_examples_used(k, eta, layout, seeds=range(6)):
+    cfg = SolverConfig(layout, repetitions_for(k, eta, 0.1, layout.a), 0.1)
+    return np.mean([recover_target(new_source(k, eta, seed=s), cfg).examples_used
+                    for s in seeds])
+
+
+@pytest.mark.parametrize("k,eta,a,b", [
+    (8, 0.125, 2, 4), (9, 0.125, 3, 3), (10, 0.1, 2, 5), (12, 0.125, 2, 6),
+    (16, 0.2, 2, 8),
+])
+def test_predicted_examples_track_the_mean_of_six_solves(k, eta, a, b):
+    # one solve spreads by 1.5-3% around the model; the mean of six
+    # lies within 5% of it
+    layout = BlockLayout(a, b)
+    want = solvers.predicted_examples(k, eta, 0.1, layout)
+    assert abs(mean_examples_used(k, eta, layout) / want - 1) < 0.05
+
+
+@pytest.mark.parametrize("k,a,b", [(11, 2, 6), (13, 2, 7)])
+def test_predicted_examples_err_high_on_padded_layouts(k, a, b):
+    layout = BlockLayout(a, b)
+    want = solvers.predicted_examples(k, 0.125, 0.1, layout)
+    assert mean_examples_used(k, 0.125, layout) < want
+
+
 # -- i-samples and the merge step -------------------------------------
 
 
@@ -426,6 +481,54 @@ def test_packed_round_matches_reference(a, b, where, track):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def merge_input(case, layout, rng):
+    """Rows and int64 segment ids for one per-level merge case."""
+    a, b, w = layout.a, layout.b, layout.total
+    sizes = {"colliding": [400] * 6, "one-row segment": [400, 1, 399, 1],
+             "singletons": [min(2**b, 50)] * 3, "s=0": [0], "s=1": [1]}[case]
+    if case in ("colliding", "one-row segment"):
+        rows = colliding_rows(w, b, sum(sizes), rng)
+    else:
+        rows = rng.integers(0, 2, size=(sum(sizes), w), dtype=np.uint8)
+    if case == "singletons":
+        # distinct values of the first collapsed block in each segment
+        vals = np.concatenate([rng.choice(2**b, n, replace=False) for n in sizes])
+        lo, hi = layout.bounds(a)
+        rows[:, lo:hi] = vals[:, None] >> np.arange(b) & 1
+    return rows, np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+
+
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize(
+    "case", ["colliding", "one-row segment", "singletons", "s=0", "s=1"])
+@pytest.mark.parametrize("a,b", [l for l in DIFF_LAYOUTS if l[0] > 1])
+def test_merge_levels_match_reference(a, b, case, track):
+    # a=1 has no merge level; every level must agree row for row
+    layout = BlockLayout(a, b)
+    rng = np.random.default_rng([a, b, len(case)])
+    bits, ref_seg = merge_input(case, layout, rng)
+    labels = rng.integers(0, 2, size=len(bits), dtype=np.uint8)
+    x, seg = row_words(bits, labels), ref_seg
+    prov = ref_prov = np.arange(len(bits))[:, None] if track else None
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for level in range(a - 1):
+        x, seg, prov = solvers._merge_segmented(x, seg, layout, level, rng, prov)
+        bits, labels, ref_seg, ref_prov = merge_oracle.merge_segmented(
+            bits, labels, ref_seg, layout, level, ref_rng, ref_prov)
+        assert x.dtype == np.int64 and seg.dtype == np.int64
+        assert np.array_equal(x, row_words(bits, labels))
+        assert np.array_equal(seg, ref_seg)
+        if track:
+            assert np.array_equal(prov, ref_prov)
+        else:
+            assert prov is None and ref_prov is None
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if case == "colliding":
+        assert len(x) > 0
+    if case in ("singletons", "s=1"):
+        assert len(x) == 0
+
+
 @pytest.mark.parametrize("track", [False, True])
 @pytest.mark.parametrize("where", ["0", "1", "k-1"])
 @pytest.mark.parametrize("a,b", [l for l in DIFF_LAYOUTS if l != (2, 31)])
@@ -462,6 +565,17 @@ def test_layouts_wider_than_62_bits_are_refused():
         with pytest.raises(ValueError, match="62-bit"):
             call()
     assert src.draw_count == 0
+
+
+def test_uncapped_solve_past_2_40_examples_is_refused():
+    src = new_source(40, 0.45, seed=1)
+    cfg = choose_parameters(40, 0.45, 0.1)
+    assert solvers.predicted_examples(40, 0.45, 0.1, cfg.layout) > 2**40
+    with pytest.raises(ValueError, match=r"3\.8e\+15 examples"):
+        recover_target(src, cfg)
+    assert src.draw_count == 0
+    res = recover_target(src, replace(cfg, max_examples=1000))
+    assert res.status is SolverStatus.BUDGET_EXCEEDED
 
 
 def test_votes_use_fresh_examples():
