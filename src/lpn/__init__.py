@@ -8,13 +8,10 @@ from .gf2 import (
 )
 from .instance import (
     ExampleSource,
-    Explicit,
     NoiseRate,
     ParityTarget,
     ReplaySource,
-    Stream,
     StreamExhausted,
-    Uniform,
     empirical_error,
     new_source,
 )

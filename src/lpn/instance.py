@@ -1,11 +1,13 @@
-"""Noisy parity example generators.
+"""Noisy parity example sources.
 
-An example source fixes a secret parity target c over k bits and hands
-out labeled examples (x, <c,x> + noise) where the noise flips each label
-independently with probability eta.  Sources are fully reproducible:
-the stream is generated in fixed-size chunks from a PCG64 generator, so
-the sequence of examples depends only on the seed, never on how the
-caller sliced its draw_batch() requests or which form it asked for.
+An ExampleSource fixes a secret parity target c over k bits and hands
+out labeled examples (x, <c,x> + noise), x uniform over {0,1}^k, where
+the noise flips each label independently with probability eta.  The
+stream is reproducible: it is generated in fixed-size chunks from a
+PCG64 generator, so the sequence of examples depends only on the seed,
+never on how the caller sliced its draw_batch() requests or which form
+it asked for.  A ReplaySource hands out a fixed table of examples
+instead, such as one read from a file, and is the one finite source.
 
 A source holds each chunk in one form: (m, ceil(k/64)) uint64 row
 words, coordinate 1 in bit 0 of word 0 (gf2.pack_words), beside one
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,9 +29,6 @@ from .seeding import derive_seed
 __all__ = [
     "NoiseRate",
     "ParityTarget",
-    "Uniform",
-    "Explicit",
-    "Stream",
     "StreamExhausted",
     "ExampleSource",
     "ReplaySource",
@@ -69,19 +68,13 @@ class ParityTarget:
     @cached_property
     def _words(self) -> np.ndarray:
         """c as a (1, ceil(k/64)) uint64 row word, built on first use."""
-        return _vector_words((self.c,), self.k)
+        raw = self.c.bits.to_bytes(8 * -(-self.k // 64), "little")
+        return np.frombuffer(raw, dtype="<u8").reshape(1, -1)
 
     def predict_words(self, words: np.ndarray) -> np.ndarray:
         """Clean labels for (m, ceil(k/64)) uint64 row words."""
         c = self._words
         return np.bitwise_count(np.bitwise_xor.reduce(words & c, axis=1)) & 1
-
-
-def _vector_words(vectors: Sequence[BitVec], k: int) -> np.ndarray:
-    """Vectors of length k as (len(vectors), ceil(k/64)) uint64 row words."""
-    nw = -(-k // 64)
-    raw = bytearray().join(v.bits.to_bytes(8 * nw, "little") for v in vectors)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(vectors), nw)
 
 
 def _check_words(words: np.ndarray, labels: np.ndarray, k: int) -> None:
@@ -101,51 +94,6 @@ def _check_words(words: np.ndarray, labels: np.ndarray, k: int) -> None:
 def _check_target(target, k: int) -> None:
     if not isinstance(target, ParityTarget) or target.k != k:
         raise ValueError("target must be a ParityTarget of length k")
-
-
-class Uniform:
-    """Examples drawn uniformly from {0,1}^k."""
-
-    def __repr__(self) -> str:
-        return "Uniform()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Uniform)
-
-    def __hash__(self) -> int:
-        return hash(Uniform)
-
-
-@dataclass(frozen=True)
-class Explicit:
-    """Examples drawn from a finite support with given probabilities."""
-
-    support: Tuple[BitVec, ...]
-    probs: Tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.support) != len(self.probs) or not self.support:
-            raise ValueError("support and probs must be nonempty and equal length")
-        if not all(p >= 0.0 for p in self.probs):  # NaN fails too
-            raise ValueError("probabilities must be nonnegative")
-        if not abs(sum(self.probs) - 1.0) <= 1e-9:
-            raise ValueError("probabilities must sum to 1")
-        n = self.support[0].n
-        if any(v.n != n for v in self.support):
-            raise ValueError("support vectors must share one length")
-
-
-@dataclass(frozen=True)
-class Stream:
-    """Examples taken in order from a fixed sequence of vectors."""
-
-    xs: Tuple[BitVec, ...]
-
-    def __post_init__(self):
-        if self.xs:
-            n = self.xs[0].n
-            if any(v.n != n for v in self.xs):
-                raise ValueError("stream vectors must share one length")
 
 
 class StreamExhausted(RuntimeError):
@@ -224,7 +172,7 @@ class ExampleSource(_BufferedDraws):
         self,
         k: int,
         eta: Union[float, NoiseRate],
-        distribution: Union[Uniform, Explicit, Stream, None] = None,
+        *,
         seed: int = 0,
         target: Union[ParityTarget, str] = "random",
     ):
@@ -235,7 +183,6 @@ class ExampleSource(_BufferedDraws):
             raise ValueError("seed must be nonnegative")
         self.k = k
         self.eta = eta if isinstance(eta, NoiseRate) else NoiseRate(float(eta))
-        self.distribution = distribution if distribution is not None else Uniform()
         self.rng_seed = seed
         self._rng = np.random.default_rng(seed)
         if target == "random":
@@ -244,40 +191,15 @@ class ExampleSource(_BufferedDraws):
             target = ParityTarget(BitVec.from_bits_row(raw))
         _check_target(target, k)
         self.target = target
-        self._stream_pos = 0
-        if isinstance(self.distribution, Explicit):
-            if self.distribution.support[0].n != k:
-                raise ValueError("support vectors must have length k")
-            self._support_words = _vector_words(self.distribution.support, k)
-            self._probs = np.asarray(self.distribution.probs, dtype=np.float64)
-            self._probs = self._probs / self._probs.sum()
-        elif isinstance(self.distribution, Stream):
-            if self.distribution.xs and self.distribution.xs[0].n != k:
-                raise ValueError("stream vectors must have length k")
-            self._stream_words = _vector_words(self.distribution.xs, k)
-
-    def remaining(self) -> Optional[int]:
-        if isinstance(self.distribution, Stream):
-            return len(self._stream_words) - self.draw_count
-        return None
 
     def _refill(self) -> None:
-        dist = self.distribution
-        if isinstance(dist, Uniform):
-            # the stream's bits are integers(0, 2, (_CHUNK, k), uint8),
-            # which numpy computes as the top bit of each little-endian
-            # byte of these outputs and never rejects; _CHUNK * k bytes
-            # fill whole outputs, so the generator ends in the same state
-            raw = self._rng.bit_generator.random_raw(_CHUNK * self.k // 8)
-            raw = raw.astype("<u8", copy=False).view(np.uint8)
-            words = pack_words(raw.reshape(_CHUNK, self.k) >> 7)
-        elif isinstance(dist, Explicit):
-            idx = self._rng.choice(len(self._support_words), size=_CHUNK, p=self._probs)
-            words = self._support_words[idx]
-        else:
-            take = min(_CHUNK, len(self._stream_words) - self._stream_pos)
-            words = self._stream_words[self._stream_pos : self._stream_pos + take]
-            self._stream_pos += take
+        # the stream's bits are integers(0, 2, (_CHUNK, k), uint8),
+        # which numpy computes as the top bit of each little-endian
+        # byte of these outputs and never rejects; _CHUNK * k bytes
+        # fill whole outputs, so the generator ends in the same state
+        raw = self._rng.bit_generator.random_raw(_CHUNK * self.k // 8)
+        raw = raw.astype("<u8", copy=False).view(np.uint8)
+        words = pack_words(raw.reshape(_CHUNK, self.k) >> 7)
         clean = self.target.predict_words(words)
         # noise variates are drawn for every chunk, eta = 0 included,
         # so the x-stream does not depend on the noise rate
@@ -328,11 +250,11 @@ class ReplaySource(_BufferedDraws):
 def new_source(
     k: int,
     eta: Union[float, NoiseRate],
-    distribution: Union[Uniform, Explicit, Stream, None] = None,
+    *,
     seed: int = 0,
     target: Union[ParityTarget, str] = "random",
 ) -> ExampleSource:
-    return ExampleSource(k, eta, distribution, seed, target)
+    return ExampleSource(k, eta, seed=seed, target=target)
 
 
 def empirical_error(h: ParityTarget, words: np.ndarray, labels: np.ndarray) -> float:

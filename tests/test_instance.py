@@ -1,4 +1,4 @@
-"""Example source determinism, noise statistics, and distributions."""
+"""Example source determinism, noise statistics, and replayed tables."""
 
 import math
 
@@ -9,13 +9,10 @@ from bitvec_helpers import bits_row, random_bitvec
 from lpn.gf2 import BitVec, pack_words
 from lpn.instance import (
     ExampleSource,
-    Explicit,
     NoiseRate,
     ParityTarget,
     ReplaySource,
-    Stream,
     StreamExhausted,
-    Uniform,
     empirical_error,
     new_source,
 )
@@ -130,77 +127,24 @@ def test_flip_rate_matches_eta(eta):
     assert abs(flips - eta * m) <= 3 * sigma + 1e-9
 
 
-def test_explicit_point_mass():
-    dist = Explicit((V("0000"),), (1.0,))
-    src = new_source(4, 0.0, distribution=dist, seed=5)
-    for _ in range(50):
-        x, label, _ = draw_one(src)
-        assert x == V("0000") and label == 0
-
-
-def test_explicit_point_mass_noisy_labels_are_bernoulli():
-    dist = Explicit((V("0000"),), (1.0,))
-    src = new_source(4, 0.25, distribution=dist, seed=5)
-    _, labels, _ = src.draw_batch(20000)
-    ones = int(labels.sum())
-    assert abs(ones - 5000) <= 3 * math.sqrt(20000 * 0.25 * 0.75)
-
-
-def test_explicit_two_point_frequencies():
-    dist = Explicit((V("1000"), V("0100")), (0.75, 0.25))
-    src = new_source(4, 0.0, distribution=dist, seed=13)
-    bits, _, _ = src.draw_batch(20000)
-    first = int(bits[:, 0].sum())
-    assert abs(first - 15000) <= 3 * math.sqrt(20000 * 0.75 * 0.25)
-
-
-def test_explicit_validation():
-    with pytest.raises(ValueError):
-        Explicit((V("10"),), (0.5,))
-    with pytest.raises(ValueError):
-        Explicit((V("10"), V("011")), (0.5, 0.5))
-    with pytest.raises(ValueError):
-        Explicit((), ())
-    with pytest.raises(ValueError):
-        Explicit((V("10"), V("01")), (float("nan"), 1.0))
-
-
-def test_stream_serves_in_order_then_exhausts():
-    xs = tuple(V(s) for s in ("1000", "0100", "0010"))
-    src = new_source(4, 0.0, distribution=Stream(xs), seed=0)
-    got = [draw_one(src)[0] for _ in range(3)]
-    assert got == list(xs)
-    with pytest.raises(StreamExhausted):
-        draw_one(src)
-
-
 def test_remaining_counts_the_rows_of_finite_sources():
-    xs = tuple(V(s) for s in ("1000", "0100", "0010"))
-    stream = new_source(4, 0.0, distribution=Stream(xs), seed=0)
-    draw_one(stream)
-    assert stream.remaining() == 2
     assert new_source(4, 0.1, seed=0).remaining() is None
-    point = Explicit((V("1111"),), (1.0,))
-    assert new_source(4, 0.1, distribution=point, seed=0).remaining() is None
     words, labels, _ = new_source(4, 0.1, seed=0).draw_batch(10, packed=True)
     replay = ReplaySource(words, labels, 4)
     replay.draw_batch(4)
     assert replay.remaining() == 6
 
 
-def _ten_row_source(kind):
+def _ten_row_source():
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2, size=(10, 5), dtype=np.uint8)
-    if kind == "replay":
-        labels = rng.integers(0, 2, size=10, dtype=np.uint8)
-        return ReplaySource(pack_words(bits), labels, 5)
-    xs = tuple(BitVec.from_bits_row(r) for r in bits)
-    return new_source(5, 0.25, distribution=Stream(xs), seed=3)
+    labels = rng.integers(0, 2, size=10, dtype=np.uint8)
+    return ReplaySource(pack_words(bits), labels, 5)
 
 
-@pytest.mark.parametrize("kind", ["replay", "stream"])
+@pytest.mark.parametrize("kind", ["replay"])
 def test_failed_over_draw_leaves_a_finite_source_unchanged(kind):
-    src, twin = _ten_row_source(kind), _ten_row_source(kind)
+    src, twin = _ten_row_source(), _ten_row_source()
     with pytest.raises(StreamExhausted, match="10 examples left, 15 requested"):
         src.draw_batch(15)
     assert (src.remaining(), src.draw_count) == (10, 0)
@@ -216,16 +160,15 @@ def test_failed_over_draw_leaves_a_finite_source_unchanged(kind):
     assert (src.remaining(), src.draw_count) == (0, 10)
 
 
-def test_stream_vector_length_checked():
-    with pytest.raises(ValueError):
-        new_source(4, 0.0, distribution=Stream((V("10101"),)), seed=0)
-
-
-def test_explicit_support_length_checked():
-    # shorter and longer supports were accepted and failed at the first draw
-    for support in ("1011", "10110010"):
-        with pytest.raises(ValueError, match="length k"):
-            ExampleSource(6, 0.1, Explicit((V(support),), (1.0,)))
+def test_seed_and_target_are_keyword_only():
+    # the third positional parameter was once a distribution, so a call
+    # written for it must fail instead of reading its None as the seed
+    for call in (new_source, ExampleSource):
+        with pytest.raises(TypeError):
+            call(8, 0.1, None, 3)
+        with pytest.raises(TypeError):
+            call(8, 0.1, 3)
+    assert new_source(8, 0.1, seed=3).rng_seed == 3
 
 
 def test_random_target_consumes_rng_before_examples():
@@ -327,11 +270,6 @@ def test_uncorrelated_hypothesis_has_half_error():
     assert abs(err - 0.5) <= 3 * math.sqrt(0.25 / 20000)
 
 
-def test_uniform_equality():
-    assert Uniform() == Uniform()
-    assert new_source(4, 0.0, seed=1).distribution == Uniform()
-
-
 # -- row words against the stream definition ---------------------------
 
 WORD_KS = [1, 7, 8, 24, 62, 63, 300]
@@ -364,49 +302,30 @@ def _make_source(name, k, seed):
         bits = rng.integers(0, 2, size=(STREAM_LEN, k), dtype=np.uint8)
         labels = rng.integers(0, 2, size=STREAM_LEN, dtype=np.uint8)
         return ReplaySource(pack_words(bits), labels, k)
-    if name == "uniform":
-        dist = Uniform()
-    elif name == "explicit":
-        vecs = tuple(random_bitvec(k, rng) for _ in range(5))
-        dist = Explicit(vecs, (0.4, 0.3, 0.15, 0.1, 0.05))
-    else:
-        dist = Stream(tuple(random_bitvec(k, rng) for _ in range(STREAM_LEN)))
-    return ExampleSource(k, 0.125, dist, seed=seed)
+    return ExampleSource(k, 0.125, seed=seed)
 
 
 def _reference_stream(src, chunks):
     """src's stream drawn as instance.py defines it, the way it was drawn
     before sources held row words: (4096, k) chunks from
-    integers(0, 2, uint8), a support or the stream's rows, clean labels
-    from an integer matmul with the target, then one random() per row
-    for the noise."""
-    dist, k, eta = src.distribution, src.k, float(src.eta)
+    integers(0, 2, uint8), clean labels from an integer matmul with the
+    target, then one random() per row for the noise."""
+    k, eta = src.k, float(src.eta)
     c = bits_row(src.target.c).astype(np.int64)
     rng = np.random.default_rng(src.rng_seed)
-    if isinstance(dist, Explicit):
-        support = np.stack([bits_row(v) for v in dist.support])
-        probs = np.asarray(dist.probs, dtype=np.float64)
-        probs = probs / probs.sum()
-    elif isinstance(dist, Stream):
-        rows = np.stack([bits_row(v) for v in dist.xs])
     bits, labels = [], []
-    for i in range(chunks):
-        if isinstance(dist, Uniform):
-            x = rng.integers(0, 2, size=(4096, k), dtype=np.uint8)
-        elif isinstance(dist, Explicit):
-            x = support[rng.choice(len(support), size=4096, p=probs)]
-        else:
-            x = rows[4096 * i : 4096 * (i + 1)]
+    for _ in range(chunks):
+        x = rng.integers(0, 2, size=(4096, k), dtype=np.uint8)
         bits.append(x)
         labels.append((x.astype(np.int64) @ c & 1) ^ (rng.random(len(x)) < eta))
     return np.concatenate(bits), np.concatenate(labels).astype(np.uint8), rng
 
 
-@pytest.mark.parametrize("dist", ["uniform", "explicit", "stream"])
+@pytest.mark.parametrize("dist", ["uniform"])
 @pytest.mark.parametrize("k", WORD_KS)
 def test_word_source_matches_stream_definition(k, dist):
     # if a numpy release changes its bounded-integer path for uint8,
-    # the Uniform case fails here
+    # this test fails
     for seed in range(3):
         src = _make_source(dist, k, seed)
         bits, labels, ref = _reference_stream(src, 4)
@@ -433,7 +352,7 @@ def test_replay_words_match_its_rows(k):
     assert rep.remaining() == 0
 
 
-@pytest.mark.parametrize("dist", ["uniform", "explicit", "stream", "replay"])
+@pytest.mark.parametrize("dist", ["uniform", "replay"])
 @pytest.mark.parametrize("k", WORD_KS)
 def test_draw_forms_give_one_stream(k, dist):
     bits, labels, _ = _make_source(dist, k, 5).draw_batch(STREAM_LEN)

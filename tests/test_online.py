@@ -11,6 +11,7 @@ from lpn.gf2 import BitVec
 from lpn.instance import ReplaySource, new_source
 from lpn.online import run_online
 from lpn.solvers import predicted_bias
+from bitvec_helpers import random_bitvec
 from online_oracle import (
     Captured,
     EliminationMatrix,
@@ -21,6 +22,7 @@ from online_oracle import (
     reduce_through,
     run_reference,
 )
+from source_helpers import support_replay
 
 V = BitVec.from_string
 
@@ -196,6 +198,24 @@ def test_matches_reference(gw, t, eta):
                          collect_vote_stats=True, record_predictions=True)
     assert got == want
     assert got.unknown == sum(got.per_matrix_fill)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.25])
+def test_matches_reference_on_a_skewed_support(eta):
+    # examples from 40 vectors with geometric weights, not uniform ones
+    g, w, t = 3, 4, 5
+    rng = np.random.default_rng(12)
+    support = [random_bitvec(g * w, rng) for _ in range(40)]
+    weights = 0.85 ** np.arange(40)
+    got = run_online(support_replay(support, weights, 4000, eta, 31), g, w, t,
+                     collect_vote_stats=True, record_predictions=True)
+    want = run_reference(support_replay(support, weights, 4000, eta, 31), g, w,
+                         t, 4000, collect_vote_stats=True,
+                         record_predictions=True)
+    assert got == want
+    assert got.predicted > 0
+    if eta == 0.0:
+        assert got.errors == 0
 
 
 @pytest.mark.parametrize("stats", [False, True])

@@ -1,13 +1,16 @@
-"""Package-level checks: every public name a module declares exists, and
-every name the package re-exports is one its module declares."""
+"""Package-level checks: every public name a module declares exists,
+every name the package re-exports is one its module declares, and
+new_source takes the parameters of the class it builds."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import lpn
+from lpn.instance import ExampleSource, new_source
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lpn.__path__, "lpn."))
 
@@ -46,3 +49,10 @@ def test_package_exports_are_in_their_modules_all():
         stale += [f"{name}.{a.name}" for a in node.names if a.name not in listed]
     assert imported > 0
     assert stale == []
+
+
+def test_new_source_takes_the_parameters_of_example_source():
+    # new_source forwards by keyword, so a parameter added to or dropped
+    # from one of the two must be added to or dropped from the other
+    init = list(inspect.signature(ExampleSource.__init__).parameters.values())
+    assert list(inspect.signature(new_source).parameters.values()) == init[1:]

@@ -12,9 +12,10 @@ import merge_oracle
 import mle_oracle
 from bitvec_helpers import bits_row, random_bitvec
 from gf2_oracle import back_substitute, eliminate
+from source_helpers import support_replay
 from lpn.gf2 import BitVec, BlockLayout, GaussStatus, pack_words
 from lpn import solvers
-from lpn.instance import Explicit, ReplaySource, Stream, new_source
+from lpn.instance import ReplaySource, new_source
 from lpn.solvers import (
     MLE_MAX_K,
     BudgetExceededError,
@@ -661,11 +662,9 @@ def test_finite_source_is_a_budget():
 
 
 def test_finite_stream_source_is_a_budget():
-    # 30 votes of 32 draws need 960 rows; the stream holds 500
-    rng = np.random.default_rng(34)
-    xs = tuple(BitVec.from_bits_row(row)
-               for row in rng.integers(0, 2, size=(500, 8), dtype=np.uint8))
-    src = new_source(8, 0.1, distribution=Stream(xs), seed=34)
+    # 30 votes of 32 draws need 960 rows; the replay holds 500
+    everything = [BitVec(8, v) for v in range(256)]
+    src = support_replay(everything, [1.0] * 256, 500, 0.1, seed=34)
     assert src.remaining() == 500
     cfg = SolverConfig(layout=BlockLayout(2, 4), repetitions=30)
     res = recover_target(src, cfg)
@@ -676,11 +675,11 @@ def test_finite_stream_source_is_a_budget():
 
 def test_redraw_cap_trips_on_degenerate_distribution():
     # a point mass never produces the probe vector, so every vote
-    # redraws until the cap trips
-    dist = Explicit((V("1111"),), (1.0,))
-    src = new_source(4, 0.0, distribution=dist, seed=14)
+    # redraws until the cap trips; 50 redraws of a * 2^b = 8 rows fit
+    # the 400 rows, so the row budget cannot trip first
+    src = support_replay([V("1111")], [1.0], 400, 0.0, seed=14)
     cfg = SolverConfig(layout=BlockLayout(2, 2), repetitions=1)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="after 50 redraws"):
         collect_votes(src, cfg, 1)
 
 
@@ -733,7 +732,7 @@ def test_mle_noiseless_recovers():
 
 
 def test_mle_tie_break_is_smallest_candidate():
-    src = new_source(4, 0.0, distribution=Explicit((V("0000"),), (1.0,)), seed=1)
+    src = support_replay([V("0000")], [1.0], 10, 0.0, seed=1)
     assert mle_bruteforce(*draw_words(src, 10), 4).c == BitVec(4)
 
 
@@ -764,8 +763,8 @@ def test_mle_transform_matches_gray_code_walk_on_ties(k, m):
     # rows from three vectors: a candidate's errors depend only on its
     # three parities, so each error count is shared by 2^(k-3) candidates
     rng = np.random.default_rng(k)
-    dist = Explicit(tuple(random_bitvec(k, rng) for _ in range(3)), (0.5, 0.3, 0.2))
-    words, labels = draw_words(new_source(k, 0.3, distribution=dist, seed=m), m)
+    support = [random_bitvec(k, rng) for _ in range(3)]
+    words, labels = draw_words(support_replay(support, [0.5, 0.3, 0.2], m, 0.3, m), m)
     assert mle_bruteforce(words, labels, k).c.bits == mle_oracle.mle_gray(
         words, labels, k)
 
@@ -803,8 +802,7 @@ def test_gaussian_baseline_noiseless():
 
 
 def test_gaussian_baseline_underdetermined():
-    src = new_source(8, 0.0, distribution=Explicit((V("10000000"),), (1.0,)),
-                     seed=17)
+    src = support_replay([V("10000000")], [1.0], 10, 0.0, seed=17)
     res = gaussian_baseline(*draw_words(src, 10), 8)
     assert res.status is GaussStatus.UNDERDETERMINED
 
