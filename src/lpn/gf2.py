@@ -15,6 +15,9 @@ move between representations without any reindexing.
 vectorised across a batch of systems.  The elimination baseline hands
 it one system of thousands of rows; the SQ basis learner hands it one
 k x k system per k-tuple of draws, tens of thousands at a time.
+
+`fwht` is the one Walsh-Hadamard transform: the likelihood decoder
+scores all 2^k candidate parities with one call on a signed table.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ __all__ = [
     "pack_words",
     "unpack_words",
     "eliminate",
+    "fwht",
 ]
+
+# fwht works through its array in slabs of this many elements, with one
+# scratch buffer of the same size, so its extra memory does not grow
+# with the array
+_FWHT_SLAB = 1 << 18
 
 
 class BitVec:
@@ -191,6 +200,58 @@ def eliminate(rows: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         a[r, :, t] = prow
         rank += found
     return a.transpose(2, 0, 1).copy(), rank
+
+
+def fwht(f: np.ndarray) -> None:
+    """Walsh-Hadamard transform of f in place.
+
+    f is a contiguous, writable 1-D signed-integer array of length 2^k
+    (anything else is a ValueError); afterwards f[c] is the sum over v
+    of (-1)^popcount(c & v) * f[v].  Every value a pass writes is such
+    a signed sum over part of the input, so it lies in [-sum|f|,
+    sum|f|], and the result is exact whenever f's type holds that bound;
+    the caller picks the type.  Each pass takes the butterflies across
+    two bits at once (radix 4), with one radix-2 pass on the top bit
+    when k is odd.  A pass works through f in slabs of _FWHT_SLAB
+    entries (whole groups, or columns of one group once a group is
+    larger) through one scratch buffer of that size.
+    """
+    if not (isinstance(f, np.ndarray) and f.ndim == 1 and f.dtype.kind == "i"
+            and f.flags.c_contiguous and f.flags.writeable):
+        raise ValueError("need a contiguous, writable 1-D signed-integer array")
+    n = len(f)
+    if n == 0 or n & (n - 1):
+        raise ValueError(f"length {n} is not a power of two")
+    k = n.bit_length() - 1
+    s = min(n, _FWHT_SLAB)
+    scratch = np.empty(s, dtype=f.dtype)
+    for j in range(0, k, 2):
+        r = 4 if j + 1 < k else 2
+        span = 1 << j
+        # row i of a group holds the entries whose bits j, j+1 read i
+        groups = f.reshape(-1, r, span)
+        if r * span <= s:
+            per = s // (r * span)
+            slabs = (groups[g:g + per] for g in range(0, len(groups), per))
+        else:
+            width = s // r
+            slabs = (groups[g:g + 1, :, c:c + width]
+                     for g in range(len(groups)) for c in range(0, span, width))
+        # rows of 4 entries would make inner loops of 4, so those passes
+        # run their inner loop down the slab instead
+        axes, order = ((1, 2, 0), "C") if span == 4 else ((1, 0, 2), "K")
+        for x in slabs:
+            t = scratch[:x.size].reshape(x.shape).transpose(axes)
+            x = x.transpose(axes)
+            for i in range(0, r, 2):  # across bit j into the scratch
+                np.add(x[i], x[i + 1], out=t[i], order=order)
+                np.subtract(x[i], x[i + 1], out=t[i + 1], order=order)
+            if r == 2:
+                x[...] = t
+                continue
+            for i in (0, 1):  # across bit j+1 back into f
+                np.add(t[i], t[i + 2], out=x[i], order=order)
+                np.subtract(t[i], t[i + 2], out=x[i + 2], order=order)
 
 
 class GaussStatus(enum.Enum):

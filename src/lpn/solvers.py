@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .gf2 import BitVec, BlockLayout, GaussResult, GaussStatus, eliminate
+from .gf2 import BitVec, BlockLayout, GaussResult, GaussStatus, eliminate, fwht
 from .instance import NoiseRate, ParityTarget, _check_words
 from .seeding import derive_seed
 
@@ -649,26 +649,24 @@ def mle_bruteforce(
 
     words are (m, ceil(k/64)) uint64 row words (gf2.pack_words) and
     labels their m 0/1 labels.  Candidate c agrees with m - err(c) rows,
-    so the Walsh-Hadamard transform of f[v] = (label-0 rows of value v)
-    - (label-1 rows of value v) is m - 2*err(c) at every c at once.
-    Ties go to the numerically smallest candidate (coordinate 1 least
-    significant), np.argmax's first maximum.  The table holds 2^k
-    int32 entries; k above MLE_MAX_K is refused.
+    so the Walsh-Hadamard transform (gf2.fwht) of f[v] = (label-0 rows
+    of value v) - (label-1 rows of value v) is m - 2*err(c) at every c
+    at once.  Ties go to the numerically smallest candidate (coordinate
+    1 least significant), np.argmax's first maximum.  Every value the
+    transform passes through lies in [-m, m], so the table holds 2^k
+    entries of the narrowest exact type: int16 below 2^15 rows, int32
+    below 2^31, else int64.  k above MLE_MAX_K is refused.
     """
     if not len(labels):
         raise ValueError("cannot fit a target to zero samples")
     if k > MLE_MAX_K:
         raise ValueError(f"mle_bruteforce is capped at k={MLE_MAX_K}")
     _check_words(words, labels, k)
-    f = np.zeros(1 << k, dtype=np.int32)
-    np.add.at(f, words[:, 0].view(np.int64), 1 - 2 * labels.astype(np.int32))
-    for j in range(k):
-        # butterflies (lo, hi) -> (lo + hi, lo - hi) across bit j, in place
-        pairs = f.reshape(-1, 2, 1 << j)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        lo += hi
-        hi *= -2
-        hi += lo
+    m = len(labels)
+    dtype = np.int16 if m < 1 << 15 else np.int32 if m < 1 << 31 else np.int64
+    f = np.zeros(1 << k, dtype=dtype)
+    np.add.at(f, words[:, 0].view(np.int64), 1 - 2 * labels.astype(dtype))
+    fwht(f)
     return ParityTarget(BitVec(k, int(np.argmax(f))))
 
 

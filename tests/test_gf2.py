@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 import gf2_oracle as oracle
 from bitvec_helpers import random_bitvec
+from lpn import gf2
 from lpn.gf2 import (
     BitVec,
     BlockLayout,
     GaussStatus,
     eliminate,
+    fwht,
     pack_words,
     unpack_words,
 )
@@ -452,3 +454,54 @@ def test_solve_round_trip_random_full_rank(k, data):
     res = solve([r.bits for r in rows], labels, k)
     assert res.status is GaussStatus.SOLVED
     assert res.solution == c
+
+
+# -- Walsh-Hadamard transform -----------------------------------------
+
+
+def sylvester(k):
+    """The 2^k x 2^k +-1 Hadamard matrix, entry (c, v) = (-1)^|c & v|."""
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(k):
+        h = np.kron(h, np.array([[1, 1], [1, -1]]))
+    return h
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("k", range(11))
+def test_fwht_matches_the_hadamard_product(k, dtype):
+    rng = np.random.default_rng(k)
+    x = rng.integers(-20, 21, 1 << k)
+    f = x.astype(dtype)
+    assert fwht(f) is None
+    assert f.dtype == dtype
+    assert np.array_equal(f, sylvester(k) @ x)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_fwht_in_small_slabs_matches_the_hadamard_product(k, monkeypatch):
+    # 16-element slabs: from k=5 a pass takes several slabs of whole
+    # groups, and once a group outgrows a slab it splits into columns
+    monkeypatch.setattr(gf2, "_FWHT_SLAB", 16)
+    x = np.random.default_rng(100 + k).integers(-20, 21, 1 << k)
+    f = x.astype(np.int16)
+    fwht(f)
+    assert np.array_equal(f, sylvester(k) @ x)
+
+
+def test_fwht_checks_its_input():
+    for bad in (
+        np.zeros(8),  # float
+        np.zeros(8, dtype=np.uint16),  # unsigned
+        np.zeros((2, 4), dtype=np.int32),
+        np.zeros(0, dtype=np.int32),
+        np.zeros(6, dtype=np.int32),
+        np.zeros(16, dtype=np.int32)[::2],  # not contiguous
+        [1, 2],
+    ):
+        with pytest.raises(ValueError):
+            fwht(bad)
+    frozen = np.zeros(4, dtype=np.int32)
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        fwht(frozen)

@@ -1,6 +1,7 @@
 """Bias formula, merge step, vote pipeline, and baseline solvers."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -767,6 +768,34 @@ def test_mle_transform_matches_gray_code_walk_on_ties(k, m):
     words, labels = draw_words(support_replay(support, [0.5, 0.3, 0.2], m, 0.3, m), m)
     assert mle_bruteforce(words, labels, k).c.bits == mle_oracle.mle_gray(
         words, labels, k)
+
+
+@pytest.mark.parametrize("m", [(1 << 15) - 1, 1 << 15])
+@pytest.mark.parametrize("ones", ["none", "one", "all"])
+def test_mle_transform_is_exact_at_the_table_type_bound(m, ones):
+    # all rows on one vector, so the transform reaches -m or +m: 2^15 - 1
+    # rows still fit an int16 table and 2^15 rows need int32.  With no
+    # label 1 half the candidates tie at no errors; with every label 1
+    # the best candidate scores +m.
+    k, v = 9, 0b101101000
+    words = np.full((m, 1), v, dtype=np.uint64)
+    labels = np.zeros(m, dtype=np.uint8)
+    labels[: {"none": 0, "one": 1, "all": m}[ones]] = 1
+    assert mle_bruteforce(words, labels, k).c.bits == mle_oracle.mle_gray(
+        words, labels, k)
+
+
+def test_mle_peak_memory_is_the_table_and_a_bounded_scratch():
+    # k=20 on 2,000 rows: a 2 MB int16 table, the transform's fixed-size
+    # scratch, and slack; an int32 table alone would take 4 MB
+    words, labels = draw_words(new_source(20, 0.1, seed=20), 2000)
+    tracemalloc.start()
+    try:
+        mle_bruteforce(words, labels, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 def test_mle_moderate_noise_k16():
