@@ -226,7 +226,7 @@ def _solve_one(task: Dict) -> Dict:
             if layout.total < k:
                 raise _UsageError("a*b must cover k")
         cfg = SolverConfig(layout, repetitions_for(k, eta, delta, layout.a),
-                           delta, max_examples=cap)
+                           max_examples=cap)
         row.update(a=layout.a, b=layout.b, repetitions=cfg.repetitions)
         out = _timed(row, recover_target, src, cfg, seed)
         row["examples_used"] = out.examples_used

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
@@ -88,24 +88,20 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Parameters of one block-merge run.
-
-    repetitions=None means: derive the vote count from the source's
-    noise rate via repetitions_for when the solve starts.
+    """Parameters of one block-merge run: its layout, its votes per
+    coordinate (repetitions_for gives the count for a target delta) and
+    an optional cap on examples drawn.
     track_provenance records which draws each merged row XORs and checks
     every row against them; it uses no randomness and changes no vote.
     """
 
     layout: BlockLayout
-    repetitions: Optional[int] = None
-    delta: float = 0.1
+    repetitions: int
     max_examples: Optional[int] = None
     track_provenance: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.repetitions is not None and self.repetitions < 1:
+        if self.repetitions < 1:
             raise ValueError("need at least one vote per coordinate")
         if self.max_examples is not None and self.max_examples < 1:
             raise ValueError("max_examples must be positive when set")
@@ -116,7 +112,6 @@ class SolverResult:
     status: SolverStatus
     c_hat: Optional[ParityTarget]
     examples_used: int
-    wall_time_s: float
     per_bit_votes: List[Tuple[int, int]] = field(default_factory=list)
 
 
@@ -201,8 +196,9 @@ def predicted_examples(
     2^b values of block 1, so a draw holds the probe e1 with probability
     hit = 1 - (1 - 2^-b)^n, and k*reps votes, reps from repetitions_for,
     take k*reps*a*2^b/hit examples.  This is an expected count, not a
-    bound.  Coordinates past k (a*b > k) are zero, not uniform; the
-    model ignores that, so it errs high on padded layouts.
+    bound.  Coordinates past k (a*b > k) are zero: rotation p holds them
+    at [k-p, a*b-p), so each block counts only its live bits, 2^live
+    classes per merge level and hit = 1 - (1 - 2^-live_1)^n.
     """
     reps = repetitions_for(k, eta, delta, layout.a)
     return _expected_examples(k, reps, layout)
@@ -210,13 +206,26 @@ def predicted_examples(
 
 def _expected_examples(k: int, reps: int, layout: BlockLayout) -> float:
     """predicted_examples for a given vote count per coordinate."""
-    a, b = layout.a, layout.b
-    log_miss = math.log1p(-(2.0**-b))
-    n = float(a * 2**b)
-    for _ in range(a - 1):
-        n -= 2**b * -math.expm1(n * log_miss)
-    hit = -math.expm1(n * log_miss)
-    return k * reps * a * 2**b / hit
+    a, b, w = layout.a, layout.b, layout.total
+    # the live bits of each block under rotation p, one term per pattern
+    patterns = Counter(
+        tuple(b - max(0, min(hi, w - p) - max(lo, k - p))
+              for lo, hi in map(layout.bounds, range(1, a + 1)))
+        for p in range(k)
+    )
+
+    def occupied(n: float, live: int) -> float:
+        # chance that n uniform rows over 2^live values hit a given one;
+        # a block of zeros is one class, which every row hits
+        return -math.expm1(n * math.log1p(-(2.0**-live))) if live else 1.0
+
+    total = 0.0
+    for live, count in patterns.items():
+        n = float(a * 2**b)
+        for bits in live[:0:-1]:  # the merges collapse blocks a, ..., 2
+            n -= 2**bits * occupied(n, bits)
+        total += count * reps * a * 2**b / occupied(n, live[0])
+    return total
 
 
 def choose_parameters(
@@ -249,10 +258,8 @@ def choose_parameters(
     fits = [d for d in range(1, k + 1) if d * math.ceil(k / d) <= _MAX_WIDTH]
     if fits:
         a = min(fits, key=lambda d: (abs(d - a), d))
-    b = math.ceil(k / a)
-    layout = BlockLayout(a, b)
-    reps = repetitions_for(k, eta, delta, a)
-    return SolverConfig(layout=layout, repetitions=reps, delta=delta)
+    return SolverConfig(BlockLayout(a, math.ceil(k / a)),
+                        repetitions_for(k, eta, delta, a))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +436,7 @@ class _ShiftedView:
     zero.
     """
 
-    def __init__(self, src, width: int, shift: int = 0):
+    def __init__(self, src, width: int, shift: int):
         self._src = src
         self.k = width
         self.shift = shift % width
@@ -478,21 +485,22 @@ def _vote_round(draws, seg, layout: BlockLayout, rng, track: bool):
 
 
 def _collect_votes_batched(
-    view,
-    layout: BlockLayout,
-    n_votes: int,
-    rng: np.random.Generator,
-    budget: _BudgetTracker,
-    track: bool,
+    source, shift: int, layout: BlockLayout, n_votes: int,
+    rng: np.random.Generator, budget: _BudgetTracker, track: bool,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Labels of n_votes completed votes, in completion order.
+    """Labels of n_votes completed votes on coordinate 1 + shift of
+    source, in completion order.
 
-    With track set, rows also carry the indices of the draws they XOR,
+    Each round draws a*2^b examples per pending vote from the source
+    rotated by shift, charged to budget before the draw, and a vote
+    that misses the probe is redrawn up to _MAX_REDRAWS times.  With
+    track set, rows also carry the indices of the draws they XOR,
     every round checks all its merged rows against its draws, and the
     draw indices of each vote come back as an (n_votes, 2^(a-1)) array;
     otherwise that array is None.  Tracking uses no randomness, so the
     labels are the same either way.
     """
+    view = _ShiftedView(source, layout.total, shift)
     m_per = layout.a * 2**layout.b
     chunk_votes = max(1, _ROUND_CELLS // (m_per * layout.total))
     out = [np.empty(0, np.int64)]
@@ -530,23 +538,10 @@ def _check_layout(k: int, layout: BlockLayout) -> None:
         )
 
 
-def _resolve_repetitions(source, config: SolverConfig) -> int:
-    if config.repetitions is not None:
-        return config.repetitions
-    if getattr(source, "eta", None) is None:
-        raise ValueError("cannot derive a vote count without a noise rate")
-    return repetitions_for(source.k, source.eta, config.delta, config.layout.a)
-
-
 def collect_votes(
-    source,
-    config: SolverConfig,
-    n_votes: int,
-    rng: Optional[np.random.Generator] = None,
-    shift: int = 0,
-    seed: Optional[int] = None,
+    source, config: SolverConfig, n_votes: int
 ) -> List[Tuple[int, Optional[int]]]:
-    """Run vote pipelines only; returns (label, provenance size) pairs.
+    """n_votes votes on coordinate 1, as (label, provenance size) pairs.
 
     Provenance sizes are None unless config.track_provenance is set; a
     size counts the draws a vote XORs once repeated draws cancel.
@@ -554,18 +549,14 @@ def collect_votes(
     source's remaining rows count as a budget next to max_examples;
     running out, or a vote past the redraw cap, raises
     BudgetExceededError.  Meant for calibration studies; recovery goes
-    through recover_target.
+    through recover_target.  The merges draw from the source's
+    "merge-votes" seed lane.
     """
-    layout = config.layout
-    _check_layout(source.k, layout)
-    view = _ShiftedView(source, layout.total, shift)
-    if rng is None:
-        if seed is None:
-            seed = source.rng_seed
-        rng = np.random.default_rng(derive_seed(seed, "merge-votes"))
-    budget = _BudgetTracker(source, config.max_examples)
+    _check_layout(source.k, config.layout)
+    rng = np.random.default_rng(derive_seed(source.rng_seed, "merge-votes"))
     labels, prov = _collect_votes_batched(
-        view, layout, n_votes, rng, budget, config.track_provenance
+        source, 0, config.layout, n_votes, rng,
+        _BudgetTracker(source, config.max_examples), config.track_provenance,
     )
     sizes = [None] * len(labels) if prov is None else map(_chain_size, prov)
     return [(int(l), s) for l, s in zip(labels, sizes)]
@@ -592,10 +583,8 @@ def recover_target(
     draw.  The merge RNG lanes derive from `seed`, defaulting to the
     source's own seed.
     """
-    layout = config.layout
-    k = source.k
+    layout, k, reps = config.layout, source.k, config.repetitions
     _check_layout(k, layout)
-    reps = _resolve_repetitions(source, config)
     budget = _BudgetTracker(source, config.max_examples)
     if budget.limit is None:
         need = _expected_examples(k, reps, layout)
@@ -608,16 +597,14 @@ def recover_target(
             )
     if seed is None:
         seed = source.rng_seed
-    t0 = time.perf_counter()
     tallies: List[Tuple[int, int]] = []
     bits_acc = 0
     status = SolverStatus.RECOVERED
     for p in range(k):
-        view = _ShiftedView(source, layout.total, p)
         rng = np.random.default_rng(derive_seed(seed, f"merge-bit-{p + 1}"))
         try:
             labels, _ = _collect_votes_batched(
-                view, layout, reps, rng, budget, config.track_provenance
+                source, p, layout, reps, rng, budget, config.track_provenance
             )
         except BudgetExceededError:
             status = SolverStatus.BUDGET_EXCEEDED
@@ -625,17 +612,9 @@ def recover_target(
         ones = int(labels.sum())
         tallies.append((ones, reps - ones))
         bits_acc |= (ones > reps - ones) << p
-    wall = time.perf_counter() - t0
-    c_hat = (
-        ParityTarget(BitVec(k, bits_acc)) if status is SolverStatus.RECOVERED else None
-    )
-    return SolverResult(
-        status=status,
-        c_hat=c_hat,
-        examples_used=budget.used,
-        wall_time_s=wall,
-        per_bit_votes=tallies,
-    )
+    recovered = status is SolverStatus.RECOVERED
+    c_hat = ParityTarget(BitVec(k, bits_acc)) if recovered else None
+    return SolverResult(status, c_hat, budget.used, tallies)
 
 
 # ---------------------------------------------------------------------------

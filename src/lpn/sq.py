@@ -56,13 +56,14 @@ __all__ = [
 ]
 
 KWISE_ENUM_CAP = 1 << 20
-# tuples per chunk of an exact enumeration
+# tuples, or points for sq dim's correlations, per chunk of an exact
+# enumeration
 ENUM_CHUNK = 1 << 16
 # tuples drawn per rng.choice call by UnlabeledDraws.sample_tuples
 _DRAW_CHUNK = 1 << 10
 # The widest input a uniform distribution may span: its 2^n points and
-# weights take 16 MB at n = 20, and sq dim's float per point and concept
-# more, so wider classes are refused before anything is allocated.
+# weights take 16 MB at n = 20, so wider classes are refused before
+# anything is allocated.
 MAX_CLASS_WIDTH = 20
 
 
@@ -346,11 +347,15 @@ class SqDimReport:
 def _corr_matrix(
     concepts: Sequence[Concept], dist: FiniteDistribution
 ) -> np.ndarray:
-    pts = dist.points
-    signs = 1.0 - 2.0 * np.stack([c.labels(pts) for c in concepts]).astype(
-        np.float64
-    )
-    return (signs * dist.weights) @ signs.T
+    """E[(-1)^(f(x) + g(x))] over dist for every pair of concepts, summed
+    over ENUM_CHUNK points at a time so memory does not grow with 2^n."""
+    corr = np.zeros((len(concepts), len(concepts)))
+    for start in range(0, len(dist.points), ENUM_CHUNK):
+        part = slice(start, start + ENUM_CHUNK)
+        labels = np.stack([c.labels(dist.points[part]) for c in concepts])
+        signs = 1.0 - 2.0 * labels.astype(np.float64)
+        corr += (signs * dist.weights[part]) @ signs.T
+    return corr
 
 
 def sq_dimension(

@@ -57,8 +57,7 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 
 def test_ac01_recovers_k24_at_medium_noise():
     cfg = SolverConfig(BlockLayout(3, 8),
-                       repetitions=repetitions_for(24, 0.125, 0.1, 3),
-                       delta=0.1)
+                       repetitions=repetitions_for(24, 0.125, 0.1, 3))
     assert cfg.repetitions == 124
     t0 = time.perf_counter()
     wins = 0
@@ -78,8 +77,7 @@ def test_ac01_recovers_k24_at_medium_noise():
 
 def test_ac02_matches_mle_at_k16():
     cfg = SolverConfig(BlockLayout(2, 8),
-                       repetitions=repetitions_for(16, 0.2, 0.1, 2),
-                       delta=0.1)
+                       repetitions=repetitions_for(16, 0.2, 0.1, 2))
     t0 = time.perf_counter()
     agree = 0
     for seed in range(100):
@@ -302,7 +300,7 @@ def test_ac12_depth_four_votes_beat_full_elimination():
 
     # the full solve fits the budget
     cfg = SolverConfig(layout, repetitions=repetitions_for(24, eta, 0.1, 3),
-                       delta=0.1, max_examples=budget)
+                       max_examples=budget)
     src = new_source(24, eta, seed=1201)
     res = recover_target(src, cfg)
     solved = (res.status is SolverStatus.RECOVERED

@@ -239,13 +239,13 @@ def test_solve_budget_exceeded_exit_code(tmp_path, capsys):
 
 
 def test_bkw_predicted_past_2_40_examples_is_refused(capsys):
-    # layout 3x14 and 1,336,922,346 votes per bit: about 3.8e15 examples
+    # layout 3x14 and 1,336,922,346 votes per bit: about 2.98e15 examples
     t0 = time.perf_counter()
     code, out, err = run(capsys, "solve", "--algo", "bkw", "--k", "40",
                          "--eta", "0.45")
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
-    assert "3.8e+15 examples" in err and "--max-examples" in err
+    assert "2.98e+15 examples" in err and "--max-examples" in err
     # a cap keeps the solve, which then runs into it
     code, out, _ = run(capsys, "solve", "--algo", "bkw", "--k", "40",
                        "--eta", "0.45", "--max-examples", "1000")

@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -145,28 +145,21 @@ def test_predicted_examples_values():
 
 
 def mean_examples_used(k, eta, layout, seeds=range(6)):
-    cfg = SolverConfig(layout, repetitions_for(k, eta, 0.1, layout.a), 0.1)
+    cfg = SolverConfig(layout, repetitions_for(k, eta, 0.1, layout.a))
     return np.mean([recover_target(new_source(k, eta, seed=s), cfg).examples_used
                     for s in seeds])
 
 
 @pytest.mark.parametrize("k,eta,a,b", [
     (8, 0.125, 2, 4), (9, 0.125, 3, 3), (10, 0.1, 2, 5), (12, 0.125, 2, 6),
-    (16, 0.2, 2, 8),
+    (16, 0.2, 2, 8), (11, 0.125, 2, 6), (13, 0.125, 2, 7),
 ])
 def test_predicted_examples_track_the_mean_of_six_solves(k, eta, a, b):
     # one solve spreads by 1.5-3% around the model; the mean of six
-    # lies within 5% of it
+    # lies within 5% of it, on padded layouts (11 and 13 bits) too
     layout = BlockLayout(a, b)
     want = solvers.predicted_examples(k, eta, 0.1, layout)
     assert abs(mean_examples_used(k, eta, layout) / want - 1) < 0.05
-
-
-@pytest.mark.parametrize("k,a,b", [(11, 2, 6), (13, 2, 7)])
-def test_predicted_examples_err_high_on_padded_layouts(k, a, b):
-    layout = BlockLayout(a, b)
-    want = solvers.predicted_examples(k, 0.125, 0.1, layout)
-    assert mean_examples_used(k, 0.125, layout) < want
 
 
 # -- i-samples and the merge step -------------------------------------
@@ -373,7 +366,7 @@ def test_collect_votes_tracks_provenance_sizes():
 def test_collect_votes_bias_matches_formula():
     eta = 0.25
     src = new_source(8, eta, seed=19)
-    cfg = SolverConfig(layout=BlockLayout(2, 4))
+    cfg = SolverConfig(layout=BlockLayout(2, 4), repetitions=1)
     votes = collect_votes(src, cfg, 400)
     c1 = src.target.c.bit(0)
     rate = sum(1 for l, _ in votes if l == c1) / 400
@@ -406,7 +399,7 @@ def test_tracking_provenance_changes_no_vote(a, b):
     # each tracked vote XORs back to the probe e1 and its own label
     src = new_source(k, 0.125, seed=23)
     labels, prov = solvers._collect_votes_batched(
-        solvers._ShiftedView(src, k), layout, 40, np.random.default_rng(5),
+        src, 0, layout, 40, np.random.default_rng(5),
         solvers._BudgetTracker(src, None), track=True,
     )
     assert prov.shape == (40, 2 ** (a - 1))
@@ -547,8 +540,7 @@ def test_packed_votes_match_reference(monkeypatch, a, b, where, track):
         merge_oracle.ShiftedView(ref_src, w, shift), layout, 30, 7, ref_rng,
         track)
     got, prov = solvers._collect_votes_batched(
-        solvers._ShiftedView(src, w, shift), layout, 30, rng,
-        solvers._BudgetTracker(src, None), track)
+        src, shift, layout, 30, rng, solvers._BudgetTracker(src, None), track)
     assert np.array_equal(got, want)
     if track:
         assert np.array_equal(prov, want_prov)
@@ -573,7 +565,7 @@ def test_uncapped_solve_past_2_40_examples_is_refused():
     src = new_source(40, 0.45, seed=1)
     cfg = choose_parameters(40, 0.45, 0.1)
     assert solvers.predicted_examples(40, 0.45, 0.1, cfg.layout) > 2**40
-    with pytest.raises(ValueError, match=r"3\.8e\+15 examples"):
+    with pytest.raises(ValueError, match=r"2\.98e\+15 examples"):
         recover_target(src, cfg)
     assert src.draw_count == 0
     res = recover_target(src, replace(cfg, max_examples=1000))
@@ -615,7 +607,7 @@ def test_recover_target_small_noisy():
     hits = 0
     for seed in range(10):
         src = new_source(8, 0.125, seed=100 + seed)
-        cfg = SolverConfig(layout=BlockLayout(2, 4), delta=0.1)
+        cfg = SolverConfig(BlockLayout(2, 4), repetitions_for(8, 0.125, 0.1, 2))
         res = recover_target(src, cfg)
         hits += res.c_hat == src.target
     assert hits >= 9
@@ -653,7 +645,6 @@ def test_finite_source_is_a_budget():
     assert res.c_hat is None
     assert res.examples_used == src.draw_count > 0
     assert len(src) - res.examples_used < 40 * 32
-    assert res.wall_time_s > 0
     with pytest.raises(BudgetExceededError):
         collect_votes(short_replay(1000, 32), cfg, 40)
     # the tighter of max_examples and the rows left wins
@@ -686,17 +677,18 @@ def test_redraw_cap_trips_on_degenerate_distribution():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(layout=BlockLayout(2, 4), delta=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(layout=BlockLayout(2, 4), repetitions=0)
 
 
-def test_auto_repetitions_need_a_noise_rate():
-    src = ReplaySource(np.zeros((10, 1), dtype=np.uint64),
-                       np.zeros(10, dtype=np.uint8), 8)
-    cfg = SolverConfig(layout=BlockLayout(2, 4))
-    with pytest.raises(ValueError):
-        recover_target(src, cfg)
+def test_config_has_one_vote_count_and_no_delta():
+    assert [f.name for f in fields(SolverConfig)] == [
+        "layout", "repetitions", "max_examples", "track_provenance"]
+    with pytest.raises(TypeError):  # the vote count is required
+        SolverConfig(BlockLayout(2, 4))
+    # a delta passed where it once went lands on max_examples and is
+    # refused there, not read as a budget of 0.1 examples
+    with pytest.raises(ValueError, match="max_examples"):
+        SolverConfig(BlockLayout(2, 4), 5, 0.1)
 
 
 # -- brute-force MLE --------------------------------------------------

@@ -428,6 +428,39 @@ def test_sq_dimension_rejects_empty_class():
         sq_dimension([], UNIFORM3)
 
 
+def test_sq_dimension_streams_its_correlations():
+    # 16 concepts over 2^20 points: one sign matrix of them all is 128 MB
+    concepts, dist = concept_class("parity:4-of-20")
+    tracemalloc.start()
+    try:
+        rep = sq_dimension(concepts, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.d == 16 and rep.max_abs_correlation == 0.0
+    assert peak < 40 << 20
+
+
+@pytest.mark.parametrize("name", ["parity:3-of-6", "conjunction:3-of-6"])
+@pytest.mark.parametrize("skewed", [False, True])
+def test_chunked_correlations_match_one_pass(monkeypatch, name, skewed):
+    # every uniform partial sum is a multiple of 2^-n, so chunks change
+    # no bit; skewed weights may round differently
+    concepts, dist = concept_class(name)
+    if skewed:  # 40 of the 64 points, weights proportional to 0.85^i
+        w = 0.85 ** np.arange(40)
+        pts = np.random.default_rng(6).choice(64, 40, replace=False)
+        dist = FiniteDistribution(6, pts, w / w.sum())
+    signs = 1.0 - 2.0 * np.stack([c.labels(dist.points) for c in concepts])
+    want = (signs * dist.weights) @ signs.T
+    monkeypatch.setattr(sqmod, "ENUM_CHUNK", 5)
+    got = sqmod._corr_matrix(concepts, dist)
+    if skewed:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert np.array_equal(got, want)
+
+
 def test_concept_class_parsing():
     cls, dist = concept_class("parity:2-of-5")
     assert len(cls) == 4 and dist.n == 5
