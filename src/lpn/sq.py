@@ -65,6 +65,9 @@ _DRAW_CHUNK = 1 << 10
 # weights take 16 MB at n = 20, so wider classes are refused before
 # anything is allocated.
 MAX_CLASS_WIDTH = 20
+# The largest class sq_dimension takes: its correlation matrix is
+# 128 MB at 2^12 concepts, and parity:j-of-j costs 8x per added bit.
+MAX_DIM_CONCEPTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -216,12 +219,28 @@ class SampledNoisy:
 OracleMode = Union[Exact, AdversarialWorst, SampledNoisy]
 
 
-def _distort(p: np.ndarray, tau: float, mode: OracleMode) -> np.ndarray:
-    if isinstance(mode, Exact):
-        return p
-    if isinstance(mode, AdversarialWorst):
-        return np.clip(np.where(p >= 0.5, p + tau, p - tau), 0.0, 1.0)
-    raise TypeError(f"unsupported oracle mode {mode!r}")
+def _answer(k: int, pred: Callable, tau: float, concept: Concept,
+            dist: FiniteDistribution, mode: OracleMode, lane: str
+            ) -> Union[float, np.ndarray]:
+    """Pr[pred] over k labelled draws: enumerated (adversarial: pushed out
+    by tau), or the frequency over mode.samples tuples of one rng.choice
+    on the seed lane; a float for a (T,) predicate, (q,) for (T, q)."""
+    pts = dist.points
+    labels = concept.labels(pts)
+    if isinstance(mode, SampledNoisy):
+        if mode.samples < 1:
+            raise ValueError("need at least one sample")
+        rng = np.random.default_rng(derive_seed(mode.seed, lane))
+        idx = rng.choice(len(pts), size=(mode.samples, k), p=dist.weights)
+        hits = np.asarray(pred(pts[idx], labels[idx]), dtype=bool)
+        p = hits.sum(axis=0) / mode.samples
+    elif isinstance(mode, (Exact, AdversarialWorst)):
+        p = _exact_probs(dist, k, pred, pts, labels)
+        if isinstance(mode, AdversarialWorst):
+            p = np.clip(np.where(p >= 0.5, p + tau, p - tau), 0.0, 1.0)
+    else:
+        raise TypeError(f"unsupported oracle mode {mode!r}")
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def sq_answer(
@@ -230,23 +249,11 @@ def sq_answer(
     dist: FiniteDistribution,
     mode: OracleMode = Exact(),
 ) -> Union[float, np.ndarray]:
-    """Answer a unary query under the given oracle mode: a float for an
-    (m,) predicate, or a (q,) array for an (m, q) one, entry e bit for
-    bit the answer to event e alone (one dot product per event row)."""
-    pts = dist.points
-    vals = np.asarray(query.predicate(pts, concept.labels(pts)), dtype=bool)
-    events = vals.reshape(len(pts), -1)
-    if isinstance(mode, SampledNoisy):
-        if mode.samples < 1:
-            raise ValueError("need at least one sample")
-        rng = np.random.default_rng(derive_seed(mode.seed, "sq-sample"))
-        idx = rng.choice(len(pts), size=mode.samples, p=dist.weights)
-        p = events.astype(np.float64)[idx].mean(axis=0)
-    else:
-        rows = np.ascontiguousarray(events.T, dtype=np.float64)
-        p = _distort(np.array([row @ dist.weights for row in rows]),
-                     query.tau, mode)
-    return float(p[0]) if vals.ndim == 1 else p
+    """Answer a unary query as the 1-wise query on the same predicate: a
+    float for an (m,) predicate, or a (q,) array for an (m, q) one,
+    entry e bit for bit the answer to event e alone."""
+    return _answer(1, lambda xs, ls: query.predicate(xs[:, 0], ls[:, 0]),
+                   query.tau, concept, dist, mode, "sq-sample")
 
 
 def _exact_probs(dist: FiniteDistribution, k: int, pred: Callable,
@@ -261,11 +268,12 @@ def _exact_probs(dist: FiniteDistribution, k: int, pred: Callable,
     ENUM_CHUNK at a time.  A uniform probability is a count over n^k.  A
     non-uniform one sums each tuple's weight, the product of its draws'
     weights taken left to right, in tuple order, so neither chunking nor
-    the number of events changes a single bit.
+    the number of events changes a single bit.  KWISE_ENUM_CAP bounds
+    k >= 2 only: at k = 1 the tuples are the distribution's own points.
     """
     n = len(dist.points)
     total = n**k
-    if total > KWISE_ENUM_CAP:
+    if k > 1 and total > KWISE_ENUM_CAP:
         raise ValueError(
             f"{n}^{k} tuples exceed the enumeration cap of {KWISE_ENUM_CAP}"
         )
@@ -304,20 +312,8 @@ def kwise_answer(
     The answer is a float for a (T,) predicate, or a (q,) array for a
     (T, q) one, entry e bit for bit the answer to event e alone.
     """
-    pts = dist.points
-    labels = concept.labels(pts)
-    k = query.k
-    if isinstance(mode, SampledNoisy):
-        if mode.samples < 1:
-            raise ValueError("need at least one sample")
-        rng = np.random.default_rng(derive_seed(mode.seed, "sq-sample-k"))
-        idx = rng.choice(len(pts), size=(mode.samples, k), p=dist.weights)
-        hits = np.asarray(query.predicate(pts[idx], labels[idx]), dtype=bool)
-        p = hits.sum(axis=0) / mode.samples
-    else:
-        p = _distort(_exact_probs(dist, k, query.predicate, pts, labels),
-                     query.tau, mode)
-    return float(p) if np.ndim(p) == 0 else p
+    return _answer(query.k, query.predicate, query.tau, concept, dist, mode,
+                   "sq-sample-k")
 
 
 def make_unary_oracle(
@@ -348,10 +344,12 @@ def _corr_matrix(
     concepts: Sequence[Concept], dist: FiniteDistribution
 ) -> np.ndarray:
     """E[(-1)^(f(x) + g(x))] over dist for every pair of concepts, summed
-    over ENUM_CHUNK points at a time so memory does not grow with 2^n."""
+    over slices of at most ENUM_CHUNK points and 2^22 concept-point
+    entries, so memory grows with neither 2^n nor the class."""
     corr = np.zeros((len(concepts), len(concepts)))
-    for start in range(0, len(dist.points), ENUM_CHUNK):
-        part = slice(start, start + ENUM_CHUNK)
+    step = min(ENUM_CHUNK, (1 << 22) // len(concepts))
+    for start in range(0, len(dist.points), step):
+        part = slice(start, start + step)
         labels = np.stack([c.labels(dist.points[part]) for c in concepts])
         signs = 1.0 - 2.0 * labels.astype(np.float64)
         corr += (signs * dist.weights[part]) @ signs.T
@@ -366,45 +364,40 @@ def sq_dimension(
     """Largest subset whose pairwise correlations all stay within 1/d^3.
 
     Classes of at most exact_below - 1 concepts are searched
-    exhaustively; larger ones use a greedy scan in the given order,
-    followed by a verification pass over the returned witness.
+    exhaustively; larger ones by a greedy scan in the given order that
+    keeps the chosen set's largest |correlation|, then a verification
+    pass over the witness.  More than MAX_DIM_CONCEPTS are refused.
     """
     if not concepts:
         raise ValueError("need at least one concept")
+    if len(concepts) > MAX_DIM_CONCEPTS:
+        raise ValueError(f"{len(concepts)} concepts exceed sq_dimension's "
+                         f"limit of MAX_DIM_CONCEPTS={MAX_DIM_CONCEPTS}")
     corr = np.abs(_corr_matrix(concepts, dist))
     n = len(concepts)
     slack = 1e-12
-
-    def subset_ok(idx: List[int]) -> bool:
-        d = len(idx)
-        thr = 1.0 / d**3 + slack
-        return all(
-            corr[i, j] <= thr for a, i in enumerate(idx) for j in idx[a + 1 :]
-        )
-
-    if n < exact_below:
-        best: List[int] = [0]
+    exact = n < exact_below
+    chosen: List[int] = [0] if exact else []
+    if exact:
         for mask in range(1, 1 << n):
-            size = mask.bit_count()
-            if size <= len(best):
+            if mask.bit_count() <= len(chosen):
                 continue
             idx = [i for i in range(n) if (mask >> i) & 1]
-            if subset_ok(idx):
-                best = idx
-        chosen = best
-        exact = True
+            thr = 1.0 / len(idx)**3 + slack
+            if all(corr[i, j] <= thr
+                   for a, i in enumerate(idx) for j in idx[a + 1:]):
+                chosen = idx
     else:
-        chosen = []
+        worst = 0.0
         for i in range(n):
-            trial = chosen + [i]
-            if subset_ok(trial):
-                chosen = trial
-        exact = False
-    assert subset_ok(chosen)
-    max_corr = max(
-        (corr[i, j] for a, i in enumerate(chosen) for j in chosen[a + 1 :]),
-        default=0.0,
-    )
+            # the pairs (j, i) for j already chosen, read as corr[j, i]
+            trial = max(worst, corr[chosen, i].max(initial=0.0))
+            if trial <= 1.0 / (len(chosen) + 1)**3 + slack:
+                chosen.append(i)
+                worst = trial
+    pairs = corr[np.ix_(chosen, chosen)][np.triu_indices(len(chosen), 1)]
+    max_corr = pairs.max(initial=0.0)
+    assert max_corr <= 1.0 / len(chosen)**3 + slack
     return SqDimReport(
         d=len(chosen),
         witness=[concepts[i].name for i in chosen],

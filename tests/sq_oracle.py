@@ -14,6 +14,9 @@ labelled for each of a candidate's two unary queries.  The oracle it is
 given should answer each query afresh (`sq_answer` with the concept
 itself).  `weak_advantage` scores a hypothesis against the concept
 directly, without a query.
+
+`greedy_witness` is `sq_dimension`'s greedy scan pair by pair: each
+candidate re-checks every pair of the chosen set with it against 1/d^3.
 """
 
 from __future__ import annotations
@@ -42,6 +45,18 @@ def weak_advantage(h: Concept, c: Concept, dist: FiniteDistribution) -> float:
     pts = dist.points
     agree = (h.labels(pts) == c.labels(pts)).astype(np.float64)
     return float(agree @ dist.weights) - 0.5
+
+
+def greedy_witness(corr: np.ndarray, slack: float = 1e-12) -> List[int]:
+    """Indices the greedy scan keeps, in order, given |correlations|."""
+    chosen: List[int] = []
+    for i in range(len(corr)):
+        trial = chosen + [i]
+        thr = 1.0 / len(trial) ** 3 + slack
+        if all(corr[a, b] <= thr
+               for x, a in enumerate(trial) for b in trial[x + 1:]):
+            chosen = trial
+    return chosen
 
 
 def _enumerate(dist: FiniteDistribution, k: int, hit: Callable,

@@ -515,6 +515,13 @@ def test_sq_dim_row(capsys):
     assert len(row["witness"].split(";")) == 8
 
 
+def test_sq_dim_refuses_a_class_too_large_to_hold(capsys):
+    code, out, err = run(capsys, "sq", "dim", "--class", "parity:13-of-13")
+    assert code == 1 and out == ""
+    assert err.startswith("error: 8192 concepts exceed") and err.count("\n") == 1
+    assert "MAX_DIM_CONCEPTS=4096" in err and "Traceback" not in err
+
+
 def test_sq_reduce_row(capsys):
     code, out, _ = run(capsys, "sq", "reduce", "--class", "parity:2-of-4",
                        "--query", "labels-agree", "--seed", "5")

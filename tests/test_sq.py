@@ -271,6 +271,17 @@ def test_kwise_enumeration_cap():
         kwise_answer(KWiseQuery(2, lambda xs, ls: xs[:, 0] >= 0, 0.1), c, dist)
 
 
+def test_enumeration_cap_bounds_only_two_or_more_draws(monkeypatch):
+    # a unary or 1-wise query walks the distribution's own points
+    monkeypatch.setattr(sqmod, "KWISE_ENUM_CAP", 8)
+    c = parity_concept(0b0101, 4)
+    assert sq_answer(SqQuery(lambda x, l: l == 1, 0.1), c, UNIFORM4) == 0.5
+    assert kwise_answer(KWiseQuery(1, lambda xs, ls: ls[:, 0] == 1, 0.1),
+                        c, UNIFORM4) == 0.5
+    with pytest.raises(ValueError, match="enumeration cap of 8"):
+        kwise_answer(named_query("labels-agree"), c, UNIFORM4)
+
+
 def test_kwise_sampled_mode():
     q = named_query("labels-agree")
     c = parity_concept(0b11, 2)
@@ -342,7 +353,12 @@ def test_kwise_answer_matches_tuple_oracle(monkeypatch, k, chunk):
         for c in concepts:
             for q in _queries(k):
                 got = kwise_answer(q, c, dist)
-                assert got == sq_oracle.kwise_answer(q, c, dist), (q.name, c.name)
+                want = sq_oracle.kwise_answer(q, c, dist)
+                assert got == want, (q.name, c.name)
+                if k == 1:  # the same event asked as a unary query
+                    unary = SqQuery(lambda x, l, q=q: q.predicate(
+                        x[:, None], l[:, None]), q.tau)
+                    assert sq_answer(unary, c, dist) == want, (q.name, c.name)
 
 
 @pytest.mark.parametrize("chunk", ["small", "default"])
@@ -423,6 +439,24 @@ def test_sq_dimension_greedy_matches_exhaustive_on_parities():
     assert not greedy.exact
 
 
+@pytest.mark.parametrize(
+    "name", ["conjunction:6-of-6", "conjunction:4-of-7", "parity:6-of-6"])
+@pytest.mark.parametrize("skewed", [False, True])
+def test_greedy_scan_matches_the_pairwise_reference(name, skewed):
+    concepts, dist = concept_class(name)
+    if skewed:  # weights within 50% of uniform: small nonzero correlations
+        w = 1.0 + 0.5 * np.random.default_rng(7).random(len(dist.points))
+        dist = FiniteDistribution(dist.n, dist.points, w / w.sum())
+    corr = np.abs(sqmod._corr_matrix(concepts, dist))
+    want = sq_oracle.greedy_witness(corr)
+    rep = sq_dimension(concepts, dist, exact_below=0)
+    assert rep.witness == [concepts[i].name for i in want]
+    assert rep.max_abs_correlation == max(
+        (corr[a, b] for x, a in enumerate(want) for b in want[x + 1:]),
+        default=0.0)
+    assert not rep.exact
+
+
 def test_sq_dimension_rejects_empty_class():
     with pytest.raises(ValueError):
         sq_dimension([], UNIFORM3)
@@ -439,6 +473,27 @@ def test_sq_dimension_streams_its_correlations():
         tracemalloc.stop()
     assert rep.d == 16 and rep.max_abs_correlation == 0.0
     assert peak < 40 << 20
+
+
+def test_sq_dimension_slices_shrink_as_the_class_grows():
+    # 256 concepts over 2^16 points: one slice of all 2^16 points is
+    # 128 MB per float64 array
+    concepts, dist = concept_class("parity:8-of-16")
+    tracemalloc.start()
+    try:
+        rep = sq_dimension(concepts, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.d == 256 and rep.max_abs_correlation == 0.0
+    assert peak < 128 << 20
+
+
+def test_sq_dimension_refuses_a_class_too_large_to_hold():
+    concepts = [parity_concept(m, 13)
+                for m in range(sqmod.MAX_DIM_CONCEPTS + 1)]
+    with pytest.raises(ValueError, match="MAX_DIM_CONCEPTS=4096"):
+        sq_dimension(concepts, FiniteDistribution.uniform_over(13))
 
 
 @pytest.mark.parametrize("name", ["parity:3-of-6", "conjunction:3-of-6"])
