@@ -8,8 +8,6 @@ from .gf2 import (
 )
 from .instance import (
     ExampleSource,
-    NoiseRate,
-    ParityTarget,
     ReplaySource,
     StreamExhausted,
     empirical_error,

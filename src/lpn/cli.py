@@ -36,12 +36,13 @@ from .instfile import (
     replay_source,
     write_instance,
 )
-from .online import run_online
+from .online import _check_bank, run_online
 from .seeding import derive_seed
 from .solvers import (
     MLE_MAX_K,
     SolverConfig,
     SolverStatus,
+    _check_layout,
     choose_parameters,
     gaussian_baseline,
     mle_bruteforce,
@@ -206,16 +207,12 @@ def _solve_one(task: Dict) -> Dict:
         "max_examples": _fmt(cap),
     }
     if data is not None:
-        src = replay_source(data)
-        k, eta, target = data.k, data.eta, data.target
+        k, eta = data.k, data.eta
     else:
-        k = task["k"]
+        k, eta = task["k"], task["eta"]
         if k is None and algo == "online":
             k = task["blocks"] * task["width"]
-        src = new_source(k, task["eta"], seed=seed)
-        eta, target = float(src.eta), src.target.c
-    row.update(k=k, eta=_fmt(eta), target=_hex(target))
-
+    # refusals come before the source, whose target alone takes k bytes
     if algo == "bkw":
         if (task["a"] is None) != (task["b"] is None):
             raise _UsageError("--a and --b go together")
@@ -225,15 +222,24 @@ def _solve_one(task: Dict) -> Dict:
             layout = BlockLayout(task["a"], task["b"])
             if layout.total < k:
                 raise _UsageError("a*b must cover k")
+        _check_layout(k, layout)
         cfg = SolverConfig(layout, repetitions_for(k, eta, delta, layout.a),
                            max_examples=cap)
+    elif algo == "mle" and k > MLE_MAX_K:
+        raise _UsageError(f"mle is capped at k={MLE_MAX_K}")
+    elif algo == "online":
+        _check_bank(task["blocks"], task["width"], task["matrices"], k)
+    src = (replay_source(data) if data is not None
+           else new_source(k, eta, seed=seed))
+    target = src.target
+    row.update(k=k, eta=_fmt(src.eta), target=_hex(target))
+
+    if algo == "bkw":
         row.update(a=layout.a, b=layout.b, repetitions=cfg.repetitions)
         out = _timed(row, recover_target, src, cfg, seed)
         row["examples_used"] = out.examples_used
     else:
         # a fixed number of draws, refused whole if a file holds fewer
-        if algo == "mle" and k > MLE_MAX_K:
-            raise _UsageError(f"mle is capped at k={MLE_MAX_K}")
         left = src.remaining()
         if algo == "online":
             if cap is None and left is None:
@@ -258,12 +264,11 @@ def _solve_one(task: Dict) -> Dict:
         row["examples_used"] = src.draw_count
 
     if algo == "bkw":
-        status = out.status.value
-        c_hat = None if out.c_hat is None else out.c_hat.c
+        status, c_hat = out.status.value, out.c_hat
         success = out.status is SolverStatus.RECOVERED and (
             target is None or c_hat == target)
     elif algo == "mle":
-        status, c_hat = "recovered", out.c
+        status, c_hat = "recovered", out
         success = None if target is None else c_hat == target
     elif algo == "gauss":
         solved = out.status is GaussStatus.SOLVED
@@ -337,6 +342,12 @@ def cmd_sq(ns) -> int:
     if ns.mode == "basis-learn" and not ns.cls.startswith("parity:"):
         raise _UsageError(f"basis-learn needs a parity --class, not {ns.cls!r}")
     try:
+        _, j, _ = sqmod._parse_class(ns.cls)
+    except ValueError as exc:
+        raise _UsageError(f"--class {ns.cls!r}: {exc}") from None
+    if ns.mode == "dim":  # refused before any of the 2^j concepts is built
+        sqmod._check_dim_size(1 << j)
+    try:
         concepts, dist = sqmod.concept_class(ns.cls)
     except ValueError as exc:
         raise _UsageError(f"--class {ns.cls!r}: {exc}") from None
@@ -384,7 +395,7 @@ def cmd_sq(ns) -> int:
     else:  # basis-learn
         k = dist.n
         target = concepts[int(rng.integers(0, len(concepts)))]
-        learned = "parity:" + sqmod.basis_query_learner(k, target).c.to01()
+        learned = "parity:" + sqmod.basis_query_learner(k, target).to01()
         row.update(
             k=k,
             target=target.name,

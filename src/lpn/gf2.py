@@ -94,6 +94,13 @@ class BitVec:
     def to01(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
 
+    def dot_words(self, words: np.ndarray) -> np.ndarray:
+        """<self, x> mod 2 for each of the (m, ceil(n/64)) uint64 row
+        words x (pack_words): the labels of parity self."""
+        raw = self.bits.to_bytes(8 * -(-self.n // 64), "little")
+        c = np.frombuffer(raw, dtype="<u8")
+        return np.bitwise_count(np.bitwise_xor.reduce(words & c, axis=1)) & 1
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitVec) and self.n == other.n and self.bits == other.bits

@@ -17,8 +17,6 @@ plain draw_batch(m) unpacks them into a (m, k) 0/1 uint8 matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -27,8 +25,6 @@ from .gf2 import BitVec, pack_words, unpack_words
 from .seeding import derive_seed
 
 __all__ = [
-    "NoiseRate",
-    "ParityTarget",
     "StreamExhausted",
     "ExampleSource",
     "ReplaySource",
@@ -41,40 +37,12 @@ __all__ = [
 _CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class NoiseRate:
-    """Label flip probability, restricted to 0 <= eta < 1/2."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta < 0.5:
-            raise ValueError(f"noise rate must satisfy 0 <= eta < 0.5, got {self.eta}")
-
-    def __float__(self) -> float:
-        return self.eta
-
-
-@dataclass(frozen=True)
-class ParityTarget:
-    """The secret vector c; labels are inner products <c, x> mod 2."""
-
-    c: BitVec
-
-    @property
-    def k(self) -> int:
-        return self.c.n
-
-    @cached_property
-    def _words(self) -> np.ndarray:
-        """c as a (1, ceil(k/64)) uint64 row word, built on first use."""
-        raw = self.c.bits.to_bytes(8 * -(-self.k // 64), "little")
-        return np.frombuffer(raw, dtype="<u8").reshape(1, -1)
-
-    def predict_words(self, words: np.ndarray) -> np.ndarray:
-        """Clean labels for (m, ceil(k/64)) uint64 row words."""
-        c = self._words
-        return np.bitwise_count(np.bitwise_xor.reduce(words & c, axis=1)) & 1
+def _check_eta(eta) -> float:
+    """eta as a float, or ValueError unless 0 <= eta < 1/2 (NaN fails)."""
+    eta = float(eta)
+    if not 0.0 <= eta < 0.5:
+        raise ValueError(f"noise rate must satisfy 0 <= eta < 0.5, got {eta}")
+    return eta
 
 
 def _check_words(words: np.ndarray, labels: np.ndarray, k: int) -> None:
@@ -92,8 +60,8 @@ def _check_words(words: np.ndarray, labels: np.ndarray, k: int) -> None:
 
 
 def _check_target(target, k: int) -> None:
-    if not isinstance(target, ParityTarget) or target.k != k:
-        raise ValueError("target must be a ParityTarget of length k")
+    if not isinstance(target, BitVec) or target.n != k:
+        raise ValueError("target must be a BitVec of length k")
 
 
 class StreamExhausted(RuntimeError):
@@ -171,10 +139,10 @@ class ExampleSource(_BufferedDraws):
     def __init__(
         self,
         k: int,
-        eta: Union[float, NoiseRate],
+        eta: float,
         *,
         seed: int = 0,
-        target: Union[ParityTarget, str] = "random",
+        target: Union[BitVec, str] = "random",
     ):
         super().__init__()
         if k < 1:
@@ -182,13 +150,13 @@ class ExampleSource(_BufferedDraws):
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         self.k = k
-        self.eta = eta if isinstance(eta, NoiseRate) else NoiseRate(float(eta))
+        self.eta = _check_eta(eta)
         self.rng_seed = seed
         self._rng = np.random.default_rng(seed)
         if target == "random":
             lane = np.random.default_rng(derive_seed(seed, "target"))
             raw = lane.integers(0, 2, size=k, dtype=np.uint8)
-            target = ParityTarget(BitVec.from_bits_row(raw))
+            target = BitVec.from_bits_row(raw)
         _check_target(target, k)
         self.target = target
 
@@ -200,10 +168,10 @@ class ExampleSource(_BufferedDraws):
         raw = self._rng.bit_generator.random_raw(_CHUNK * self.k // 8)
         raw = raw.astype("<u8", copy=False).view(np.uint8)
         words = pack_words(raw.reshape(_CHUNK, self.k) >> 7)
-        clean = self.target.predict_words(words)
+        clean = self.target.dot_words(words)
         # noise variates are drawn for every chunk, eta = 0 included,
         # so the x-stream does not depend on the noise rate
-        flips = (self._rng.random(len(words)) < float(self.eta)).astype(np.uint8)
+        flips = (self._rng.random(len(words)) < self.eta).astype(np.uint8)
         self._buf_words = words
         self._buf_labels = clean ^ flips
         self._buf_pos = 0
@@ -221,9 +189,9 @@ class ReplaySource(_BufferedDraws):
         words: np.ndarray,
         labels: np.ndarray,
         k: int,
-        eta: Union[float, NoiseRate, None] = None,
+        eta: Optional[float] = None,
         seed: int = 0,
-        target: Optional[ParityTarget] = None,
+        target: Optional[BitVec] = None,
     ):
         super().__init__()
         words, labels = np.asarray(words), np.asarray(labels)
@@ -231,9 +199,7 @@ class ReplaySource(_BufferedDraws):
         if target is not None:
             _check_target(target, k)
         self.k = k
-        self.eta = (
-            eta if isinstance(eta, NoiseRate) or eta is None else NoiseRate(float(eta))
-        )
+        self.eta = None if eta is None else _check_eta(eta)
         self.rng_seed = seed
         self.target = target
         # the whole table is one buffer, which draw_batch never overruns
@@ -249,18 +215,18 @@ class ReplaySource(_BufferedDraws):
 
 def new_source(
     k: int,
-    eta: Union[float, NoiseRate],
+    eta: float,
     *,
     seed: int = 0,
-    target: Union[ParityTarget, str] = "random",
+    target: Union[BitVec, str] = "random",
 ) -> ExampleSource:
     return ExampleSource(k, eta, seed=seed, target=target)
 
 
-def empirical_error(h: ParityTarget, words: np.ndarray, labels: np.ndarray) -> float:
+def empirical_error(h: BitVec, words: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the examples, (m, ceil(k/64)) uint64 row words and
-    their m labels, whose label disagrees with h's prediction."""
+    their m labels, whose label disagrees with parity h."""
     if not len(labels):
         raise ValueError("cannot estimate error from zero samples")
-    _check_words(words, labels, h.k)
-    return float(np.count_nonzero(h.predict_words(words) != labels)) / len(labels)
+    _check_words(words, labels, h.n)
+    return float(np.count_nonzero(h.dot_words(words) != labels)) / len(labels)

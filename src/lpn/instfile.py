@@ -28,9 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .gf2 import BitVec, unpack_words
-from .instance import (
-    NoiseRate, ParityTarget, ReplaySource, _check_words, new_source,
-)
+from .instance import ReplaySource, _check_eta, _check_words, new_source
 
 __all__ = [
     "InstanceData",
@@ -88,14 +86,14 @@ def format_instance(data: InstanceData) -> str:
     k = data.k
     if k < 1:
         raise ValueError("k must be positive")
-    NoiseRate(float(data.eta))
+    eta = _check_eta(data.eta)
     if data.seed < 0:
         raise ValueError("seed must be nonnegative")
     words, labels = np.asarray(data.words), np.asarray(data.labels)
     _check_words(words, labels, k)
     if data.target is not None and data.target.n != k:
         raise ValueError(f"target must have {k} coordinates")
-    header = f"LPN v1 k={k} eta={float(data.eta)!r} seed={data.seed} count={len(words)}"
+    header = f"LPN v1 k={k} eta={eta!r} seed={data.seed} count={len(words)}"
     # row i is its ceil(k/8) little-endian bytes as digit pairs, ' ', label, '\n'
     nb = -(-k // 8)
     cells = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)[:, :nb]
@@ -125,7 +123,7 @@ def _parse_header(line: str) -> Tuple[int, float, int, int]:
         )
     try:
         k, seed, count = (int(m.group(i)) for i in (1, 3, 4))
-        eta = float(NoiseRate(float(m.group(2))))
+        eta = _check_eta(m.group(2))
     except ValueError as exc:
         raise InstanceFormatError(str(exc), 1) from None
     if k < 1:
@@ -278,16 +276,16 @@ def generate_instance(
     words, labels, _ = src.draw_batch(count, packed=True)
     return InstanceData(
         k=k,
-        eta=float(src.eta),
+        eta=src.eta,
         seed=seed,
         words=words,
         labels=labels,
-        target=src.target.c if with_target else None,
+        target=src.target if with_target else None,
     )
 
 
 def replay_source(data: InstanceData) -> ReplaySource:
-    target = ParityTarget(data.target) if data.target is not None else None
     return ReplaySource(
-        data.words, data.labels, data.k, eta=data.eta, seed=data.seed, target=target
+        data.words, data.labels, data.k, eta=data.eta, seed=data.seed,
+        target=data.target,
     )

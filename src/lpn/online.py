@@ -234,6 +234,20 @@ class _Decoder:
             self.predictions.extend(bit.tolist())
 
 
+def _check_bank(g: int, w: int, t: int, k: int) -> None:
+    """Raise ValueError unless a bank of t matrices of g blocks of w
+    bits fits the limits and takes k-bit examples."""
+    if g < 1 or w < 1 or t < 1:
+        raise ValueError("need g >= 1 blocks of w >= 1 bits and t >= 1 matrices")
+    if g * w > 62:
+        raise ValueError(f"g*w={g * w} exceeds the 62-bit example limit")
+    if t * g << w > _MAX_SLOTS:
+        raise ValueError(f"t*g*2^w={t * g << w} slots exceed the limit of "
+                         f"{_MAX_SLOTS}")
+    if k != g * w:
+        raise ValueError(f"source supplies {k}-bit examples, need g*w={g * w}")
+
+
 def run_online(
     source,
     g: int,
@@ -256,15 +270,7 @@ def run_online(
     number of stored examples a vote XORs; record_predictions lists
     each example's outcome.
     """
-    if g < 1 or w < 1 or t < 1:
-        raise ValueError("need g >= 1 blocks of w >= 1 bits and t >= 1 matrices")
-    if g * w > 62:
-        raise ValueError(f"g*w={g * w} exceeds the 62-bit example limit")
-    if t * g << w > _MAX_SLOTS:
-        raise ValueError(f"t*g*2^w={t * g << w} slots exceed the limit of "
-                         f"{_MAX_SLOTS}")
-    if source.k != g * w:
-        raise ValueError(f"source supplies {source.k}-bit examples, need g*w={g * w}")
+    _check_bank(g, w, t, source.k)
     left = source.remaining()
     if count is None:
         if left is None:
@@ -280,7 +286,7 @@ def run_online(
     while done < count:
         take = min(_BATCH, count - done)
         words, labels, _ = source.draw_batch(take, packed=True)
-        clean = target.predict_words(words) if target is not None else None
+        clean = target.dot_words(words) if target is not None else None
         dec.feed(words[:, 0].view(np.int64), labels, clean)
         done += take
     return OnlineReport(

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .gf2 import BitVec, BlockLayout, GaussResult, GaussStatus, eliminate, fwht
-from .instance import NoiseRate, ParityTarget, _check_words
+from .instance import _check_eta, _check_words
 from .seeding import derive_seed
 
 __all__ = [
@@ -110,12 +110,12 @@ class SolverConfig:
 @dataclass
 class SolverResult:
     status: SolverStatus
-    c_hat: Optional[ParityTarget]
+    c_hat: Optional[BitVec]
     examples_used: int
     per_bit_votes: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def predicted_bias(eta: Union[float, NoiseRate], s: int) -> float:
+def predicted_bias(eta: float, s: int) -> float:
     """Probability that the XOR of s independently noisy labels is clean.
 
     Each label is flipped with probability eta; the XOR survives iff an
@@ -124,15 +124,10 @@ def predicted_bias(eta: Union[float, NoiseRate], s: int) -> float:
     """
     if s < 1:
         raise ValueError("chain length must be positive")
-    e = float(eta)
-    if not 0.0 <= e < 0.5:
-        raise ValueError("noise rate must satisfy 0 <= eta < 0.5")
-    return 0.5 + 0.5 * (1.0 - 2.0 * e) ** s
+    return 0.5 + 0.5 * (1.0 - 2.0 * _check_eta(eta)) ** s
 
 
-def xor_chain_oracle(
-    eta: Union[float, NoiseRate], s: int, trials: int, seed: int = 0
-) -> float:
+def xor_chain_oracle(eta: float, s: int, trials: int, seed: int = 0) -> float:
     """Monte Carlo estimate of the XOR chain survival probability.
 
     Simulates the flips directly: draws s Bernoulli(eta) variates per
@@ -145,7 +140,7 @@ def xor_chain_oracle(
         raise ValueError("chain length must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    e = float(eta)
+    e = _check_eta(eta)
     rng = np.random.default_rng(seed)
     rows_per_chunk = max(1, 1_000_000 // max(s, 1))
     clean = 0
@@ -158,9 +153,7 @@ def xor_chain_oracle(
     return clean / trials
 
 
-def repetitions_for(
-    k: int, eta: Union[float, NoiseRate], delta: float, a: int
-) -> int:
+def repetitions_for(k: int, eta: float, delta: float, a: int) -> int:
     """Votes per coordinate so all k majorities are right w.p. >= 1-delta.
 
     One vote XORs 2^(a-1) labels, so its advantage over a coin flip is
@@ -173,20 +166,19 @@ def repetitions_for(
         raise ValueError("k and a must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    gamma = 1.0 - 2.0 * float(eta)
-    if gamma <= 0.0:
-        raise ValueError("noise rate must be below 1/2")
+    eta = _check_eta(eta)
+    gamma = 1.0 - 2.0 * eta
     denom = gamma ** (2**a)
     reps = 2.0 * math.log(2.0 * k / delta) / denom
     if not math.isfinite(reps) or reps > 2**62:
         raise ValueError(
-            f"a={a} with eta={float(eta)} needs an infeasible number of votes"
+            f"a={a} with eta={eta} needs an infeasible number of votes"
         )
     return max(1, math.ceil(reps))
 
 
 def predicted_examples(
-    k: int, eta: Union[float, NoiseRate], delta: float, layout: BlockLayout
+    k: int, eta: float, delta: float, layout: BlockLayout
 ) -> float:
     """Expected examples a bkw solve draws, from a survivor model.
 
@@ -230,7 +222,7 @@ def _expected_examples(k: int, reps: int, layout: BlockLayout) -> float:
 
 def choose_parameters(
     k: int,
-    eta: Union[float, NoiseRate],
+    eta: float,
     delta: float = 0.1,
     profile: str = "balanced",
 ) -> SolverConfig:
@@ -255,7 +247,9 @@ def choose_parameters(
         a = max(1, math.ceil(math.log2(max(2.0, math.log2(max(2, k)))) / 2))
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    fits = [d for d in range(1, k + 1) if d * math.ceil(k / d) <= _MAX_WIDTH]
+    # d*ceil(k/d) >= d, so no depth past _MAX_WIDTH fits
+    fits = [d for d in range(1, min(k, _MAX_WIDTH) + 1)
+            if d * math.ceil(k / d) <= _MAX_WIDTH]
     if fits:
         a = min(fits, key=lambda d: (abs(d - a), d))
     return SolverConfig(BlockLayout(a, math.ceil(k / a)),
@@ -613,7 +607,7 @@ def recover_target(
         tallies.append((ones, reps - ones))
         bits_acc |= (ones > reps - ones) << p
     recovered = status is SolverStatus.RECOVERED
-    c_hat = ParityTarget(BitVec(k, bits_acc)) if recovered else None
+    c_hat = BitVec(k, bits_acc) if recovered else None
     return SolverResult(status, c_hat, budget.used, tallies)
 
 
@@ -621,9 +615,7 @@ def recover_target(
 # baselines
 
 
-def mle_bruteforce(
-    words: np.ndarray, labels: np.ndarray, k: int
-) -> ParityTarget:
+def mle_bruteforce(words: np.ndarray, labels: np.ndarray, k: int) -> BitVec:
     """Candidate parity with the fewest disagreements on the examples.
 
     words are (m, ceil(k/64)) uint64 row words (gf2.pack_words) and
@@ -646,7 +638,7 @@ def mle_bruteforce(
     f = np.zeros(1 << k, dtype=dtype)
     np.add.at(f, words[:, 0].view(np.int64), 1 - 2 * labels.astype(dtype))
     fwht(f)
-    return ParityTarget(BitVec(k, int(np.argmax(f))))
+    return BitVec(k, int(np.argmax(f)))
 
 
 def gaussian_baseline(

@@ -28,7 +28,6 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 import numpy as np
 
 from .gf2 import BitVec, eliminate
-from .instance import ParityTarget
 from .seeding import derive_seed
 
 __all__ = [
@@ -356,6 +355,12 @@ def _corr_matrix(
     return corr
 
 
+def _check_dim_size(count: int) -> None:
+    if count > MAX_DIM_CONCEPTS:
+        raise ValueError(f"{count} concepts exceed sq_dimension's "
+                         f"limit of MAX_DIM_CONCEPTS={MAX_DIM_CONCEPTS}")
+
+
 def sq_dimension(
     concepts: Sequence[Concept],
     dist: FiniteDistribution,
@@ -370,10 +375,9 @@ def sq_dimension(
     """
     if not concepts:
         raise ValueError("need at least one concept")
-    if len(concepts) > MAX_DIM_CONCEPTS:
-        raise ValueError(f"{len(concepts)} concepts exceed sq_dimension's "
-                         f"limit of MAX_DIM_CONCEPTS={MAX_DIM_CONCEPTS}")
-    corr = np.abs(_corr_matrix(concepts, dist))
+    _check_dim_size(len(concepts))
+    corr = _corr_matrix(concepts, dist)
+    np.abs(corr, out=corr)
     n = len(concepts)
     slack = 1e-12
     exact = n < exact_below
@@ -395,8 +399,10 @@ def sq_dimension(
             if trial <= 1.0 / (len(chosen) + 1)**3 + slack:
                 chosen.append(i)
                 worst = trial
-    pairs = corr[np.ix_(chosen, chosen)][np.triu_indices(len(chosen), 1)]
-    max_corr = pairs.max(initial=0.0)
+    # row by row, so no copy of the witness's block of corr is made
+    idx = np.array(chosen)
+    max_corr = max((corr[i, idx[a + 1:]].max(initial=0.0)
+                    for a, i in enumerate(idx)), default=0.0)
     assert max_corr <= 1.0 / len(chosen)**3 + slack
     return SqDimReport(
         d=len(chosen),
@@ -609,7 +615,7 @@ def basis_query_learner(
     k: int,
     concept: Concept,
     dist: Optional[FiniteDistribution] = None,
-) -> ParityTarget:
+) -> BitVec:
     """Learn a parity exactly with k+1 exact k-wise queries.
 
     One query measures the probability that k draws form a basis; then,
@@ -636,11 +642,31 @@ def basis_query_learner(
     for i, ans in enumerate(answers):
         if ans > p_basis / 2:
             bits |= 1 << i
-    return ParityTarget(BitVec(k, bits))
+    return BitVec(k, bits)
 
 
 # ---------------------------------------------------------------------------
 # registries
+
+
+def _parse_class(name: str) -> Tuple[Callable[[int, int], Concept], int, int]:
+    """The concept maker, j and n of "parity:j-of-n" or
+    "conjunction:j-of-n"; ValueError for any other name."""
+    m = name.split(":")
+    if len(m) != 2 or "-of-" not in m[1]:
+        raise ValueError(f"cannot parse class {name!r}")
+    try:
+        j_s, n_s = m[1].split("-of-")
+        j, n = int(j_s), int(n_s)
+    except ValueError:
+        raise ValueError(f"cannot parse class {name!r}") from None
+    if not 0 < j <= n:
+        raise ValueError("need 0 < j <= n")
+    make = {"parity": parity_concept,
+            "conjunction": conjunction_concept}.get(m[0])
+    if make is None:
+        raise ValueError(f"unknown class family {m[0]!r}")
+    return make, j, n
 
 
 def concept_class(name: str) -> Tuple[List[Concept], FiniteDistribution]:
@@ -650,22 +676,9 @@ def concept_class(name: str) -> Tuple[List[Concept], FiniteDistribution]:
     the distribution is uniform over {0,1}^n, so n is at most
     MAX_CLASS_WIDTH.
     """
-    m = name.split(":")
-    if len(m) == 2 and "-of-" in m[1]:
-        try:
-            j_s, n_s = m[1].split("-of-")
-            j, n = int(j_s), int(n_s)
-        except ValueError:
-            raise ValueError(f"cannot parse class {name!r}") from None
-        if not 0 < j <= n:
-            raise ValueError("need 0 < j <= n")
-        make = {"parity": parity_concept,
-                "conjunction": conjunction_concept}.get(m[0])
-        if make is None:
-            raise ValueError(f"unknown class family {m[0]!r}")
-        dist = FiniteDistribution.uniform_over(n)
-        return [make(mask, n) for mask in range(1 << j)], dist
-    raise ValueError(f"cannot parse class {name!r}")
+    make, j, n = _parse_class(name)
+    dist = FiniteDistribution.uniform_over(n)
+    return [make(mask, n) for mask in range(1 << j)], dist
 
 
 def _q_labels_agree() -> KWiseQuery:

@@ -239,7 +239,7 @@ def run_reference(
         xs = pack_words(bits)[:, 0].view(np.int64)
         clean = None
         if target is not None:
-            clean = [(int(x) & target.c.bits).bit_count() & 1 for x in xs]
+            clean = [(int(x) & target.bits).bit_count() & 1 for x in xs]
         for i in range(take):
             lab_i = int(labels[i])
             pred = process_example(

@@ -13,7 +13,7 @@ import numpy as np
 
 from bitvec_helpers import bits_row, random_bitvec
 from lpn.gf2 import BitVec, pack_words
-from lpn.instance import ParityTarget, ReplaySource
+from lpn.instance import ReplaySource
 
 
 def support_replay(
@@ -32,10 +32,10 @@ def support_replay(
     """
     k = support[0].n
     rng = np.random.default_rng(seed)
-    target = ParityTarget(random_bitvec(k, rng))
+    target = random_bitvec(k, rng)
     p = np.asarray(weights, dtype=np.float64)
     idx = rng.choice(len(support), size=m, p=p / p.sum())
     words = pack_words(np.stack([bits_row(v) for v in support]))[idx]
     flips = (rng.random(m) < eta).astype(np.uint8)
-    labels = target.predict_words(words) ^ flips
+    labels = target.dot_words(words) ^ flips
     return ReplaySource(words, labels, k, eta=eta, seed=seed, target=target)

@@ -65,7 +65,7 @@ def test_ac01_recovers_k24_at_medium_noise():
         src = new_source(24, 0.125, seed=seed)
         res = recover_target(src, cfg)
         if (res.status is SolverStatus.RECOVERED
-                and res.c_hat.c == src.target.c):
+                and res.c_hat == src.target):
             wins += 1
     dt = time.perf_counter() - t0
     _verdict("AC-1", wins >= 90, f"{wins}/100 exact recoveries in {dt:.0f}s")
@@ -85,9 +85,9 @@ def test_ac02_matches_mle_at_k16():
         words, labels, _ = src.draw_batch(2000, packed=True)
         h = mle_bruteforce(words, labels, 16)
         res = recover_target(src, cfg)
-        if (h.c == src.target.c
+        if (h == src.target
                 and res.status is SolverStatus.RECOVERED
-                and res.c_hat.c == src.target.c):
+                and res.c_hat == src.target):
             agree += 1
     dt = time.perf_counter() - t0
     _verdict("AC-2", agree >= 95,
@@ -282,7 +282,7 @@ def test_ac11_basis_learner_exhaustive():
         for mask in range(2 ** k):
             total += 1
             learned = basis_query_learner(k, parity_concept(mask, k))
-            if learned.c.bits != mask:
+            if learned.bits != mask:
                 wrong += 1
     dt = time.perf_counter() - t0
     _verdict("AC-11", wrong == 0,
@@ -304,13 +304,13 @@ def test_ac12_depth_four_votes_beat_full_elimination():
     src = new_source(24, eta, seed=1201)
     res = recover_target(src, cfg)
     solved = (res.status is SolverStatus.RECOVERED
-              and res.c_hat.c == src.target.c
+              and res.c_hat == src.target
               and res.examples_used <= budget)
 
     # per-vote correctness of depth-4 merge votes
     n = 10_000
     vsrc = new_source(24, eta, seed=1202)
-    truth = vsrc.target.c.bit(0)
+    truth = vsrc.target.bit(0)
     votes = collect_votes(vsrc, SolverConfig(layout, repetitions=1), n)
     merge_frac = sum(1 for lab, _ in votes if lab == truth) / n
     merge_p = predicted_bias(eta, 2 ** (layout.a - 1))
@@ -320,7 +320,7 @@ def test_ac12_depth_four_votes_beat_full_elimination():
     # per-vote correctness of one-shot elimination votes: express the
     # probe in the span of fresh rows and XOR the labels used
     gsrc = new_source(24, eta, seed=1203)
-    truth_g = gsrc.target.c.bit(0)
+    truth_g = gsrc.target.bit(0)
     probe = BitVec(24, 1)
     correct = 0
     chain_ps = []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lpn import cli
+from lpn import sq as sqmod
 from lpn.cli import SOLVE_COLUMNS, SQ_COLUMNS, _parse_seeds, main
 from lpn.gf2 import unpack_words
 from lpn.instance import new_source
@@ -378,6 +379,47 @@ def test_usage_errors_exit_one(tmp_path, capsys, argv, fragment):
     assert fragment in err
 
 
+BIG_K = str(1 << 40)
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["--algo", "mle", "--k", BIG_K, "--eta", "0.1"], "mle is capped at k=26"),
+    (["--algo", "bkw", "--k", BIG_K, "--eta", "0.1", "--a", "2",
+      "--b", str(1 << 39)], "62-bit limit of bkw"),
+    # the depth scan of choose_parameters once ran to k
+    (["--algo", "bkw", "--k", "10000000", "--eta", "0.001"],
+     "62-bit limit of bkw"),
+    (["--algo", "online", "--eta", "0.1", "--blocks", BIG_K, "--width", "1",
+      "--matrices", "1", "--max-examples", "10"], "62-bit example limit"),
+    (["--algo", "online", "--k", BIG_K, "--eta", "0.1", "--blocks", "2",
+      "--width", "4", "--matrices", "1", "--max-examples", "10"],
+     "need g*w=8"),
+    (["--algo", "mle", "--in", "{file}"], "mle is capped at k=26"),
+    (["--algo", "bkw", "--in", "{file}", "--a", "2", "--b", "32"],
+     "62-bit limit of bkw"),
+    (["--algo", "online", "--in", "{file}", "--blocks", "32", "--width", "2",
+      "--matrices", "1"], "62-bit example limit"),
+])
+def test_refused_solves_build_no_source(tmp_path, monkeypatch, capsys, argv,
+                                        fragment):
+    # a live source draws its k-bit target first: 1 TiB at k = 2^40
+    path = tmp_path / "k30.lpn"
+    run(capsys, "gen", "--k", "30", "--count", "5", "--eta", "0.1",
+        "--out", str(path))
+
+    def build(*args, **kwargs):
+        raise AssertionError("a source was built for a refused solve")
+
+    monkeypatch.setattr(cli, "new_source", build)
+    monkeypatch.setattr(cli, "replay_source", build)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "solve",
+                         *[a.format(file=path) for a in argv])
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 1 and out == ""
+    assert fragment in err and err.count("\n") == 1
+
+
 def test_in_conflicts_with_k(tmp_path, capsys):
     p = tmp_path / "c.lpn"
     run(capsys, "gen", "--k", "8", "--count", "5", "--eta", "0.0",
@@ -515,11 +557,21 @@ def test_sq_dim_row(capsys):
     assert len(row["witness"].split(";")) == 8
 
 
-def test_sq_dim_refuses_a_class_too_large_to_hold(capsys):
-    code, out, err = run(capsys, "sq", "dim", "--class", "parity:13-of-13")
-    assert code == 1 and out == ""
-    assert err.startswith("error: 8192 concepts exceed") and err.count("\n") == 1
-    assert "MAX_DIM_CONCEPTS=4096" in err and "Traceback" not in err
+def test_sq_dim_refuses_a_class_too_large_to_hold(monkeypatch, capsys):
+    # refused before any concept is built: parity:20-of-20 once built
+    # all 1,048,576 concepts (seconds, 0.5 GB) before sq_dimension
+    # refused them
+    def build(mask, n):
+        raise AssertionError("a concept was built")
+
+    monkeypatch.setattr(sqmod, "parity_concept", build)
+    for j in (13, 20):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "sq", "dim", "--class", f"parity:{j}-of-{j}")
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 1 and out == ""
+        assert err == (f"error: {1 << j} concepts exceed sq_dimension's limit "
+                       "of MAX_DIM_CONCEPTS=4096\n")
 
 
 def test_sq_reduce_row(capsys):

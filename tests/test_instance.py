@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from bitvec_helpers import bits_row, random_bitvec
-from lpn.gf2 import BitVec, pack_words
+from lpn import solvers
+from lpn.gf2 import BitVec, BlockLayout, pack_words
 from lpn.instance import (
     ExampleSource,
-    NoiseRate,
-    ParityTarget,
     ReplaySource,
     StreamExhausted,
     empirical_error,
     new_source,
 )
+from lpn.instfile import InstanceData, format_instance, generate_instance
 
 V = BitVec.from_string
 
@@ -28,44 +28,68 @@ def draw_one(src):
 
 
 def test_noise_rate_bounds():
-    assert float(NoiseRate(0.0)) == 0.0
-    assert float(NoiseRate(0.4999)) == 0.4999
-    with pytest.raises(ValueError):
-        NoiseRate(0.5)
-    with pytest.raises(ValueError):
-        NoiseRate(-0.01)
+    for eta in (0.0, 0.4999):
+        src = new_source(4, eta, seed=0)
+        assert type(src.eta) is float and src.eta == eta
+    assert new_source(4, 0, seed=0).eta == 0.0
+    for eta in (0.5, -0.01, math.nan):
+        with pytest.raises(ValueError, match="0 <= eta < 0.5"):
+            new_source(4, eta, seed=0)
+
+
+def _data(eta):
+    words, labels, _ = new_source(4, 0.1, seed=0).draw_batch(3, packed=True)
+    return InstanceData(4, eta, 0, words, labels)
+
+
+def _replay(eta):
+    data = _data(0.1)
+    return ReplaySource(data.words, data.labels, 4, eta=eta)
+
+
+# every public function that takes a noise rate, called with eta
+ETA_CALLS = {
+    "new_source": lambda eta: new_source(8, eta, seed=1),
+    "ExampleSource": lambda eta: ExampleSource(8, eta, seed=1),
+    "ReplaySource": _replay,
+    "generate_instance": lambda eta: generate_instance(8, 10, eta, 1),
+    "format_instance": lambda eta: format_instance(_data(eta)),
+    "predicted_bias": lambda eta: solvers.predicted_bias(eta, 3),
+    "xor_chain_oracle": lambda eta: solvers.xor_chain_oracle(eta, 3, 1000),
+    "repetitions_for": lambda eta: solvers.repetitions_for(24, eta, 0.1, 3),
+    "predicted_examples": lambda eta: solvers.predicted_examples(
+        24, eta, 0.1, BlockLayout(3, 8)),
+    "choose_parameters": lambda eta: solvers.choose_parameters(24, eta),
+}
+
+
+@pytest.mark.parametrize("eta", [0.7, 0.5, -0.2, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(ETA_CALLS))
+def test_every_noise_rate_is_range_checked(name, eta):
+    # xor_chain_oracle took any eta, and repetitions_for (so also
+    # choose_parameters) any eta below 1/2, negative ones included
+    with pytest.raises(ValueError, match=r"^noise rate must satisfy "
+                       r"0 <= eta < 0\.5, got "):
+        ETA_CALLS[name](eta)
+    ETA_CALLS[name](0.125)
 
 
 def test_parity_target_predicts():
-    t = ParityTarget(V("1010"))
-    assert t.k == 4
+    t = V("1010")
     rows = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0]], dtype=np.uint8)
-    assert list(t.predict_words(pack_words(rows))) == [1, 1, 0]
-
-
-def test_target_word_is_built_once():
-    t = ParityTarget(V("1010"))
-    rows = pack_words(np.eye(4, dtype=np.uint8))
-    assert list(t.predict_words(rows)) == [1, 0, 1, 0]
-    word = t._words
-    assert list(t.predict_words(rows)) == [1, 0, 1, 0]
-    assert t._words is word
-    # the cached word takes no part in equality or hashing
-    fresh = ParityTarget(V("1010"))
-    assert t == fresh and hash(t) == hash(fresh)
+    assert list(t.dot_words(pack_words(rows))) == [1, 1, 0]
 
 
 @pytest.mark.parametrize("k", [1, 24, 62, 300])
 def test_predict_rows_matches_matmul(k):
-    # predict_words on the rows' words against an integer matmul
+    # BitVec.dot_words on the rows' words against an integer matmul
     rng = np.random.default_rng(k)
     bits = rng.integers(0, 2, size=(400, k), dtype=np.uint8)
     bits[0] = 1  # at k=300 an all-ones target sums 300 ones here
     targets = [random_bitvec(k, rng) for _ in range(4)] + [BitVec(k, (1 << k) - 1)]
     for c in targets:
-        t = ParityTarget(c)
         want = (bits.astype(np.int64) @ bits_row(c).astype(np.int64) & 1)
-        got = t.predict_words(pack_words(bits))
+        got = c.dot_words(pack_words(bits))
         assert got.dtype == np.uint8
         assert np.array_equal(got, want.astype(np.uint8))
 
@@ -113,7 +137,7 @@ def test_zero_noise_labels_are_clean():
     src = new_source(10, 0.0, seed=7)
     for _ in range(1000):
         x, label, _ = draw_one(src)
-        assert label == (x.bits & src.target.c.bits).bit_count() & 1
+        assert label == (x.bits & src.target.bits).bit_count() & 1
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.05, 0.125, 0.25, 0.4])
@@ -121,7 +145,7 @@ def test_flip_rate_matches_eta(eta):
     m = 20000
     src = new_source(12, eta, seed=41)
     words, labels, _ = src.draw_batch(m, packed=True)
-    clean = src.target.predict_words(words)
+    clean = src.target.dot_words(words)
     flips = int((labels ^ clean).sum())
     sigma = math.sqrt(eta * (1 - eta) * m)
     assert abs(flips - eta * m) <= 3 * sigma + 1e-9
@@ -195,11 +219,12 @@ def test_replay_source_checks_the_target_length():
     # a 70-bit target over 8-bit rows was accepted, and its clean labels
     # broadcast across the two widths
     words, labels, _ = new_source(8, 0.1, seed=0).draw_batch(10, packed=True)
-    for target in (ParityTarget(BitVec(70, 5)), ParityTarget(BitVec(4, 5)),
-                   BitVec(8, 5)):
-        with pytest.raises(ValueError, match="ParityTarget of length k"):
+    for target in (BitVec(70, 5), BitVec(4, 5), 5, "10100000"):
+        with pytest.raises(ValueError, match="BitVec of length k"):
             ReplaySource(words, labels, 8, target=target)
-    good = ParityTarget(BitVec(8, 5))
+        with pytest.raises(ValueError, match="BitVec of length k"):
+            new_source(8, 0.1, target=target)
+    good = BitVec(8, 5)
     assert ReplaySource(words, labels, 8, target=good).target is good
 
 
@@ -253,19 +278,19 @@ def test_distinct_parities_agree_half_the_time():
     # the uniform distribution
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2, size=(100000, 10), dtype=np.uint8)
-    h1 = ParityTarget(BitVec(10, 0b1011001))
-    h2 = ParityTarget(BitVec(10, 0b0010110))
+    h1 = BitVec(10, 0b1011001)
+    h2 = BitVec(10, 0b0010110)
     words = pack_words(bits)
-    agree = (h1.predict_words(words) == h2.predict_words(words)).mean()
+    agree = (h1.dot_words(words) == h2.dot_words(words)).mean()
     assert abs(agree - 0.5) <= 3 * math.sqrt(0.25 / 100000)
 
 
 def test_uncorrelated_hypothesis_has_half_error():
     src = new_source(10, 0.0, seed=33)
     words, labels, _ = src.draw_batch(20000, packed=True)
-    other = ParityTarget(V("1000000000"))
-    if other.c == src.target.c:
-        other = ParityTarget(V("0100000000"))
+    other = V("1000000000")
+    if other == src.target:
+        other = V("0100000000")
     err = empirical_error(other, words, labels)
     assert abs(err - 0.5) <= 3 * math.sqrt(0.25 / 20000)
 
@@ -310,8 +335,8 @@ def _reference_stream(src, chunks):
     before sources held row words: (4096, k) chunks from
     integers(0, 2, uint8), clean labels from an integer matmul with the
     target, then one random() per row for the noise."""
-    k, eta = src.k, float(src.eta)
-    c = bits_row(src.target.c).astype(np.int64)
+    k, eta = src.k, src.eta
+    c = bits_row(src.target).astype(np.int64)
     rng = np.random.default_rng(src.rng_seed)
     bits, labels = [], []
     for _ in range(chunks):

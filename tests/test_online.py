@@ -124,7 +124,7 @@ def test_prediction_is_exact_when_labels_are_clean():
         pred = process_example(bank, x, lambda label=label: label)
         if pred.kind == "predicted":
             seen += 1
-            assert pred.bit == (x & src.target.c.bits).bit_count() & 1
+            assert pred.bit == (x & src.target.bits).bit_count() & 1
             assert not pred.tie
     assert seen > 3000
 

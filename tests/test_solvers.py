@@ -325,7 +325,7 @@ def test_aggregated_labels_match_bias_formula():
     out = merge_step(merge_step(sample, rng=np.random.default_rng(78)),
                      rng=np.random.default_rng(79))
     out.validate(originals=row_words(bits, labels))
-    clean = src.target.predict_words((out.words & VEC).view(np.uint64)[:, None])
+    clean = src.target.dot_words((out.words & VEC).view(np.uint64)[:, None])
     by_size = {}
     for ok, p in zip(clean == out.labels, out.provenance):
         by_size.setdefault(solvers._chain_size(p), []).append(bool(ok))
@@ -347,7 +347,7 @@ def test_recover_first_bit_noiseless():
     cfg = SolverConfig(layout=BlockLayout(2, 4), repetitions=5)
     res = recover_target(src, cfg)
     ones, zeros = res.per_bit_votes[0]
-    assert res.c_hat.c.bit(0) == src.target.c.bit(0)
+    assert res.c_hat.bit(0) == src.target.bit(0)
     assert ones + zeros == 5
     assert ones in (0, 5)  # noiseless votes all agree
 
@@ -368,7 +368,7 @@ def test_collect_votes_bias_matches_formula():
     src = new_source(8, eta, seed=19)
     cfg = SolverConfig(layout=BlockLayout(2, 4), repetitions=1)
     votes = collect_votes(src, cfg, 400)
-    c1 = src.target.c.bit(0)
+    c1 = src.target.bit(0)
     rate = sum(1 for l, _ in votes if l == c1) / 400
     p = predicted_bias(eta, 2)
     assert abs(rate - p) <= 3 * math.sqrt(p * (1 - p) / 400)
@@ -600,7 +600,7 @@ def test_recover_target_with_padding():
     res = recover_target(src, cfg)
     assert res.status is SolverStatus.RECOVERED
     assert res.c_hat == src.target
-    assert res.c_hat.k == 6
+    assert res.c_hat.n == 6
 
 
 def test_recover_target_small_noisy():
@@ -715,7 +715,7 @@ def test_mle_agrees_with_naive_enumeration():
     # odd k and m not a multiple of 8 leave padding in the packed columns
     for k, m, seed in [(6, 60, 15), (1, 5, 1), (7, 61, 7), (13, 37, 13)]:
         words, labels = draw_words(new_source(k, 0.2, seed=seed), m)
-        assert mle_bruteforce(words, labels, k).c == naive_mle(words, labels, k)
+        assert mle_bruteforce(words, labels, k) == naive_mle(words, labels, k)
 
 
 def test_mle_noiseless_recovers():
@@ -726,7 +726,7 @@ def test_mle_noiseless_recovers():
 
 def test_mle_tie_break_is_smallest_candidate():
     src = support_replay([V("0000")], [1.0], 10, 0.0, seed=1)
-    assert mle_bruteforce(*draw_words(src, 10), 4).c == BitVec(4)
+    assert mle_bruteforce(*draw_words(src, 10), 4) == BitVec(4)
 
 
 def test_mle_rejects_bad_inputs():
@@ -747,7 +747,7 @@ def test_mle_rejects_bad_inputs():
 def test_mle_transform_matches_gray_code_walk(k, m, eta):
     # one and five rows leave most candidates tied at the fewest errors
     words, labels = draw_words(new_source(k, eta, seed=k * m), m)
-    assert mle_bruteforce(words, labels, k).c.bits == mle_oracle.mle_gray(
+    assert mle_bruteforce(words, labels, k).bits == mle_oracle.mle_gray(
         words, labels, k)
 
 
@@ -758,7 +758,7 @@ def test_mle_transform_matches_gray_code_walk_on_ties(k, m):
     rng = np.random.default_rng(k)
     support = [random_bitvec(k, rng) for _ in range(3)]
     words, labels = draw_words(support_replay(support, [0.5, 0.3, 0.2], m, 0.3, m), m)
-    assert mle_bruteforce(words, labels, k).c.bits == mle_oracle.mle_gray(
+    assert mle_bruteforce(words, labels, k).bits == mle_oracle.mle_gray(
         words, labels, k)
 
 
@@ -773,7 +773,7 @@ def test_mle_transform_is_exact_at_the_table_type_bound(m, ones):
     words = np.full((m, 1), v, dtype=np.uint64)
     labels = np.zeros(m, dtype=np.uint8)
     labels[: {"none": 0, "one": 1, "all": m}[ones]] = 1
-    assert mle_bruteforce(words, labels, k).c.bits == mle_oracle.mle_gray(
+    assert mle_bruteforce(words, labels, k).bits == mle_oracle.mle_gray(
         words, labels, k)
 
 
@@ -819,7 +819,7 @@ def test_gaussian_baseline_noiseless():
     src = new_source(8, 0.0, seed=16)
     res = gaussian_baseline(*draw_words(src, 24), 8)
     assert res.status is GaussStatus.SOLVED
-    assert res.solution == src.target.c
+    assert res.solution == src.target
 
 
 def test_gaussian_baseline_underdetermined():

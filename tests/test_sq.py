@@ -489,6 +489,21 @@ def test_sq_dimension_slices_shrink_as_the_class_grows():
     assert peak < 128 << 20
 
 
+def test_sq_dimension_holds_at_most_three_correlation_matrices():
+    # 4096 concepts: the correlation matrix is 128 MB.  Its absolute
+    # value was a copy, and the witness check gathered the chosen
+    # block and then its upper triangle, peaking at 448 MB
+    concepts, dist = concept_class("parity:12-of-12")
+    tracemalloc.start()
+    try:
+        rep = sq_dimension(concepts, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.d == 4096 and rep.max_abs_correlation == 0.0
+    assert peak < 384 << 20
+
+
 def test_sq_dimension_refuses_a_class_too_large_to_hold():
     concepts = [parity_concept(m, 13)
                 for m in range(sqmod.MAX_DIM_CONCEPTS + 1)]
@@ -725,18 +740,18 @@ def test_reduction_rejects_fewer_than_one_tuple():
 
 def test_basis_learner_k2_hand_case():
     t = basis_query_learner(2, parity_concept(0b01, 2))
-    assert t.c == BitVec(2, 0b01)
+    assert t == BitVec(2, 0b01)
 
 
 def test_basis_learner_k3_exhaustive():
     for mask in range(8):
         t = basis_query_learner(3, parity_concept(mask, 3))
-        assert t.c.bits == mask
+        assert t.bits == mask
 
 
 def test_basis_learner_zero_target():
     t = basis_query_learner(3, parity_concept(0, 3))
-    assert t.c.bits == 0
+    assert t.bits == 0
 
 
 def test_basis_learner_rejects_width_mismatch():
