@@ -39,6 +39,7 @@ from .instfile import (
 from .online import _check_bank, run_online
 from .seeding import derive_seed
 from .solvers import (
+    GAUSS_MAX_K,
     MLE_MAX_K,
     SolverConfig,
     SolverStatus,
@@ -227,6 +228,8 @@ def _solve_one(task: Dict) -> Dict:
                            max_examples=cap)
     elif algo == "mle" and k > MLE_MAX_K:
         raise _UsageError(f"mle is capped at k={MLE_MAX_K}")
+    elif algo == "gauss" and k > GAUSS_MAX_K:
+        raise _UsageError(f"gauss is capped at k={GAUSS_MAX_K}")
     elif algo == "online":
         _check_bank(task["blocks"], task["width"], task["matrices"], k)
     src = (replay_source(data) if data is not None

@@ -23,8 +23,11 @@ the residual alone, so an example was captured exactly when its
 residual is nonzero after the last block.  A batch is folded through
 the matrices that hold rows; the examples before the first capture are
 final, the capture inserts one row, and only the examples that the same
-matrix captured are folded again: every example it zeroed missed the
-new slot, which was empty.
+matrix captured, first missing at the new slot, are folded again: every
+example it zeroed missed the new slot, which was empty.  Batches double
+from 64 examples to 4096, since nearly every capture comes early and
+each one rescans the rest of its batch.  Examples are decided strictly
+in order, so batch sizes change no outcome.
 
 Votes are a running total per batch: the examples still being folded
 keep their label-1 vote counts in an array aligned with them, and each
@@ -43,6 +46,8 @@ import numpy as np
 
 __all__ = ["OnlineReport", "run_online"]
 
+# batches double from _FIRST rows to _BATCH (see the module docstring)
+_FIRST = 64
 _BATCH = 4096
 # bit 63 of a row word carries its label; the low 63 bits its residual
 _LABEL = -(1 << 63)
@@ -123,8 +128,10 @@ class _Decoder:
             # a capture missed first at slot (j, v) exactly when its
             # residual is zero below block j and v in block j
             low = (1 << (j + 1) * self.w) - 1
-            hit = (cap[pos:] == m) & ((res[pos:] & low) == v << j * self.w)
-            self._advance(xs, clean, pos + np.flatnonzero(hit), m, cap, res, ones)
+            hit = np.flatnonzero((cap[pos:] == m)
+                                 & ((res[pos:] & low) == v << j * self.w))
+            if len(hit):
+                self._advance(xs, clean, pos + hit, m, cap, res, ones)
 
     def _advance(self, xs, clean, idx, m, cap, res, ones) -> None:
         """Fold examples idx through matrices m, m+1, ... while they are
@@ -284,7 +291,7 @@ def run_online(
     dec = _Decoder(g, w, t, collect_vote_stats, record_predictions)
     done = 0
     while done < count:
-        take = min(_BATCH, count - done)
+        take = min(_BATCH, max(_FIRST, done), count - done)
         words, labels, _ = source.draw_batch(take, packed=True)
         clean = target.dot_words(words) if target is not None else None
         dec.feed(words[:, 0].view(np.int64), labels, clean)

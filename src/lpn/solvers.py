@@ -36,6 +36,7 @@ from .seeding import derive_seed
 
 __all__ = [
     "MLE_MAX_K",
+    "GAUSS_MAX_K",
     "SolverStatus",
     "SolverConfig",
     "SolverResult",
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 MLE_MAX_K = 26
+# a live noiseless gauss solve at this k took 6.5 s and 109 MB on a
+# 2-core box, and the cost grows about 8x per doubling of k
+GAUSS_MAX_K = 4096
 
 # cap on redraw rounds for a single vote whose reduced sample never
 # contains the probe vector
@@ -649,8 +653,10 @@ def gaussian_baseline(
     words are (m, ceil(k/64)) uint64 row words and labels their m 0/1
     labels.  Only meaningful on noiseless data: any flipped label shows
     up as an inconsistent system (or a wrong solution if the flips
-    happen to stay consistent).
+    happen to stay consistent).  k above GAUSS_MAX_K is refused.
     """
+    if k > GAUSS_MAX_K:
+        raise ValueError(f"gaussian_baseline is capped at k={GAUSS_MAX_K}")
     _check_words(words, labels, k)
     # one system, each row's label riding at bit k
     rows = np.zeros((1, len(labels), k // 64 + 1), dtype=np.uint64)

@@ -344,14 +344,23 @@ def _corr_matrix(
 ) -> np.ndarray:
     """E[(-1)^(f(x) + g(x))] over dist for every pair of concepts, summed
     over slices of at most ENUM_CHUNK points and 2^22 concept-point
-    entries, so memory grows with neither 2^n nor the class."""
-    corr = np.zeros((len(concepts), len(concepts)))
-    step = min(ENUM_CHUNK, (1 << 22) // len(concepts))
+    entries, so memory grows with neither 2^n nor the class.  Each
+    slice's product is added into the matrix a block of rows at a time,
+    through one reused buffer and a weighted copy of the block's signs
+    of at most 2^20 entries each, so no second matrix is made."""
+    n = len(concepts)
+    corr = np.zeros((n, n))
+    step = min(ENUM_CHUNK, (1 << 22) // n)
+    rows = max(1, (1 << 20) // max(n, step))
+    buf = np.empty((min(rows, n), n))
     for start in range(0, len(dist.points), step):
         part = slice(start, start + step)
         labels = np.stack([c.labels(dist.points[part]) for c in concepts])
-        signs = 1.0 - 2.0 * labels.astype(np.float64)
-        corr += (signs * dist.weights[part]) @ signs.T
+        signs = np.where(labels, -1.0, 1.0)
+        for r in range(0, n, rows):
+            out = buf[:min(rows, n - r)]
+            np.matmul(signs[r:r + rows] * dist.weights[part], signs.T, out=out)
+            corr[r:r + rows] += out
     return corr
 
 
@@ -359,6 +368,27 @@ def _check_dim_size(count: int) -> None:
     if count > MAX_DIM_CONCEPTS:
         raise ValueError(f"{count} concepts exceed sq_dimension's "
                          f"limit of MAX_DIM_CONCEPTS={MAX_DIM_CONCEPTS}")
+
+
+def _largest_subset(corr: np.ndarray, slack: float) -> List[int]:
+    """The subset an exhaustive search keeps: sizes from len(corr) down,
+    and within a size the masks in increasing numeric order (bit i for
+    concept i), so the first that passes is the smallest mask of the
+    largest size."""
+    n = len(corr)
+    for size in range(n, 1, -1):
+        thr = 1.0 / size**3 + slack
+        mask = (1 << size) - 1
+        while mask < 1 << n:
+            idx = [i for i in range(n) if (mask >> i) & 1]
+            if all(corr[i, j] <= thr
+                   for a, i in enumerate(idx) for j in idx[a + 1:]):
+                return idx
+            # the next larger mask of the same size (Gosper's hack)
+            low = mask & -mask
+            top = mask + low
+            mask = (((top ^ mask) >> 2) // low) | top
+    return [0]  # one concept has no pairs
 
 
 def sq_dimension(
@@ -369,9 +399,10 @@ def sq_dimension(
     """Largest subset whose pairwise correlations all stay within 1/d^3.
 
     Classes of at most exact_below - 1 concepts are searched
-    exhaustively; larger ones by a greedy scan in the given order that
-    keeps the chosen set's largest |correlation|, then a verification
-    pass over the witness.  More than MAX_DIM_CONCEPTS are refused.
+    exhaustively, from the largest size down; larger ones by a greedy
+    scan in the given order that keeps the chosen set's largest
+    |correlation|, then a verification pass over the witness.  More
+    than MAX_DIM_CONCEPTS are refused.
     """
     if not concepts:
         raise ValueError("need at least one concept")
@@ -381,17 +412,10 @@ def sq_dimension(
     n = len(concepts)
     slack = 1e-12
     exact = n < exact_below
-    chosen: List[int] = [0] if exact else []
     if exact:
-        for mask in range(1, 1 << n):
-            if mask.bit_count() <= len(chosen):
-                continue
-            idx = [i for i in range(n) if (mask >> i) & 1]
-            thr = 1.0 / len(idx)**3 + slack
-            if all(corr[i, j] <= thr
-                   for a, i in enumerate(idx) for j in idx[a + 1:]):
-                chosen = idx
+        chosen = _largest_subset(corr, slack)
     else:
+        chosen = []
         worst = 0.0
         for i in range(n):
             # the pairs (j, i) for j already chosen, read as corr[j, i]

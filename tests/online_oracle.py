@@ -223,6 +223,22 @@ def run_reference(
     Vote stats are keyed by provenance size, so collecting them tracks
     provenance.
     """
+    return reference_reports(source, g, w, t, [count], collect_vote_stats,
+                             record_predictions)[0]
+
+
+def reference_reports(
+    source,
+    g: int,
+    w: int,
+    t: int,
+    counts: List[int],
+    collect_vote_stats: bool = False,
+    record_predictions: bool = False,
+) -> List[OnlineReport]:
+    """run_reference at each count of the increasing list counts, from
+    one pass over the first max(counts) examples."""
+    reports: List[OnlineReport] = []
     bank = MatrixBank(g, w, t, track_provenance=collect_vote_stats)
     target = getattr(source, "target", None)
     predicted = unknown = ties = 0
@@ -232,7 +248,28 @@ def run_reference(
         {} if collect_vote_stats else None
     )
     predictions: Optional[List[int]] = [] if record_predictions else None
+    count = max(counts, default=0)
     done = 0
+
+    def snapshot(processed: int) -> None:
+        reports.append(OnlineReport(
+            processed=processed,
+            predicted=predicted,
+            unknown=unknown,
+            ties=ties,
+            errors=errors,
+            per_matrix_fill=[m.fill for m in bank.matrices],
+            capacity=bank.capacity,
+            max_vote_depth=max_depth,
+            depth_bound=1 << g,
+            engine="simple",
+            votes_by_depth=(None if votes_by_depth is None else
+                            {s: list(v) for s, v in votes_by_depth.items()}),
+            predictions=None if predictions is None else list(predictions),
+        ))
+
+    for _ in range(counts.count(0)):
+        snapshot(0)
     while done < count:
         take = min(4096, count - done)
         bits, labels, start = source.draw_batch(take)
@@ -262,18 +299,7 @@ def run_reference(
                     row = votes_by_depth.setdefault(z.provenance.bit_count(), [0, 0])
                     row[0] += int(z.label) == int(clean[i])
                     row[1] += 1
+            for _ in range(counts.count(done + i + 1)):
+                snapshot(done + i + 1)
         done += take
-    return OnlineReport(
-        processed=count,
-        predicted=predicted,
-        unknown=unknown,
-        ties=ties,
-        errors=errors,
-        per_matrix_fill=[m.fill for m in bank.matrices],
-        capacity=bank.capacity,
-        max_vote_depth=max_depth,
-        depth_bound=1 << g,
-        engine="simple",
-        votes_by_depth=votes_by_depth,
-        predictions=predictions,
-    )
+    return reports

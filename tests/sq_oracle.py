@@ -17,6 +17,9 @@ directly, without a query.
 
 `greedy_witness` is `sq_dimension`'s greedy scan pair by pair: each
 candidate re-checks every pair of the chosen set with it against 1/d^3.
+`exhaustive_witness` is its exhaustive search in one pass over every
+mask in increasing numeric order, keeping each passing mask larger than
+the last one kept.
 """
 
 from __future__ import annotations
@@ -56,6 +59,22 @@ def greedy_witness(corr: np.ndarray, slack: float = 1e-12) -> List[int]:
         if all(corr[a, b] <= thr
                for x, a in enumerate(trial) for b in trial[x + 1:]):
             chosen = trial
+    return chosen
+
+
+def exhaustive_witness(corr: np.ndarray, slack: float = 1e-12) -> List[int]:
+    """Indices of the subset the exhaustive search keeps, given
+    |correlations|: the first passing mask of each new size wins."""
+    n = len(corr)
+    chosen = [0]
+    for mask in range(1, 1 << n):
+        if mask.bit_count() <= len(chosen):
+            continue
+        idx = [i for i in range(n) if (mask >> i) & 1]
+        thr = 1.0 / len(idx) ** 3 + slack
+        if all(corr[i, j] <= thr
+               for a, i in enumerate(idx) for j in idx[a + 1:]):
+            chosen = idx
     return chosen
 
 

@@ -399,6 +399,11 @@ BIG_K = str(1 << 40)
      "62-bit limit of bkw"),
     (["--algo", "online", "--in", "{file}", "--blocks", "32", "--width", "2",
       "--matrices", "1"], "62-bit example limit"),
+    (["--algo", "gauss", "--k", BIG_K, "--eta", "0"],
+     "gauss is capped at k=4096"),
+    (["--algo", "gauss", "--k", "4097", "--eta", "0"],
+     "gauss is capped at k=4096"),
+    (["--algo", "gauss", "--in", "{wide}"], "gauss is capped at k=4096"),
 ])
 def test_refused_solves_build_no_source(tmp_path, monkeypatch, capsys, argv,
                                         fragment):
@@ -406,6 +411,9 @@ def test_refused_solves_build_no_source(tmp_path, monkeypatch, capsys, argv,
     path = tmp_path / "k30.lpn"
     run(capsys, "gen", "--k", "30", "--count", "5", "--eta", "0.1",
         "--out", str(path))
+    wide = tmp_path / "k4097.lpn"
+    run(capsys, "gen", "--k", "4097", "--count", "2", "--eta", "0",
+        "--out", str(wide))
 
     def build(*args, **kwargs):
         raise AssertionError("a source was built for a refused solve")
@@ -414,7 +422,7 @@ def test_refused_solves_build_no_source(tmp_path, monkeypatch, capsys, argv,
     monkeypatch.setattr(cli, "replay_source", build)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "solve",
-                         *[a.format(file=path) for a in argv])
+                         *[a.format(file=path, wide=wide) for a in argv])
     assert time.perf_counter() - t0 < 0.5
     assert code == 1 and out == ""
     assert fragment in err and err.count("\n") == 1

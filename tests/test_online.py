@@ -20,6 +20,7 @@ from online_oracle import (
     process_example,
     provenance_indices,
     reduce_through,
+    reference_reports,
     run_reference,
 )
 from source_helpers import support_replay
@@ -243,6 +244,56 @@ def test_refolded_captures_keep_their_earlier_votes(monkeypatch, g, w, t,
     assert got == want
     # some refolded examples carried label-1 votes from lower matrices
     assert sum(refolds) > 0
+
+
+# both sides of the first batches (64, 64, 128, ..., 4096 rows), of the
+# first full batch and of the one after it
+BATCH_EDGES = [1, 63, 64, 65, 128, 129, 4095, 4096, 4097, 8193]
+
+
+@pytest.mark.parametrize("stream", ["uniform", "skewed"])
+@pytest.mark.parametrize("eta", [0.0, 0.25])
+@pytest.mark.parametrize("g, w, t", [(2, 3, 5), (3, 4, 9), (4, 4, 9),
+                                     (31, 2, 40)])
+def test_matches_reference_across_batch_edges(g, w, t, eta, stream):
+    # the wide layout's reference is slow, so it covers the small counts
+    counts = [c for c in BATCH_EDGES if g < 31 or c < 4095]
+    seed = 60 + g + t
+    rng = np.random.default_rng(seed)
+    support = [random_bitvec(g * w, rng) for _ in range(40)]
+
+    def source():
+        if stream == "uniform":
+            return replay_of(g * w, eta, seed, counts[-1])
+        return support_replay(support, 0.85 ** np.arange(40), counts[-1],
+                              eta, seed)
+
+    want = reference_reports(source(), g, w, t, counts,
+                             collect_vote_stats=True, record_predictions=True)
+    for count, ref in zip(counts, want):
+        got = run_online(source(), g, w, t, count, collect_vote_stats=True,
+                         record_predictions=True)
+        assert got == ref, count
+
+
+def test_captures_refold_few_examples(monkeypatch):
+    # nearly every capture comes early, when the batches are short, so
+    # the examples folded again after captures stay few (79,722 when
+    # every batch held 4,096 rows)
+    refolded = []
+    advance = online._Decoder._advance
+
+    def spy(self, xs, clean, idx, m, cap, res, ones):
+        # a batch's first fold starts at its example 0, a refold after
+        # the capture it follows
+        if not len(idx) or idx[0] > 0:
+            refolded.append(len(idx))
+        advance(self, xs, clean, idx, m, cap, res, ones)
+
+    monkeypatch.setattr(online._Decoder, "_advance", spy)
+    rep = run_online(new_source(16, 0.0, seed=3), 4, 4, 9, 50_000)
+    assert rep.unknown == 540 and rep.errors == 0
+    assert 0 < sum(refolded) < 5_000
 
 
 def test_max_vote_depth_is_over_cast_votes():

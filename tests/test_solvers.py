@@ -18,6 +18,7 @@ from lpn.gf2 import BitVec, BlockLayout, GaussStatus, pack_words
 from lpn import solvers
 from lpn.instance import ReplaySource, new_source
 from lpn.solvers import (
+    GAUSS_MAX_K,
     MLE_MAX_K,
     BudgetExceededError,
     ISample,
@@ -834,6 +835,16 @@ def test_gaussian_baseline_breaks_under_noise():
         src = new_source(8, 0.25, seed=400 + seed)
         statuses.add(gaussian_baseline(*draw_words(src, 48), 8).status)
     assert GaussStatus.INCONSISTENT in statuses
+
+
+def test_gaussian_baseline_is_capped_at_gauss_max_k():
+    # at the cap a short system is merely underdetermined; past it the
+    # refusal comes before the rows are read
+    k = GAUSS_MAX_K
+    words, labels = draw_words(new_source(k, 0.0, seed=19), 10)
+    assert gaussian_baseline(words, labels, k).status is GaussStatus.UNDERDETERMINED
+    with pytest.raises(ValueError, match="capped at k=4096"):
+        gaussian_baseline(words, labels, k + 1)
 
 
 @pytest.mark.parametrize("eta,m", [(0.0, 40), (0.0, 90), (0.05, 300)])

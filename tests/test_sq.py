@@ -457,6 +457,34 @@ def test_greedy_scan_matches_the_pairwise_reference(name, skewed):
     assert not rep.exact
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_exhaustive_search_matches_the_reference_on_random_matrices(n):
+    # symmetric |correlations| scattered around the thresholds 1/s^3 of
+    # every size s, so subsets of many sizes pass and fail
+    rng = np.random.default_rng(500 + n)
+    levels = 1.0 / np.arange(2, n + 2) ** 3
+    for _ in range(20):
+        corr = rng.choice(levels, (n, n)) * rng.uniform(0.9, 1.1, (n, n))
+        corr = np.triu(corr, 1) + np.triu(corr, 1).T + np.eye(n)
+        assert (sqmod._largest_subset(corr, 1e-12)
+                == sq_oracle.exhaustive_witness(corr))
+
+
+@pytest.mark.parametrize("family", ["parity", "conjunction"])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_exhaustive_search_matches_the_reference_on_lab_classes(family, j):
+    # every class of at most 16 concepts; under the uniform distribution
+    # a class's correlations are the same at every width n >= j, so the
+    # narrowest, the next and the widest stand for the rest
+    for n in sorted({j, j + 1, sqmod.MAX_CLASS_WIDTH}):
+        concepts, dist = concept_class(f"{family}:{j}-of-{n}")
+        want = sq_oracle.exhaustive_witness(
+            np.abs(sqmod._corr_matrix(concepts, dist)))
+        rep = sq_dimension(concepts, dist)
+        assert rep.exact
+        assert rep.witness == [concepts[i].name for i in want]
+
+
 def test_sq_dimension_rejects_empty_class():
     with pytest.raises(ValueError):
         sq_dimension([], UNIFORM3)
@@ -502,6 +530,21 @@ def test_sq_dimension_holds_at_most_three_correlation_matrices():
         tracemalloc.stop()
     assert rep.d == 4096 and rep.max_abs_correlation == 0.0
     assert peak < 384 << 20
+
+
+def test_sq_dimension_adds_products_into_one_matrix():
+    # 4096 concepts: the correlation matrix is 128 MB.  Each slice's
+    # product was a second full matrix before it was added in, peaking
+    # at 324 MB
+    concepts, dist = concept_class("parity:12-of-12")
+    tracemalloc.start()
+    try:
+        rep = sq_dimension(concepts, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.d == 4096 and rep.max_abs_correlation == 0.0
+    assert peak < 256 << 20
 
 
 def test_sq_dimension_refuses_a_class_too_large_to_hold():
