@@ -1,4 +1,4 @@
-"""The example count of bkw under the balanced profile, against k/lg k.
+"""The example count of bkw under the balanced layout, against k/lg k.
 
 For k = 8, 12, ..., 48 at eta 0.125 and delta 0.1, prints one markdown
 row per k: the layout choose_parameters picks (marked when a*b > k

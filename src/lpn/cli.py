@@ -4,8 +4,8 @@ Subcommands: gen (write an instance file), solve (run a solver over
 seeds and emit one CSV/JSON row per run), sq (statistical query
 experiments), bias (predicted vs. simulated XOR chain bias).
 
-Exit codes: 0 success, 1 usage error, 2 I/O or file format error,
-3 example budget exceeded in at least one solve row.
+Exit codes: 0 success, 1 usage error or a MemoryError, 2 I/O or file
+format error, 3 example budget exceeded in at least one solve row.
 
 LPN_THREADS > 1 fans independent solve rows out to worker processes;
 rows are always emitted in seed order, so the output does not depend
@@ -106,8 +106,6 @@ def build_parser() -> _Parser:
                    help="a count N (seeds 0..N-1) or a comma list")
     s.add_argument("--delta", type=float, default=0.1)
     s.add_argument("--max-examples", type=int)
-    s.add_argument("--profile", choices=["balanced", "shallow"],
-                   default="balanced")
     s.add_argument("--out")
     s.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -218,7 +216,7 @@ def _solve_one(task: Dict) -> Dict:
         if (task["a"] is None) != (task["b"] is None):
             raise _UsageError("--a and --b go together")
         if task["a"] is None:
-            layout = choose_parameters(k, eta, delta, task["profile"]).layout
+            layout = choose_parameters(k, eta, delta).layout
         else:
             layout = BlockLayout(task["a"], task["b"])
             if layout.total < k:
@@ -457,7 +455,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -224,33 +224,19 @@ def _expected_examples(k: int, reps: int, layout: BlockLayout) -> float:
     return total
 
 
-def choose_parameters(
-    k: int,
-    eta: float,
-    delta: float = 0.1,
-    profile: str = "balanced",
-) -> SolverConfig:
+def choose_parameters(k: int, eta: float, delta: float = 0.1) -> SolverConfig:
     """Pick a block layout and vote count for a k-bit instance.
 
-    balanced: a ~ lg(k)/2, the classic tradeoff between example count
-    (2^b per block) and vote bias ((1-2*eta)^(2^(a-1)) per chain).
-    shallow: a ~ lg(lg(k))/2, far fewer XOR terms per chain at the cost
-    of wider blocks; only sensible when examples are cheap.
-
+    a ~ lg(k)/2, the balanced tradeoff between example count (2^b per
+    block) and vote bias ((1-2*eta)^(2^(a-1)) per chain), and
     b = ceil(k/a).  When a*b passes the 62-bit limit of bkw, a moves to
     the nearest depth whose layout fits, the shallower one on a tie: at
-    k = 61 and 62, balanced's a=3 would take 63 bits, so a=2 and b=31.
-    Above k = 62 no layout fits, and the profile's own a stays for the
-    solve to refuse.
+    k = 61 and 62, a=3 would take 63 bits, so a=2 and b=31.  Above
+    k = 62 no layout fits, and a stays for the solve to refuse.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if profile == "balanced":
-        a = max(1, round(math.log2(k) / 2))
-    elif profile == "shallow":
-        a = max(1, math.ceil(math.log2(max(2.0, math.log2(max(2, k)))) / 2))
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
+    a = max(1, round(math.log2(k) / 2))
     # d*ceil(k/d) >= d, so no depth past _MAX_WIDTH fits
     fits = [d for d in range(1, min(k, _MAX_WIDTH) + 1)
             if d * math.ceil(k / d) <= _MAX_WIDTH]

@@ -67,6 +67,7 @@ MAX_CLASS_WIDTH = 20
 # The largest class sq_dimension takes: its correlation matrix is
 # 128 MB at 2^12 concepts, and parity:j-of-j costs 8x per added bit.
 MAX_DIM_CONCEPTS = 1 << 12
+_EXACT_BELOW = 17  # sq_dimension searches smaller classes exhaustively
 
 
 @dataclass(frozen=True)
@@ -230,9 +231,8 @@ def _answer(k: int, pred: Callable, tau: float, concept: Concept,
         if mode.samples < 1:
             raise ValueError("need at least one sample")
         rng = np.random.default_rng(derive_seed(mode.seed, lane))
-        idx = rng.choice(len(pts), size=(mode.samples, k), p=dist.weights)
-        hits = np.asarray(pred(pts[idx], labels[idx]), dtype=bool)
-        p = hits.sum(axis=0) / mode.samples
+        drawn = rng.choice(len(pts), size=(mode.samples, k), p=dist.weights)
+        p = _exact_probs(dist, k, pred, pts, labels, drawn=drawn)
     elif isinstance(mode, (Exact, AdversarialWorst)):
         p = _exact_probs(dist, k, pred, pts, labels)
         if isinstance(mode, AdversarialWorst):
@@ -256,47 +256,58 @@ def sq_answer(
 
 
 def _exact_probs(dist: FiniteDistribution, k: int, pred: Callable,
-                 *columns: np.ndarray) -> np.ndarray:
-    """Pr[event] over k independent draws from dist, by enumeration.
+                 *columns: np.ndarray, drawn: Optional[np.ndarray] = None
+                 ) -> np.ndarray:
+    """Pr[event] over k independent draws from dist: by enumeration, or
+    as the frequency over the (N, k) point indices drawn.
 
     Each column is an array indexed like dist.points.  pred gets, for a
     chunk of T tuples of draws, one (T, k) array per column, and returns
     (T,) bools for one event or (T, q) bools for q events at once; the
     result is a 0-d or (q,) float64 array, one probability per event.
     Tuples are visited in lexicographic order of their point indices,
-    ENUM_CHUNK at a time.  A uniform probability is a count over n^k.  A
-    non-uniform one sums each tuple's weight, the product of its draws'
-    weights taken left to right, in tuple order, so neither chunking nor
-    the number of events changes a single bit.  KWISE_ENUM_CAP bounds
-    k >= 2 only: at k = 1 the tuples are the distribution's own points.
+    ENUM_CHUNK at a time: every tuple, or each distinct drawn one once,
+    its hits counted as often as it was drawn, over N.  A uniform
+    probability is a count over n^k.  A non-uniform one sums each
+    tuple's weight, the product of its draws' weights taken left to
+    right, in tuple order, so neither chunking nor the number of events
+    changes a single bit.  KWISE_ENUM_CAP bounds k >= 2 only: at k = 1
+    the tuples are the distribution's own points.
     """
     n = len(dist.points)
-    total = n**k
-    if k > 1 and total > KWISE_ENUM_CAP:
-        raise ValueError(
-            f"{n}^{k} tuples exceed the enumeration cap of {KWISE_ENUM_CAP}"
-        )
-    weights = dist.weights
-    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    if drawn is None:
+        total = visit = n**k
+        if k > 1 and total > KWISE_ENUM_CAP:
+            raise ValueError(
+                f"{n}^{k} tuples exceed the enumeration cap of {KWISE_ENUM_CAP}"
+            )
+        place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    else:  # sorted, a new tuple starts wherever a row differs from the last
+        rows = drawn[np.lexsort(drawn.T[::-1])]
+        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(1)])
+        counts = np.diff(starts, append=len(rows))
+        rows, total, visit = rows[starts], len(rows), len(starts)
     sums = 0
-    for start in range(0, total, ENUM_CHUNK):
-        t = np.arange(start, min(start + ENUM_CHUNK, total), dtype=np.int64)
-        idx = t[:, None] // place % n
+    for start in range(0, visit, ENUM_CHUNK):
+        part = slice(start, min(start + ENUM_CHUNK, visit))
+        idx = (rows[part] if drawn is not None else
+               np.arange(part.start, part.stop)[:, None] // place % n)
         hits = np.asarray(pred(*(col[idx] for col in columns)), dtype=bool)
         shape = hits.shape[1:]
-        hits = hits.reshape(len(t), -1)
-        if dist.is_uniform:
-            sums = sums + hits.sum(axis=0)
+        hits = hits.reshape(len(idx), -1)
+        if drawn is not None or dist.is_uniform:
+            sums = sums + (hits.sum(axis=0) if drawn is None
+                           else counts[part] @ hits)
             continue
-        w = weights[idx[:, 0]]
+        w = dist.weights[idx[:, 0]]
         for j in range(1, k):
-            w = w * weights[idx[:, j]]
+            w = w * dist.weights[idx[:, j]]
         # cumsum adds down each column in order, carrying the sum so far
         # into each chunk; a miss adds +0.0, which changes no sum
         terms = np.where(hits, w[:, None], 0.0)
         carried = np.broadcast_to(sums, (1, terms.shape[1]))
         sums = np.cumsum(np.vstack([carried, terms]), axis=0)[-1]
-    probs = sums / total if dist.is_uniform else sums
+    probs = sums if drawn is None and not dist.is_uniform else sums / total
     return probs.reshape(shape)
 
 
@@ -371,34 +382,37 @@ def _check_dim_size(count: int) -> None:
 
 
 def _largest_subset(corr: np.ndarray, slack: float) -> List[int]:
-    """The subset an exhaustive search keeps: sizes from len(corr) down,
-    and within a size the masks in increasing numeric order (bit i for
-    concept i), so the first that passes is the smallest mask of the
-    largest size."""
-    n = len(corr)
-    for size in range(n, 1, -1):
-        thr = 1.0 / size**3 + slack
-        mask = (1 << size) - 1
-        while mask < 1 << n:
-            idx = [i for i in range(n) if (mask >> i) & 1]
-            if all(corr[i, j] <= thr
-                   for a, i in enumerate(idx) for j in idx[a + 1:]):
-                return idx
-            # the next larger mask of the same size (Gosper's hack)
-            low = mask & -mask
-            top = mask + low
-            mask = (((top ^ mask) >> 2) // low) | top
+    """The subset an exhaustive search keeps: for each size from
+    len(corr) down, the smallest passing mask (bit i for concept i),
+    found by trying its top concept from low to high over the lower
+    concepts that pass with it, pruned once too few of them are left."""
+
+    def smallest(cands: List[int], size: int) -> Optional[List[int]]:
+        if size == 0:
+            return []
+        for a in range(size - 1, len(cands)):
+            below = [j for j in cands[:a] if ok[j][cands[a]]]
+            if len(below) >= size - 1:
+                rest = smallest(below, size - 1)
+                if rest is not None:
+                    return rest + [cands[a]]
+        return None
+
+    for size in range(len(corr), 1, -1):
+        ok = (corr <= 1.0 / size**3 + slack).tolist()
+        found = smallest(list(range(len(corr))), size)
+        if found is not None:
+            return found
     return [0]  # one concept has no pairs
 
 
 def sq_dimension(
     concepts: Sequence[Concept],
     dist: FiniteDistribution,
-    exact_below: int = 17,
 ) -> SqDimReport:
     """Largest subset whose pairwise correlations all stay within 1/d^3.
 
-    Classes of at most exact_below - 1 concepts are searched
+    Classes of at most _EXACT_BELOW - 1 concepts are searched
     exhaustively, from the largest size down; larger ones by a greedy
     scan in the given order that keeps the chosen set's largest
     |correlation|, then a verification pass over the witness.  More
@@ -411,7 +425,7 @@ def sq_dimension(
     np.abs(corr, out=corr)
     n = len(concepts)
     slack = 1e-12
-    exact = n < exact_below
+    exact = n < _EXACT_BELOW
     if exact:
         chosen = _largest_subset(corr, slack)
     else:
@@ -445,7 +459,7 @@ class UnlabeledDraws:
 
     kwise_prob answers Pr[pred(x_1..x_k)] for independent draws exactly,
     by enumerating every k-tuple; pred maps a (T, k) array of points to
-    (T,) bools.
+    (T,) bools, or to (T, q) bools for q events and a (q,) answer.
     """
 
     def __init__(self, dist: FiniteDistribution):
@@ -465,8 +479,9 @@ class UnlabeledDraws:
 
     def kwise_prob(
         self, pred: Callable[[np.ndarray], np.ndarray], k: int
-    ) -> float:
-        return float(_exact_probs(self.dist, k, pred, self.dist.points))
+    ) -> Union[float, np.ndarray]:
+        p = _exact_probs(self.dist, k, pred, self.dist.points)
+        return float(p) if np.ndim(p) == 0 else p
 
 
 @dataclass
@@ -521,7 +536,6 @@ def kwise_to_unary_reduce(
     unary_oracle: Callable[[SqQuery], Union[float, np.ndarray]],
     unlabeled: UnlabeledDraws,
     tuples_to_try: Optional[int] = None,
-    delta: float = 0.05,
     seed: int = 0,
 ) -> ReductionOutcome:
     """Answer a k-wise query with unary queries plus unlabeled draws.
@@ -536,6 +550,7 @@ def kwise_to_unary_reduce(
     label patterns; the estimate is then good to 4*eps*(2^k - 1)/2^k.
 
     A biased label marginal short-circuits to a constant hypothesis.
+    tuples_to_try defaults to ceil(4/eps * ln(1/0.05)).
 
     The tuples come from one rng.choice draw (per 1024 tuples), which
     takes the same doubles as one draw per tuple.  For each tuple, one
@@ -566,7 +581,7 @@ def kwise_to_unary_reduce(
         )
 
     if tuples_to_try is None:
-        tuples_to_try = math.ceil(4.0 / eps * math.log(1.0 / delta))
+        tuples_to_try = math.ceil(4.0 / eps * math.log(1.0 / 0.05))
     rng = np.random.default_rng(derive_seed(seed, "kwise-reduce"))
     patterns = list(itertools.product((0, 1), repeat=k))
     # candidate c is (position i, pattern lvec), in the order they are tried
@@ -598,13 +613,12 @@ def kwise_to_unary_reduce(
                     "weak_hypothesis", t + 1, hypothesis=hyp,
                     advantage=adv, fired=(t, i, lvec),
                 )
-    estimate = 0.0
-    for lvec in patterns:
-        l_row = np.array(lvec, dtype=np.uint8)
-        estimate += unlabeled.kwise_prob(
-            lambda xs: query.predicate(xs, np.broadcast_to(l_row, xs.shape)), k
-        )
-    estimate /= 2**k
+    # the 2^k label patterns as the events of one enumeration, added up
+    # in pattern order (cumsum adds left to right)
+    probs = unlabeled.kwise_prob(lambda xs: np.column_stack([
+        query.predicate(xs, np.broadcast_to(l_row, xs.shape))
+        for l_row in lvecs[:len(patterns)]]), k)
+    estimate = float(np.cumsum(probs)[-1]) / 2**k
     bound = 4.0 * eps * (2**k - 1) / 2**k
     return ReductionOutcome(
         "estimate", tuples_to_try, estimate=estimate, error_bound=bound

@@ -15,6 +15,10 @@ given should answer each query afresh (`sq_answer` with the concept
 itself).  `weak_advantage` scores a hypothesis against the concept
 directly, without a query.
 
+`sampled_sq_answer` and `sampled_kwise_answer` answer in `SampledNoisy`
+mode per draw: one `rng.choice` of all N tuples on the oracle's lane,
+the predicate run on every drawn row, and its hits counted over N.
+
 `greedy_witness` is `sq_dimension`'s greedy scan pair by pair: each
 candidate re-checks every pair of the chosen set with it against 1/d^3.
 `exhaustive_witness` is its exhaustive search in one pass over every
@@ -27,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from lpn.sq import (
     FiniteDistribution,
     KWiseQuery,
     ReductionOutcome,
+    SampledNoisy,
     SqQuery,
     UnlabeledDraws,
 )
@@ -106,6 +111,34 @@ def kwise_answer(query: KWiseQuery, concept: Concept,
                       dist.points.tolist(), labels)
 
 
+def _sampled(k: int, pred: Callable, concept: Concept,
+             dist: FiniteDistribution, mode: SampledNoisy, lane: str
+             ) -> Union[float, np.ndarray]:
+    """The frequency of pred over mode.samples drawn k-tuples, counted
+    row by row: a float for a (T,) predicate, (q,) for (T, q)."""
+    pts = dist.points
+    labels = concept.labels(pts)
+    rng = np.random.default_rng(derive_seed(mode.seed, lane))
+    idx = rng.choice(len(pts), size=(mode.samples, k), p=dist.weights)
+    hits = np.asarray(pred(pts[idx], labels[idx]), dtype=bool)
+    p = hits.sum(axis=0) / mode.samples
+    return float(p) if np.ndim(p) == 0 else p
+
+
+def sampled_sq_answer(query: SqQuery, concept: Concept,
+                      dist: FiniteDistribution, mode: SampledNoisy
+                      ) -> Union[float, np.ndarray]:
+    return _sampled(1, lambda xs, ls: query.predicate(xs[:, 0], ls[:, 0]),
+                    concept, dist, mode, "sq-sample")
+
+
+def sampled_kwise_answer(query: KWiseQuery, concept: Concept,
+                         dist: FiniteDistribution, mode: SampledNoisy
+                         ) -> Union[float, np.ndarray]:
+    return _sampled(query.k, query.predicate, concept, dist, mode,
+                    "sq-sample-k")
+
+
 def kwise_prob(dist: FiniteDistribution, pred: Callable, k: int) -> float:
     """UnlabeledDraws.kwise_prob: pred sees the points only."""
     return _enumerate(dist, k, _one_tuple(pred), dist.points.tolist())
@@ -169,7 +202,6 @@ def kwise_to_unary_reduce(
     unary_oracle: Callable[[SqQuery], float],
     unlabeled: UnlabeledDraws,
     tuples_to_try: Optional[int] = None,
-    delta: float = 0.05,
     seed: int = 0,
 ) -> ReductionOutcome:
     """Answer a k-wise query with unary queries plus unlabeled draws.
@@ -206,7 +238,7 @@ def kwise_to_unary_reduce(
         )
 
     if tuples_to_try is None:
-        tuples_to_try = math.ceil(4.0 / eps * math.log(1.0 / delta))
+        tuples_to_try = math.ceil(4.0 / eps * math.log(1.0 / 0.05))
     rng = np.random.default_rng(derive_seed(seed, "kwise-reduce"))
     patterns = list(itertools.product((0, 1), repeat=k))
     for t in range(tuples_to_try):

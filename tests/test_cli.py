@@ -372,6 +372,8 @@ def test_file_without_target_rows(tmp_path, capsys, algo, extra, status,
     (["solve", "--algo", "online", "--eta", "0.1", "--blocks", "2",
       "--width", "4", "--matrices", "2", "--max-examples", "9",
       "--delta", "nan"], "--delta must lie in (0, 1)"),
+    (["solve", "--algo", "bkw", "--k", "8", "--eta", "0.1",
+      "--profile", "balanced"], "unrecognized arguments: --profile"),
 ])
 def test_usage_errors_exit_one(tmp_path, capsys, argv, fragment):
     code, _, err = run(capsys, *argv)
@@ -426,6 +428,29 @@ def test_refused_solves_build_no_source(tmp_path, monkeypatch, capsys, argv,
     assert time.perf_counter() - t0 < 0.5
     assert code == 1 and out == ""
     assert fragment in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, argv", [
+    # a 1.00 TiB target draw
+    ("generate_instance", ["gen", "--k", str(1 << 40), "--count", "0",
+                           "--eta", "0.1", "--out", "{out}"]),
+    # a 7.28 TiB row of flips
+    ("xor_chain_oracle", ["bias", "--eta", "0.1", "--s", str(10**12),
+                          "--trials", "1"]),
+])
+def test_memory_errors_exit_one(tmp_path, monkeypatch, capsys, name, argv):
+    # stubbed: on a host that overcommits memory, a real allocation of
+    # that size can meet the OOM killer instead of raising
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    monkeypatch.setattr(cli, name, refuse)
+    out_path = tmp_path / "big.lpn"
+    code, out, err = run(capsys, *[a.format(out=out_path) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_in_conflicts_with_k(tmp_path, capsys):

@@ -102,36 +102,27 @@ def test_choose_parameters_balanced():
     assert (cfg.layout.a, cfg.layout.b) == (1, 2)
 
 
-def test_choose_parameters_shallow_profile():
-    cfg = choose_parameters(64, 0.125, 0.1, profile="shallow")
-    assert cfg.layout.a >= 1 and cfg.layout.a * cfg.layout.b >= 64
-    deep = choose_parameters(64, 0.125, 0.1)
-    assert cfg.layout.a <= deep.layout.a
-
-
 def test_choose_parameters_covers_k():
     for k in range(2, 80):
         cfg = choose_parameters(k, 0.1, 0.1)
         assert cfg.layout.total >= k
 
 
-@pytest.mark.parametrize("profile", ["balanced", "shallow"])
+# one id per layout rule; the balanced depth a ~ lg(k)/2 is the only one
+@pytest.mark.parametrize("profile", ["balanced"])
 def test_choose_parameters_fit_the_62_bit_limit(profile):
     for k in range(1, 63):
-        solvers._check_layout(k, choose_parameters(k, 0.1, 0.1, profile).layout)
+        solvers._check_layout(k, choose_parameters(k, 0.1, 0.1).layout)
     for k in (61, 62):
-        layout = choose_parameters(k, 0.1, 0.1, profile).layout
+        layout = choose_parameters(k, 0.1, 0.1).layout
         assert (layout.a, layout.b) == (2, 31)
 
 
-@pytest.mark.parametrize("profile", ["balanced", "shallow"])
+@pytest.mark.parametrize("profile", ["balanced"])
 def test_choose_parameters_keep_the_profile_depth_up_to_k60(profile):
     for k in range(1, 61):
-        if profile == "balanced":
-            a = max(1, round(math.log2(k) / 2))
-        else:
-            a = max(1, math.ceil(math.log2(max(2.0, math.log2(max(2, k)))) / 2))
-        layout = choose_parameters(k, 0.1, 0.1, profile).layout
+        a = max(1, round(math.log2(k) / 2))
+        layout = choose_parameters(k, 0.1, 0.1).layout
         assert (layout.a, layout.b) == (a, math.ceil(k / a))
 
 

@@ -401,6 +401,111 @@ def test_basis_answers_match_oracle_on_the_uniform_k4_space():
     assert got[0] > 0 and [a > got[0] / 2 for a in got[1:]] == [1, 1, 0, 1]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_multi_event_kwise_prob_equals_single_events(k):
+    n = WIDTH_FOR_K[k]
+    rng = np.random.default_rng(70 + k)
+    for dist in _dists(n, seed=10 * k + 2):
+        for q in (1, 3, 8):
+            # event e holds where the draws' table entries XOR to 1
+            table = rng.random((1 << n, q)) < rng.random(q)
+
+            def pred(xs, e=slice(None)):
+                return np.bitwise_xor.reduce(table[xs][:, :, e], axis=1)
+
+            multi = UnlabeledDraws(dist).kwise_prob(pred, k)
+            assert multi.shape == (q,) and multi.dtype == np.float64
+            single = [UnlabeledDraws(dist).kwise_prob(
+                lambda xs, e=e: pred(xs, e), k) for e in range(q)]
+            assert all(type(a) is float for a in single)
+            assert multi.tolist() == single
+
+
+# -- sampled answers against the per-draw oracle ----------------------
+
+
+def _sampled_dists():
+    """Uniform over 3 and 7 bits, and 40 of the 128 7-bit points with
+    weights proportional to 0.85^i."""
+    w = 0.85 ** np.arange(40)
+    pts = np.random.default_rng(6).choice(128, 40, replace=False)
+    return [UNIFORM3, FiniteDistribution.uniform_over(7),
+            FiniteDistribution(7, pts, w / w.sum())]
+
+
+def _table_events(k, q, rng):
+    """q events of k labelled draws, or one (T,) event at q = 0: event e
+    holds where the draws' entries table[label, point, e] XOR to 1."""
+    table = rng.random((2, 128, max(q, 1))) < rng.random(max(q, 1))
+
+    def events(xs, ls):
+        hit = np.bitwise_xor.reduce(table[ls, xs], axis=1)
+        return hit if q else hit[:, 0]
+
+    return events
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sampled_answers_match_the_per_draw_oracle(k):
+    rng = np.random.default_rng(80 + k)
+    for dist in _sampled_dists():
+        c = parity_concept(0b101, dist.n)
+        for q in (0, 1, 5):
+            events = _table_events(k, q, rng)
+            for samples in (1, 7, 1000, 100_000):
+                for seed in (0, 1):
+                    mode = SampledNoisy(samples, seed)
+                    query = KWiseQuery(k, events, 0.05)
+                    got = kwise_answer(query, c, dist, mode)
+                    want = sq_oracle.sampled_kwise_answer(query, c, dist, mode)
+                    assert type(got) is type(want)
+                    assert np.array_equal(got, want), (dist.n, q, samples)
+                    if k == 1:
+                        unary = SqQuery(lambda x, l: events(x[:, None],
+                                                            l[:, None]), 0.05)
+                        got = sq_answer(unary, c, dist, mode)
+                        want = sq_oracle.sampled_sq_answer(unary, c, dist,
+                                                           mode)
+                        assert type(got) is type(want)
+                        assert np.array_equal(got, want), (dist.n, q, samples)
+
+
+@pytest.mark.parametrize("samples", [100, 10_000])
+@pytest.mark.parametrize(
+    "cls", ["parity:2-of-4", "conjunction:2-of-3", "conjunction:3-of-5"])
+def test_sampled_reduction_matches_the_per_draw_oracle(cls, samples):
+    concepts, dist = concept_class(cls)
+    for name in sorted(QUERY_REGISTRY):
+        for c in concepts:
+            for seed in (0, 1):
+                mode = SampledNoisy(samples, seed)
+                got = kwise_to_unary_reduce(
+                    named_query(name), 0.05, make_unary_oracle(c, dist, mode),
+                    UnlabeledDraws(dist), tuples_to_try=10, seed=seed)
+                want = sq_oracle.kwise_to_unary_reduce(
+                    named_query(name), 0.05, lambda query: (
+                        sq_oracle.sampled_sq_answer(query, c, dist, mode)),
+                    UnlabeledDraws(dist), tuples_to_try=10, seed=seed)
+                assert _comparable(got, dist) == _comparable(want, dist), \
+                    (name, c.name, seed)
+
+
+def test_sampled_reduction_counts_distinct_draws_in_small_memory():
+    # a million drawn points per unary query; running the predicate on
+    # every draw peaked at 169 MiB
+    concepts, dist = concept_class("parity:2-of-4")
+    oracle = make_unary_oracle(concepts[3], dist, SampledNoisy(10**6, 0))
+    tracemalloc.start()
+    try:
+        out = kwise_to_unary_reduce(named_query("labels-agree"), 0.05, oracle,
+                                    UnlabeledDraws(dist), tuples_to_try=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.kind == "estimate" and out.tuples_tried == 5
+    assert peak < 64 << 20
+
+
 # -- advantage and dimension ------------------------------------------
 
 
@@ -431,10 +536,11 @@ def test_sq_dimension_complement_pair():
     assert rep.d == 1
 
 
-def test_sq_dimension_greedy_matches_exhaustive_on_parities():
+def test_sq_dimension_greedy_matches_exhaustive_on_parities(monkeypatch):
     concepts, dist = concept_class("parity:4-of-4")
     exhaustive = sq_dimension(concepts, dist)
-    greedy = sq_dimension(concepts, dist, exact_below=0)
+    monkeypatch.setattr(sqmod, "_EXACT_BELOW", 0)
+    greedy = sq_dimension(concepts, dist)
     assert exhaustive.d == greedy.d == 16
     assert not greedy.exact
 
@@ -442,14 +548,16 @@ def test_sq_dimension_greedy_matches_exhaustive_on_parities():
 @pytest.mark.parametrize(
     "name", ["conjunction:6-of-6", "conjunction:4-of-7", "parity:6-of-6"])
 @pytest.mark.parametrize("skewed", [False, True])
-def test_greedy_scan_matches_the_pairwise_reference(name, skewed):
+def test_greedy_scan_matches_the_pairwise_reference(monkeypatch, name,
+                                                    skewed):
+    monkeypatch.setattr(sqmod, "_EXACT_BELOW", 0)
     concepts, dist = concept_class(name)
     if skewed:  # weights within 50% of uniform: small nonzero correlations
         w = 1.0 + 0.5 * np.random.default_rng(7).random(len(dist.points))
         dist = FiniteDistribution(dist.n, dist.points, w / w.sum())
     corr = np.abs(sqmod._corr_matrix(concepts, dist))
     want = sq_oracle.greedy_witness(corr)
-    rep = sq_dimension(concepts, dist, exact_below=0)
+    rep = sq_dimension(concepts, dist)
     assert rep.witness == [concepts[i].name for i in want]
     assert rep.max_abs_correlation == max(
         (corr[a, b] for x, a in enumerate(want) for b in want[x + 1:]),
@@ -483,6 +591,18 @@ def test_exhaustive_search_matches_the_reference_on_lab_classes(family, j):
         rep = sq_dimension(concepts, dist)
         assert rep.exact
         assert rep.witness == [concepts[i].name for i in want]
+
+
+def test_exhaustive_search_prunes_a_small_answer():
+    # 16 concepts, d = 5: a walk over all masks of each size took 135 ms
+    concepts, dist = concept_class("conjunction:4-of-4")
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        rep = sq_dimension(concepts, dist)
+        times.append(time.perf_counter() - start)
+    assert rep.exact and rep.d == 5
+    assert min(times) < 0.030
 
 
 def test_sq_dimension_rejects_empty_class():
