@@ -18,6 +18,15 @@ Every route reads examples as row words.  The baselines take the
 (m, ceil(k/64)) uint64 words and 0/1 labels that
 draw_batch(m, packed=True) returns; the merge works on one int64 word
 per example, coordinate 1 in bit 0 and the label in bit 63.
+
+A bkw vote round runs in tiles of whole votes, at most 2^15 rows each
+(one vote when a vote is larger): each tile is drawn and merged once,
+then every later merge level runs over all tiles in order, so a level's
+temporaries fit in cache.  The tile size changes no row.  Source draws
+and the merge's bounded draws (rng.integers over an array of group
+sizes) give the same values, and leave their generators in the same
+state, however their requests are split, and the levels ask for them
+in the same order as on one array of the whole round.
 """
 
 from __future__ import annotations
@@ -67,6 +76,13 @@ _MAX_REDRAWS = 50
 # from one draw of a*2^b examples per vote.  The round size decides
 # which draws each vote uses, so changing this constant changes rows.
 _ROUND_CELLS = 50_000_000
+
+# a round is drawn and merged in tiles of whole votes, at most this many
+# rows (one vote when a vote is larger), so each merge level's
+# temporaries stay in cache.  Unlike the round size, the tile size
+# changes no row: the draws and the merge RNG's bounded draws give the
+# same values however their requests are split.
+_TILE_ROWS = 2**15
 
 # a row word holds coordinate 1 in bit 0 and the label in bit 63, as in
 # the online decoder; layouts wider than this do not fit
@@ -333,15 +349,21 @@ def _merge_segmented(
     if s == 0:
         return x, seg, None if prov is None else np.hstack([prov, prov])
     mask = (1 << b) - 1
-    key = seg << b
-    key |= (x >> lo) & mask
     # key << sh | position sorts into the stable order of key, and faster;
     # segments and keys are bounded by the round size, so both fit
     sh = (s - 1).bit_length()
     pm = (1 << sh) - 1  # the position bits
+    # inside one tile the whole key fits 31 bits, and np.sort runs about
+    # twice as fast on int32 keys as on int64 ones
+    narrow = b + sh <= 31 and int(seg.max()) < 1 << (31 - b - sh)
+    key = seg.astype(np.int32 if narrow else np.int64)
+    key <<= b
+    block = (x >> lo).astype(key.dtype, copy=False)
+    block &= mask
+    key |= block
     assert int(key.max()) >> (63 - sh) == 0, "sort key overflows 63 bits"
     key <<= sh
-    key |= np.arange(s)
+    key |= np.arange(s, dtype=key.dtype)
     key.sort()
     # a group starts where the sorted key changes above the position bits
     new = np.empty(s, dtype=bool)
@@ -353,7 +375,7 @@ def _merge_segmented(
     keep = np.ones(s, dtype=bool)
     keep[rep_pos] = False
 
-    kept = key[keep]
+    kept = np.compress(keep, key)  # far faster than key[keep] here
     rows = kept & pm
     reps = key[rep_pos] & pm
     sizes -= 1  # rows each representative is XORed into
@@ -364,7 +386,7 @@ def _merge_segmented(
     if prov is not None:
         out_prov = np.hstack([prov[rows], prov[np.repeat(reps, sizes)]])
     kept >>= sh + b
-    return out, kept, out_prov
+    return out, kept.astype(np.int64, copy=False), out_prov
 
 
 def merge_step(
@@ -425,14 +447,20 @@ class _ShiftedView:
         self.k = width
         self.shift = shift % width
 
-    def draw_batch(self, m: int) -> Tuple[np.ndarray, int]:
-        """Next m examples as rotated row words, and the first index."""
-        words, labels, start = self._src.draw_batch(m, packed=True)
-        x = words[:, 0].view(np.int64)
+    def draw_batch(self, m: int) -> np.ndarray:
+        """Next m examples as rotated row words."""
+        words, labels, _ = self._src.draw_batch(m, packed=True)
+        x = words[:, 0].view(np.int64)  # a fresh array, changed in place
         if self.shift:
             w, p = self.k, self.shift
-            x = (x >> p | x << (w - p)) & ((1 << w) - 1)
-        return x | labels.astype(np.int64) << 63, start
+            top = x << (w - p)
+            x >>= p
+            x |= top
+            x &= (1 << w) - 1
+        label = labels.astype(np.int64)
+        label <<= 63
+        x |= label
+        return x
 
 
 def _check_provenance(x, prov, draws) -> None:
@@ -447,25 +475,53 @@ def _chain_size(indices: np.ndarray) -> int:
     return int(np.count_nonzero(counts & 1))
 
 
-def _vote_round(draws, seg, layout: BlockLayout, rng, track: bool):
-    """Reduce each segment of draws through a-1 merges and read its vote.
+def _round_tiles(view: _ShiftedView, n_seg: int, m_per: int):
+    """Draw a round of n_seg segments of m_per examples from view, one
+    tile at a time: (row words, segment ids) of whole segments, at most
+    _TILE_ROWS rows, or one segment when a segment is larger."""
+    per_tile = max(1, _TILE_ROWS // m_per)
+    for first in range(0, n_seg, per_tile):
+        n = min(per_tile, n_seg - first)
+        yield (view.draw_batch(n * m_per),
+               np.repeat(np.arange(n, dtype=np.int64), m_per))
 
-    Returns, in segment order, the row word of each segment's first
-    probe hit (e1, label in bit 63) and, with track set, the draws each
-    one XORs; every merged row is then checked against its draws.
+
+def _vote_round(tiles, layout: BlockLayout, rng, track: bool):
+    """Reduce each segment of a round's draws through a-1 merges and
+    read its vote.
+
+    tiles yields the round's draws in order as (row words, segment ids)
+    pairs of whole segments.  The first merge runs on each tile as it
+    arrives, and every later level over all tiles in order before the
+    next, so the merges ask rng for the same groups in the same order as
+    on one array of the whole round.  Returns, in segment order, the row
+    word of each segment's first probe hit (e1, label in bit 63) and,
+    with track set, the draws each one XORs as indices into the round's
+    draws; every merged row is then checked against its tile's draws.
     """
-    x = draws
-    prov = np.arange(len(draws))[:, None] if track else None
-    for level in range(layout.a - 1):
-        x, seg, prov = _merge_segmented(x, seg, layout, level, rng, prov)
-    if prov is not None:
-        _check_provenance(x, prov, draws)
-    idx = np.flatnonzero((x & _VEC) == 1)
-    # rows come out segment-major, so the first hit per segment is the
-    # first row of that segment among the hits
-    _, first = np.unique(seg[idx], return_index=True)
-    hits = idx[first]
-    return x[hits], None if prov is None else prov[hits]
+    reduced, drawn = [], []
+    for draws, seg in tiles:
+        x, prov = draws, np.arange(len(draws))[:, None] if track else None
+        if layout.a > 1:  # merged while the tile's draws are in cache
+            x, seg, prov = _merge_segmented(x, seg, layout, 0, rng, prov)
+        reduced.append((x, seg, prov))
+        drawn.append(draws if track else None)
+    for level in range(1, layout.a - 1):
+        for t, (x, seg, prov) in enumerate(reduced):
+            reduced[t] = _merge_segmented(x, seg, layout, level, rng, prov)
+    votes, out_prov, offset = [], [], 0
+    for (x, seg, prov), draws in zip(reduced, drawn):
+        idx = np.flatnonzero((x & _VEC) == 1)
+        # rows come out segment-major, so the first hit per segment is
+        # the first row of that segment among the hits
+        _, first = np.unique(seg[idx], return_index=True)
+        hits = idx[first]
+        votes.append(x[hits])
+        if prov is not None:
+            _check_provenance(x, prov, draws)
+            out_prov.append(offset + prov[hits])
+            offset += len(draws)
+    return np.concatenate(votes), np.concatenate(out_prov) if track else None
 
 
 def _collect_votes_batched(
@@ -476,13 +532,13 @@ def _collect_votes_batched(
     source, in completion order.
 
     Each round draws a*2^b examples per pending vote from the source
-    rotated by shift, charged to budget before the draw, and a vote
-    that misses the probe is redrawn up to _MAX_REDRAWS times.  With
-    track set, rows also carry the indices of the draws they XOR,
-    every round checks all its merged rows against its draws, and the
-    draw indices of each vote come back as an (n_votes, 2^(a-1)) array;
-    otherwise that array is None.  Tracking uses no randomness, so the
-    labels are the same either way.
+    rotated by shift, charged to budget before the round's first draw,
+    and a vote that misses the probe is redrawn up to _MAX_REDRAWS
+    times.  With track set, rows also carry the indices of the draws
+    they XOR, every round checks all its merged rows against its draws,
+    and the draw indices of each vote come back as an (n_votes,
+    2^(a-1)) array; otherwise that array is None.  Tracking uses no
+    randomness, so the labels are the same either way.
     """
     view = _ShiftedView(source, layout.total, shift)
     m_per = layout.a * 2**layout.b
@@ -495,9 +551,9 @@ def _collect_votes_batched(
         remaining -= pending
         for _ in range(_MAX_REDRAWS):
             budget.charge(pending * m_per)
-            draws, start = view.draw_batch(pending * m_per)
-            seg = np.repeat(np.arange(pending, dtype=np.int64), m_per)
-            votes, prov = _vote_round(draws, seg, layout, rng, track)
+            start = source.draw_count
+            votes, prov = _vote_round(_round_tiles(view, pending, m_per),
+                                      layout, rng, track)
             out.append(votes)
             if prov is not None:
                 out_prov.append(start + prov)

@@ -219,19 +219,35 @@ class SampledNoisy:
 OracleMode = Union[Exact, AdversarialWorst, SampledNoisy]
 
 
+def _draw(dist: FiniteDistribution, k: int, mode: SampledNoisy, lane: str
+          ) -> Tuple[np.ndarray, np.ndarray]:
+    """mode.samples tuples of k point indices from one rng.choice on the
+    seed lane, grouped: the distinct rows in lexicographic order and how
+    often each was drawn."""
+    if mode.samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(derive_seed(mode.seed, lane))
+    drawn = rng.choice(len(dist.points), size=(mode.samples, k),
+                       p=dist.weights)
+    rows = drawn[np.lexsort(drawn.T[::-1])]
+    # sorted, a new tuple starts wherever a row differs from the last
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(1)])
+    return rows[starts], np.diff(starts, append=len(rows))
+
+
 def _answer(k: int, pred: Callable, tau: float, concept: Concept,
-            dist: FiniteDistribution, mode: OracleMode, lane: str
+            dist: FiniteDistribution, mode: OracleMode, lane: str,
+            drawn: Optional[Tuple[np.ndarray, np.ndarray]] = None
             ) -> Union[float, np.ndarray]:
     """Pr[pred] over k labelled draws: enumerated (adversarial: pushed out
     by tau), or the frequency over mode.samples tuples of one rng.choice
-    on the seed lane; a float for a (T,) predicate, (q,) for (T, q)."""
+    on the seed lane, or over drawn, those tuples grouped by _draw once
+    for many answers; a float for a (T,) predicate, (q,) for (T, q)."""
     pts = dist.points
     labels = concept.labels(pts)
     if isinstance(mode, SampledNoisy):
-        if mode.samples < 1:
-            raise ValueError("need at least one sample")
-        rng = np.random.default_rng(derive_seed(mode.seed, lane))
-        drawn = rng.choice(len(pts), size=(mode.samples, k), p=dist.weights)
+        if drawn is None:
+            drawn = _draw(dist, k, mode, lane)
         p = _exact_probs(dist, k, pred, pts, labels, drawn=drawn)
     elif isinstance(mode, (Exact, AdversarialWorst)):
         p = _exact_probs(dist, k, pred, pts, labels)
@@ -251,15 +267,22 @@ def sq_answer(
     """Answer a unary query as the 1-wise query on the same predicate: a
     float for an (m,) predicate, or a (q,) array for an (m, q) one,
     entry e bit for bit the answer to event e alone."""
-    return _answer(1, lambda xs, ls: query.predicate(xs[:, 0], ls[:, 0]),
-                   query.tau, concept, dist, mode, "sq-sample")
+    return _answer(1, _unary(query), query.tau, concept, dist, mode,
+                   "sq-sample")
+
+
+def _unary(query: SqQuery) -> Callable:
+    """query's predicate as a 1-wise one on (T, 1) columns."""
+    return lambda xs, ls: query.predicate(xs[:, 0], ls[:, 0])
 
 
 def _exact_probs(dist: FiniteDistribution, k: int, pred: Callable,
-                 *columns: np.ndarray, drawn: Optional[np.ndarray] = None
+                 *columns: np.ndarray,
+                 drawn: Optional[Tuple[np.ndarray, np.ndarray]] = None
                  ) -> np.ndarray:
     """Pr[event] over k independent draws from dist: by enumeration, or
-    as the frequency over the (N, k) point indices drawn.
+    as the frequency over N drawn k-tuples of point indices, given as
+    drawn = (distinct rows in lexicographic order, their draw counts).
 
     Each column is an array indexed like dist.points.  pred gets, for a
     chunk of T tuples of draws, one (T, k) array per column, and returns
@@ -282,11 +305,9 @@ def _exact_probs(dist: FiniteDistribution, k: int, pred: Callable,
                 f"{n}^{k} tuples exceed the enumeration cap of {KWISE_ENUM_CAP}"
             )
         place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    else:  # sorted, a new tuple starts wherever a row differs from the last
-        rows = drawn[np.lexsort(drawn.T[::-1])]
-        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(1)])
-        counts = np.diff(starts, append=len(rows))
-        rows, total, visit = rows[starts], len(rows), len(starts)
+    else:
+        rows, counts = drawn
+        total, visit = int(counts.sum()), len(rows)
     sums = 0
     for start in range(0, visit, ENUM_CHUNK):
         part = slice(start, min(start + ENUM_CHUNK, visit))
@@ -330,12 +351,17 @@ def make_unary_oracle(
     concept: Concept, dist: FiniteDistribution, mode: OracleMode = Exact()
 ) -> Callable[[SqQuery], Union[float, np.ndarray]]:
     """sq_answer about concept under dist; the concept's labels on the
-    distribution's points are computed once, not once per query."""
+    distribution's points are computed once, not once per query, and a
+    SampledNoisy oracle draws and groups its samples once, the same
+    draws every sq_answer in that mode makes."""
     pts = dist.points
     known = _frozen(np.array(concept.labels(pts)))
     cached = Concept(concept.name, concept.n,
                      lambda x: known if x is pts else concept.labels(x))
-    return lambda query: sq_answer(query, cached, dist, mode)
+    drawn = (_draw(dist, 1, mode, "sq-sample")
+             if isinstance(mode, SampledNoisy) else None)
+    return lambda query: _answer(1, _unary(query), query.tau, cached, dist,
+                                 mode, "sq-sample", drawn)
 
 
 # ---------------------------------------------------------------------------

@@ -449,31 +449,39 @@ def test_packed_round_matches_reference(a, b, where, track):
     labels = rng.integers(0, 2, size=len(rows), dtype=np.uint8)
     bits, ref_labels, _ = merge_oracle.ShiftedView(
         ReplaySource(pack_words(rows), labels, w), w, shift).draw_batch(len(rows))
-    words, _ = solvers._ShiftedView(
+    words = solvers._ShiftedView(
         ReplaySource(pack_words(rows), labels, w), w, shift).draw_batch(len(rows))
     assert np.array_equal(words, row_words(bits, ref_labels))
 
     seg = np.repeat(np.arange(n_seg, dtype=np.int64), per)
-    ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+    ref_rng = np.random.default_rng(9)
     want, want_prov = merge_oracle.vote_round(
         bits, ref_labels, seg, layout, ref_rng, track)
-    got, prov = solvers._vote_round(words, seg, layout, rng, track)
     assert len(want) > 0
-    assert ((got & solvers._VEC) == 1).all()
-    assert np.array_equal((got < 0).astype(np.uint8), want)
-    if track:
-        assert np.array_equal(prov, want_prov)
-    else:
-        assert prov is None and want_prov is None
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the round's segments in tiles of whole segments, each tile
+    # numbering its own from 0, against the reference on one array
+    for tiles in [(6,), (4, 2), (1,) * 6]:
+        bounds = np.cumsum((0,) + tiles) * per
+        rng = np.random.default_rng(9)
+        got, prov = solvers._vote_round(
+            [(words[lo:hi], seg[lo:hi] - seg[lo])
+             for lo, hi in zip(bounds, bounds[1:])], layout, rng, track)
+        assert ((got & solvers._VEC) == 1).all()
+        assert np.array_equal((got < 0).astype(np.uint8), want), tiles
+        if track:
+            assert np.array_equal(prov, want_prov), tiles
+        else:
+            assert prov is None and want_prov is None
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, tiles
 
 
 def merge_input(case, layout, rng):
     """Rows and int64 segment ids for one per-level merge case."""
     a, b, w = layout.a, layout.b, layout.total
     sizes = {"colliding": [400] * 6, "one-row segment": [400, 1, 399, 1],
+             "wide segment ids": [200] * 6,
              "singletons": [min(2**b, 50)] * 3, "s=0": [0], "s=1": [1]}[case]
-    if case in ("colliding", "one-row segment"):
+    if case in ("colliding", "one-row segment", "wide segment ids"):
         rows = colliding_rows(w, b, sum(sizes), rng)
     else:
         rows = rng.integers(0, 2, size=(sum(sizes), w), dtype=np.uint8)
@@ -482,12 +490,18 @@ def merge_input(case, layout, rng):
         vals = np.concatenate([rng.choice(2**b, n, replace=False) for n in sizes])
         lo, hi = layout.bounds(a)
         rows[:, lo:hi] = vals[:, None] >> np.arange(b) & 1
-    return rows, np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    seg = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    if case == "wide segment ids":
+        # keys past 31 bits, so the merge must sort 64-bit keys; at
+        # b = 31 they still fit the 63-bit bound
+        seg += 2**20
+    return rows, seg
 
 
 @pytest.mark.parametrize("track", [False, True])
 @pytest.mark.parametrize(
-    "case", ["colliding", "one-row segment", "singletons", "s=0", "s=1"])
+    "case", ["colliding", "one-row segment", "wide segment ids", "singletons",
+             "s=0", "s=1"])
 @pytest.mark.parametrize("a,b", [l for l in DIFF_LAYOUTS if l[0] > 1])
 def test_merge_levels_match_reference(a, b, case, track):
     # a=1 has no merge level; every level must agree row for row
@@ -510,7 +524,7 @@ def test_merge_levels_match_reference(a, b, case, track):
         else:
             assert prov is None and ref_prov is None
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    if case == "colliding":
+    if case in ("colliding", "wide segment ids"):
         assert len(x) > 0
     if case in ("singletons", "s=1"):
         assert len(x) == 0
@@ -526,20 +540,42 @@ def test_packed_votes_match_reference(monkeypatch, a, b, where, track):
     shift = {"0": 0, "1": 1, "k-1": k - 1}[where]
     m_per = a * 2**b
     monkeypatch.setattr(solvers, "_ROUND_CELLS", 7 * m_per * w)
-    ref_src, src = new_source(k, 0.125, seed=31), new_source(k, 0.125, seed=31)
-    ref_rng, rng = np.random.default_rng(32), np.random.default_rng(32)
+    ref_src = new_source(k, 0.125, seed=31)
+    ref_rng = np.random.default_rng(32)
     want, want_prov = merge_oracle.collect_votes(
         merge_oracle.ShiftedView(ref_src, w, shift), layout, 30, 7, ref_rng,
         track)
-    got, prov = solvers._collect_votes_batched(
-        src, shift, layout, 30, rng, solvers._BudgetTracker(src, None), track)
-    assert np.array_equal(got, want)
-    if track:
-        assert np.array_equal(prov, want_prov)
-    else:
-        assert prov is None and want_prov is None
-    assert src.draw_count == ref_src.draw_count
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # one vote per tile, one, three and a partial last tile of a
+    # 7-vote round, and the whole round in one tile
+    for tile_rows in (1, m_per, 3 * m_per + 1, 2**40):
+        monkeypatch.setattr(solvers, "_TILE_ROWS", tile_rows)
+        src, rng = new_source(k, 0.125, seed=31), np.random.default_rng(32)
+        got, prov = solvers._collect_votes_batched(
+            src, shift, layout, 30, rng, solvers._BudgetTracker(src, None),
+            track)
+        assert np.array_equal(got, want), tile_rows
+        if track:
+            assert np.array_equal(prov, want_prov), tile_rows
+        else:
+            assert prov is None and want_prov is None
+        assert src.draw_count == ref_src.draw_count, tile_rows
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, tile_rows
+
+
+def test_bkw_round_memory_is_bounded_by_its_tiles():
+    # a k=24 3x8 round holds 262 votes of 768 draws, 201,216 rows; merged
+    # as one array its temporaries peaked at 11.7 MB, in tiles of at
+    # most 2^15 rows the solve stays near 4 MB
+    reps = repetitions_for(24, 0.125, 1e-4, 3)
+    src = new_source(24, 0.125, seed=41)
+    tracemalloc.start()
+    try:
+        res = recover_target(src, SolverConfig(BlockLayout(3, 8), reps))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.c_hat == src.target
+    assert peak < 6e6
 
 
 def test_layouts_wider_than_62_bits_are_refused():

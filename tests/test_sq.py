@@ -490,6 +490,24 @@ def test_sampled_reduction_matches_the_per_draw_oracle(cls, samples):
                     (name, c.name, seed)
 
 
+def test_sampled_unary_oracle_draws_once(monkeypatch):
+    # every query of one oracle answers from the same N draws, so they
+    # are drawn and grouped when the oracle is made, not once per query
+    concepts, dist = concept_class("parity:2-of-4")
+    mode = SampledNoisy(10_000, 4)
+    lanes, derive = [], sqmod.derive_seed
+    monkeypatch.setattr(sqmod, "derive_seed", lambda seed, lane: (
+        lanes.append(lane) or derive(seed, lane)))
+    oracle = make_unary_oracle(concepts[3], dist, mode)
+    queries = [SqQuery(lambda x, l, m=m: (x & m > 0) == l, 0.05)
+               for m in range(1, 9)]
+    got = [oracle(q) for q in queries]
+    assert lanes == ["sq-sample"]
+    monkeypatch.undo()
+    for q, p in zip(queries, got):
+        assert p == sq_oracle.sampled_sq_answer(q, concepts[3], dist, mode)
+
+
 def test_sampled_reduction_counts_distinct_draws_in_small_memory():
     # a million drawn points per unary query; running the predicate on
     # every draw peaked at 169 MiB
