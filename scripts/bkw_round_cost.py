@@ -32,7 +32,7 @@ CONFIG = SolverConfig(BlockLayout(A, B), repetitions_for(K, ETA, DELTA, A))
 def solve(seed: int) -> int:
     """examples_used of one solve of the command at seed."""
     src = new_source(K, ETA, seed=seed)
-    res = recover_target(src, CONFIG, seed)
+    res = recover_target(src, CONFIG)
     assert res.c_hat == src.target, f"seed {seed} missed its target"
     return res.examples_used
 

@@ -237,7 +237,7 @@ def _solve_one(task: Dict) -> Dict:
 
     if algo == "bkw":
         row.update(a=layout.a, b=layout.b, repetitions=cfg.repetitions)
-        out = _timed(row, recover_target, src, cfg, seed)
+        out = _timed(row, recover_target, src, cfg)
         row["examples_used"] = out.examples_used
     else:
         # a fixed number of draws, refused whole if a file holds fewer

@@ -190,7 +190,6 @@ class ReplaySource(_BufferedDraws):
         labels: np.ndarray,
         k: int,
         eta: Optional[float] = None,
-        seed: int = 0,
         target: Optional[BitVec] = None,
     ):
         super().__init__()
@@ -200,7 +199,6 @@ class ReplaySource(_BufferedDraws):
             _check_target(target, k)
         self.k = k
         self.eta = None if eta is None else _check_eta(eta)
-        self.rng_seed = seed
         self.target = target
         # the whole table is one buffer, which draw_batch never overruns
         self._buf_words = words

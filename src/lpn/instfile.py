@@ -286,6 +286,5 @@ def generate_instance(
 
 def replay_source(data: InstanceData) -> ReplaySource:
     return ReplaySource(
-        data.words, data.labels, data.k, eta=data.eta, seed=data.seed,
-        target=data.target,
+        data.words, data.labels, data.k, eta=data.eta, target=data.target,
     )

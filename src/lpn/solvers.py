@@ -19,14 +19,21 @@ Every route reads examples as row words.  The baselines take the
 draw_batch(m, packed=True) returns; the merge works on one int64 word
 per example, coordinate 1 in bit 0 and the label in bit 63.
 
+The merge keeps the first row of each collision class, in the order of
+the level's rows, as the class's representative, and uses no RNG.  The
+draws are i.i.d. and a level's row order (segment, the values of the
+blocks already collapsed, draw position) does not depend on the blocks
+still to merge, so the rows of a class are exchangeable and its first
+row is as random a member as a uniformly chosen one: each merged row is
+still the XOR of two independent uniform rows of its class (BKW and
+LF1 need any member, not a random one).
+
 A bkw vote round runs in tiles of whole votes, at most 2^15 rows each
 (one vote when a vote is larger): each tile is drawn and merged once,
 then every later merge level runs over all tiles in order, so a level's
-temporaries fit in cache.  The tile size changes no row.  Source draws
-and the merge's bounded draws (rng.integers over an array of group
-sizes) give the same values, and leave their generators in the same
-state, however their requests are split, and the levels ask for them
-in the same order as on one array of the whole round.
+temporaries fit in cache.  The tile size changes no row: source draws
+give the same values however their requests are split, and a merge
+acts on each segment alone.
 """
 
 from __future__ import annotations
@@ -35,13 +42,12 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .gf2 import BitVec, BlockLayout, GaussResult, GaussStatus, eliminate, fwht
 from .instance import _check_eta, _check_words
-from .seeding import derive_seed
 
 __all__ = [
     "MLE_MAX_K",
@@ -80,8 +86,8 @@ _ROUND_CELLS = 50_000_000
 # a round is drawn and merged in tiles of whole votes, at most this many
 # rows (one vote when a vote is larger), so each merge level's
 # temporaries stay in cache.  Unlike the round size, the tile size
-# changes no row: the draws and the merge RNG's bounded draws give the
-# same values however their requests are split.
+# changes no row: the draws give the same values however their requests
+# are split, and each segment merges alone.
 _TILE_ROWS = 2**15
 
 # a row word holds coordinate 1 in bit 0 and the label in bit 63, as in
@@ -188,8 +194,8 @@ def repetitions_for(k: int, eta: float, delta: float, a: int) -> int:
         raise ValueError("delta must lie in (0, 1)")
     eta = _check_eta(eta)
     gamma = 1.0 - 2.0 * eta
-    denom = gamma ** (2**a)
-    reps = 2.0 * math.log(2.0 * k / delta) / denom
+    denom = gamma ** (2**a)  # 0.0 once it underflows
+    reps = 2.0 * math.log(2.0 * k / delta) / denom if denom else math.inf
     if not math.isfinite(reps) or reps > 2**62:
         raise ValueError(
             f"a={a} with eta={eta} needs an infeasible number of votes"
@@ -322,20 +328,22 @@ def _merge_segmented(
     seg: np.ndarray,
     layout: BlockLayout,
     level: int,
-    rng: np.random.Generator,
     prov: Optional[np.ndarray] = None,
 ):
     """One merge step applied independently inside each segment.
 
     x holds int64 row words (label in bit 63) and seg their int64
     segment ids.  Rows are grouped by (segment, value of block a-level);
-    one uniform random representative per group is XORed into the rest
-    of its group and then dropped.  Returns the new rows and segments in
-    (segment, block value) order; groups of size one vanish entirely.
+    the first row of each group, in the order of x, is XORed into the
+    rest of its group and then dropped.  Returns the new rows and
+    segments in (segment, block value, order in x) order; groups of
+    size one vanish entirely.
 
-    The rows of a group stay contiguous once its representative is
-    dropped, so each representative's word is read once and repeated
-    over the size-1 rows it is XORed into.
+    The position bits make the sort stable, so each group's
+    representative is its first sorted row and the rows kept are those
+    that start no group: each
+    representative's word is read once and repeated over the size-1
+    rows it is XORed into.
 
     prov, when given, is an (s, w) int array: row r is the XOR of the
     rows indexed by prov[r].  An output row gets its own row's w
@@ -371,14 +379,11 @@ def _merge_segmented(
     np.greater(key[1:] ^ key[:-1], pm, out=new[1:])
     starts = np.flatnonzero(new)
     sizes = np.diff(starts, append=s)
-    rep_pos = starts + rng.integers(0, sizes)
-    keep = np.ones(s, dtype=bool)
-    keep[rep_pos] = False
-
-    kept = np.compress(keep, key)  # far faster than key[keep] here
-    rows = kept & pm
-    reps = key[rep_pos] & pm
     sizes -= 1  # rows each representative is XORed into
+    reps = key[starts] & pm
+    np.logical_not(new, out=new)
+    kept = np.compress(new, key)  # far faster than key[~new] here
+    rows = kept & pm
     out = x[rows]
     out ^= np.repeat(x[reps], sizes)
     assert not (out & mask << lo).any(), "collapsed block must be zero"
@@ -389,22 +394,19 @@ def _merge_segmented(
     return out, kept.astype(np.int64, copy=False), out_prov
 
 
-def merge_step(
-    sample: ISample, rng: Union[int, np.random.Generator]
-) -> ISample:
+def merge_step(sample: ISample) -> ISample:
     """Collapse block a-i of an i-sample, yielding an (i+1)-sample.
 
-    Output size is at least len(sample) - 2^b (one representative lost
-    per collision class).  Each output row is the XOR of exactly two
-    input rows, so uniformity over V_{i+1} is preserved.
+    Output size is at least len(sample) - 2^b (one representative, the
+    class's first row, lost per collision class).  Each output row is
+    the XOR of exactly two input rows, so uniformity over V_{i+1} is
+    preserved.
     """
     if sample.i > sample.layout.a - 2:
         raise ValueError("sample is already fully reduced")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     seg = np.zeros(len(sample), dtype=np.int64)
     x, _, prov = _merge_segmented(
-        sample.words, seg, sample.layout, sample.i, rng, sample.provenance
+        sample.words, seg, sample.layout, sample.i, sample.provenance
     )
     return ISample(sample.i + 1, sample.layout, x, prov)
 
@@ -486,15 +488,15 @@ def _round_tiles(view: _ShiftedView, n_seg: int, m_per: int):
                np.repeat(np.arange(n, dtype=np.int64), m_per))
 
 
-def _vote_round(tiles, layout: BlockLayout, rng, track: bool):
+def _vote_round(tiles, layout: BlockLayout, track: bool):
     """Reduce each segment of a round's draws through a-1 merges and
     read its vote.
 
     tiles yields the round's draws in order as (row words, segment ids)
     pairs of whole segments.  The first merge runs on each tile as it
-    arrives, and every later level over all tiles in order before the
-    next, so the merges ask rng for the same groups in the same order as
-    on one array of the whole round.  Returns, in segment order, the row
+    arrives, and every later level over all tiles before the next.
+    Segments merge alone, so the votes are those of one array of the
+    whole round.  Returns, in segment order, the row
     word of each segment's first probe hit (e1, label in bit 63) and,
     with track set, the draws each one XORs as indices into the round's
     draws; every merged row is then checked against its tile's draws.
@@ -503,12 +505,12 @@ def _vote_round(tiles, layout: BlockLayout, rng, track: bool):
     for draws, seg in tiles:
         x, prov = draws, np.arange(len(draws))[:, None] if track else None
         if layout.a > 1:  # merged while the tile's draws are in cache
-            x, seg, prov = _merge_segmented(x, seg, layout, 0, rng, prov)
+            x, seg, prov = _merge_segmented(x, seg, layout, 0, prov)
         reduced.append((x, seg, prov))
         drawn.append(draws if track else None)
     for level in range(1, layout.a - 1):
         for t, (x, seg, prov) in enumerate(reduced):
-            reduced[t] = _merge_segmented(x, seg, layout, level, rng, prov)
+            reduced[t] = _merge_segmented(x, seg, layout, level, prov)
     votes, out_prov, offset = [], [], 0
     for (x, seg, prov), draws in zip(reduced, drawn):
         idx = np.flatnonzero((x & _VEC) == 1)
@@ -526,7 +528,7 @@ def _vote_round(tiles, layout: BlockLayout, rng, track: bool):
 
 def _collect_votes_batched(
     source, shift: int, layout: BlockLayout, n_votes: int,
-    rng: np.random.Generator, budget: _BudgetTracker, track: bool,
+    budget: _BudgetTracker, track: bool,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Labels of n_votes completed votes on coordinate 1 + shift of
     source, in completion order.
@@ -537,8 +539,8 @@ def _collect_votes_batched(
     times.  With track set, rows also carry the indices of the draws
     they XOR, every round checks all its merged rows against its draws,
     and the draw indices of each vote come back as an (n_votes,
-    2^(a-1)) array; otherwise that array is None.  Tracking uses no
-    randomness, so the labels are the same either way.
+    2^(a-1)) array; otherwise that array is None.  The labels depend on
+    the rotated draws alone, tracked or not.
     """
     view = _ShiftedView(source, layout.total, shift)
     m_per = layout.a * 2**layout.b
@@ -553,7 +555,7 @@ def _collect_votes_batched(
             budget.charge(pending * m_per)
             start = source.draw_count
             votes, prov = _vote_round(_round_tiles(view, pending, m_per),
-                                      layout, rng, track)
+                                      layout, track)
             out.append(votes)
             if prov is not None:
                 out_prov.append(start + prov)
@@ -589,22 +591,18 @@ def collect_votes(
     source's remaining rows count as a budget next to max_examples;
     running out, or a vote past the redraw cap, raises
     BudgetExceededError.  Meant for calibration studies; recovery goes
-    through recover_target.  The merges draw from the source's
-    "merge-votes" seed lane.
+    through recover_target.
     """
     _check_layout(source.k, config.layout)
-    rng = np.random.default_rng(derive_seed(source.rng_seed, "merge-votes"))
     labels, prov = _collect_votes_batched(
-        source, 0, config.layout, n_votes, rng,
+        source, 0, config.layout, n_votes,
         _BudgetTracker(source, config.max_examples), config.track_provenance,
     )
     sizes = [None] * len(labels) if prov is None else map(_chain_size, prov)
     return [(int(l), s) for l, s in zip(labels, sizes)]
 
 
-def recover_target(
-    source, config: SolverConfig, seed: Optional[int] = None
-) -> SolverResult:
+def recover_target(source, config: SolverConfig) -> SolverResult:
     """Recover all k target coordinates by rotating each into position 1.
 
     Coordinate 1 is the majority of its votes: each vote reduces a
@@ -620,8 +618,7 @@ def recover_target(
     BUDGET_EXCEEDED and the examples drawn so far.  Without either
     limit, a solve that the model of predicted_examples expects to draw
     more than 2^40 examples is refused with ValueError before any
-    draw.  The merge RNG lanes derive from `seed`, defaulting to the
-    source's own seed.
+    draw.  The votes depend on the source's draws alone.
     """
     layout, k, reps = config.layout, source.k, config.repetitions
     _check_layout(k, layout)
@@ -635,16 +632,13 @@ def recover_target(
                 f"more than the 2^{_MAX_UNCAPPED.bit_length() - 1} a solve "
                 "may draw without max_examples (--max-examples)"
             )
-    if seed is None:
-        seed = source.rng_seed
     tallies: List[Tuple[int, int]] = []
     bits_acc = 0
     status = SolverStatus.RECOVERED
     for p in range(k):
-        rng = np.random.default_rng(derive_seed(seed, f"merge-bit-{p + 1}"))
         try:
             labels, _ = _collect_votes_batched(
-                source, p, layout, reps, rng, budget, config.track_provenance
+                source, p, layout, reps, budget, config.track_provenance
             )
         except BudgetExceededError:
             status = SolverStatus.BUDGET_EXCEEDED

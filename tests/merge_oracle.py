@@ -3,10 +3,10 @@
 This is the one-byte-per-bit form of the vote pipeline that
 `lpn.solvers` runs on int64 row words: a view that zero-pads and
 `np.roll`s each draw, a merge that gathers bits, labels and segment ids
-separately, and a hit test on the probe row (1, 0, ..., 0).  It makes
-the same RNG calls in the same order, so for the same draws and the same
-generator the packed path must give the same votes, the same provenance
-and leave the generator in the same state.
+separately, and a hit test on the probe row (1, 0, ..., 0).  Each
+collision class's representative is its first member in the order of
+the level's rows, so for the same draws the packed path must give the
+same votes and the same provenance.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class ShiftedView:
 
 
 def merge_segmented(bits, labels, seg, layout: BlockLayout, level: int,
-                    rng: np.random.Generator, prov=None):
+                    prov=None):
     """One merge step inside each segment, in (segment, block value) order."""
     a, b = layout.a, layout.b
     lo, hi = layout.bounds(a - level)
@@ -50,7 +50,7 @@ def merge_segmented(bits, labels, seg, layout: BlockLayout, level: int,
     ks = key[order]
     starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
     sizes = np.diff(np.r_[starts, s])
-    rep_pos = starts + rng.integers(0, sizes)
+    rep_pos = starts  # the class's first row, as the sort is stable
     gid = np.repeat(np.arange(len(starts)), sizes)
     rep_for = rep_pos[gid]
     keep = np.ones(s, dtype=bool)
@@ -79,14 +79,13 @@ def check_provenance(bits, labels, prov, draws, draw_labels) -> None:
         raise AssertionError("provenance does not reproduce the merged rows")
 
 
-def vote_round(draws, draw_labels, seg, layout: BlockLayout,
-               rng: np.random.Generator, track: bool):
+def vote_round(draws, draw_labels, seg, layout: BlockLayout, track: bool):
     """Labels and (with track) draw indices of each segment's first hit."""
     bits, labels = draws, draw_labels
     prov = np.arange(len(draws))[:, None] if track else None
     for level in range(layout.a - 1):
         bits, labels, seg, prov = merge_segmented(
-            bits, labels, seg, layout, level, rng, prov
+            bits, labels, seg, layout, level, prov
         )
     if prov is not None:
         check_provenance(bits, labels, prov, draws, draw_labels)
@@ -97,7 +96,7 @@ def vote_round(draws, draw_labels, seg, layout: BlockLayout,
 
 
 def collect_votes(view: ShiftedView, layout: BlockLayout, n_votes: int,
-                  chunk_votes: int, rng: np.random.Generator, track: bool
+                  chunk_votes: int, track: bool
                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Labels of n_votes votes in completion order, rounds of chunk_votes."""
     m_per = layout.a * 2**layout.b
@@ -110,7 +109,7 @@ def collect_votes(view: ShiftedView, layout: BlockLayout, n_votes: int,
         while pending:
             draws, draw_labels, start = view.draw_batch(pending * m_per)
             seg = np.repeat(np.arange(pending, dtype=np.int64), m_per)
-            labels, prov = vote_round(draws, draw_labels, seg, layout, rng, track)
+            labels, prov = vote_round(draws, draw_labels, seg, layout, track)
             out.append(labels)
             if prov is not None:
                 out_prov.append(start + prov)

@@ -38,4 +38,4 @@ def support_replay(
     words = pack_words(np.stack([bits_row(v) for v in support]))[idx]
     flips = (rng.random(m) < eta).astype(np.uint8)
     labels = target.dot_words(words) ^ flips
-    return ReplaySource(words, labels, k, eta=eta, seed=seed, target=target)
+    return ReplaySource(words, labels, k, eta=eta, target=target)

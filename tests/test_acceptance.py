@@ -143,7 +143,7 @@ def test_ac04_merge_invariants_random():
         words = _row_words(bits, labels)
         prov = np.arange(s)[:, None]
         sample = ISample(i, layout, words.copy(), prov)
-        out = merge_step(sample, rng)
+        out = merge_step(sample)
         try:
             if len(out) < s - 2 ** b:
                 raise AssertionError("merge lost more than one per class")
@@ -170,7 +170,7 @@ def test_ac05_merge_output_uniformity():
         rng = np.random.default_rng(500 + r)
         bits = rng.integers(0, 2, size=(s, 8), dtype=np.uint8)
         labels = rng.integers(0, 2, size=s, dtype=np.uint8)
-        out = merge_step(ISample(0, layout, _row_words(bits, labels)), rng)
+        out = merge_step(ISample(0, layout, _row_words(bits, labels)))
         counts = np.bincount(out.words & 15, minlength=16)
         if stats.chisquare(counts).pvalue >= 0.001:
             passes += 1

@@ -228,6 +228,8 @@ def test_in_file_is_decoded_once_per_command(tmp_path, capsys, monkeypatch):
     assert rows == pooled_rows
     assert [r["seed"] for r in rows] == ["0", "1", "2"]
     assert all(r["success"] == "true" for r in rows)
+    # the merge draws nothing, so the same rows give the same solve
+    assert all({**r, "seed": "0"} == rows[0] for r in rows)
 
 
 def test_solve_budget_exceeded_exit_code(tmp_path, capsys):
@@ -252,6 +254,20 @@ def test_bkw_predicted_past_2_40_examples_is_refused(capsys):
                        "--eta", "0.45", "--max-examples", "1000")
     assert code == 3
     assert rows_from_csv(out)[0]["status"] == "budget_exceeded"
+
+
+@pytest.mark.parametrize("argv, a, eta", [
+    (["--k", "22", "--eta", "0.25", "--a", "11", "--b", "2", "--seeds", "1"],
+     11, 0.25),
+    (["--k", "62", "--eta", "0.45", "--a", "62", "--b", "1"], 62, 0.45),
+])
+def test_bkw_vote_count_underflow_is_one_line(capsys, argv, a, eta):
+    # (1-2*eta)^(2^a) underflows to 0.0 here; the vote rule once divided
+    # by it and the command ended in a ZeroDivisionError traceback
+    code, out, err = run(capsys, "solve", "--algo", "bkw", *argv)
+    assert code == 1 and out == ""
+    assert err == (f"error: a={a} with eta={eta} needs an infeasible "
+                   "number of votes\n")
 
 
 @pytest.mark.parametrize("k", [61, 62])
